@@ -52,6 +52,8 @@ SCHEMA = "symtrap/1"
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
+_NON_NEGATIVE = click.IntRange(min=0)
+
 
 def _energy_text(n: int, x: int) -> str:
     return f"E = {2 * x + n}/2 ħω"
@@ -255,7 +257,9 @@ def chartable_cmd(n: int, group: str, fmt: str, output: str | None) -> None:
 
 @main.command("reduce-shell")
 @_n_option
-@click.option("--max-energy", type=int, required=True, help="Largest shell excitation X.")
+@click.option(
+    "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest shell excitation X."
+)
 @click.option("--verify", is_flag=True, help="Cross-check against explicit matrices.")
 @_format_option
 @_run_guarded
@@ -291,8 +295,15 @@ def _verify_shells(n: int, max_energy: int) -> None:
 
 @main.command("reduce-lambda")
 @_n_option
-@click.option("--max-lambda", type=int, required=True, help="Largest grand angular momentum.")
-@click.option("--verify", is_flag=True, help="Cross-check the underlying shells.")
+@click.option(
+    "--max-lambda", type=_NON_NEGATIVE, required=True, help="Largest grand angular momentum."
+)
+@click.option(
+    "--verify",
+    is_flag=True,
+    help="Recount each row by Kostka counts and shell subtraction "
+    "(rows past the oracle's lambda guard are reported as skipped).",
+)
 @_format_option
 @_run_guarded
 def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool, fmt: str, output: str | None) -> None:
@@ -300,7 +311,7 @@ def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool, fmt: str, output: s
     shapes = partitions_of(n)
     rows = [[lam, *lambda_reduction(n, lam).counts] for lam in range(max_lambda + 1)]
     if verify:
-        _verify_shells(n, max_lambda)
+        _verify_lambdas(n, rows)
     headers = ["lambda", *[p.label() for p in shapes]]
     json_obj = {
         "n": n,
@@ -309,6 +320,16 @@ def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool, fmt: str, output: s
         "schema": SCHEMA,
     }
     _emit(fmt, output, headers, rows, json_obj, title=f"lambda reduction n={n}")
+
+
+def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
+    from .oracle import LAMBDA_LIMIT, subtraction_lambda_reduction
+
+    for lam, *counts in rows[: LAMBDA_LIMIT + 1]:
+        if tuple(counts) != subtraction_lambda_reduction(n, lam).counts:
+            raise ConsistencyError(f"lambda oracle disagrees at n={n}, lambda={lam}")
+    if len(rows) > LAMBDA_LIMIT + 1:
+        click.echo(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)", err=True)
 
 
 @main.command("reduce-snippet")
@@ -404,8 +425,8 @@ def branch_cmd(n: int, pattern: str | None, stats: str, fmt: str, output: str | 
     show_default=True,
     help="Count states per hyperangular subspace or per whole shell.",
 )
-@click.option("--max-lambda", type=int, help="Largest lambda column (--by lambda).")
-@click.option("--max-energy", type=int, help="Largest shell column X (--by shell).")
+@click.option("--max-lambda", type=_NON_NEGATIVE, help="Largest lambda column (--by lambda).")
+@click.option("--max-energy", type=_NON_NEGATIVE, help="Largest shell column X (--by shell).")
 @_format_option
 @_run_guarded
 def degeneracy_table_cmd(
@@ -478,7 +499,9 @@ def spin_decompose_cmd(n: int, k: int, fmt: str, output: str | None) -> None:
 @main.command("spectrum")
 @_n_option
 @click.option("--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition.")
-@click.option("--max-energy", type=int, required=True, help="Largest excitation listed.")
+@click.option(
+    "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest excitation listed."
+)
 @_format_option
 @_run_guarded
 def spectrum_cmd(n: int, state: str, max_energy: int, fmt: str, output: str | None) -> None:
@@ -520,7 +543,9 @@ def spectrum_cmd(n: int, state: str, max_energy: int, fmt: str, output: str | No
 @click.option("--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition.")
 @click.option("--tau", type=int, default=0, show_default=True, help="Copy index at the source level.")
 @click.option("--component", help="Subgroup irrep tag echoed in the output, e.g. 1^2x1^2.")
-@click.option("--ceiling", type=int, help="Extra excitation searched above the source.")
+@click.option(
+    "--ceiling", type=_NON_NEGATIVE, help="Extra excitation searched above the source."
+)
 @_format_option
 @_run_guarded
 def map_cmd(

@@ -1,32 +1,39 @@
-"""Brute-force explicit representations, used only for cross-checking.
+"""Brute-force routes, used only for cross-checking.
 
 These builders materialize the actual (signed) permutation matrices that
 the production code deliberately avoids, take traces, and decompose them
-with the character tables.  They are orders of magnitude slower than the
-production paths and guarded by hard dimension limits; they run from the
-test suite and behind the CLI ``--verify`` flag, never in production.
+with the character tables; the shell and hyperangular reductions are also
+recounted combinatorially, by Kostka counts over excitation multisets and a
+subtraction recursion over shells.  They are orders of magnitude slower than
+the production paths and guarded by hard limits; they run from the test
+suite and behind the CLI ``--verify`` flag, never in production.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .characters import (
     ClassFunction,
     character_table_sn,
     character_table_snz2,
+    kostka,
     reduce_class_function,
     sn_character,
 )
 from .errors import ConsistencyError
 from .linalg import matrix_rank
-from .partitions import MultiplicityVector, Partition
+from .partitions import MultiplicityVector, Partition, partitions_into_max_parts, partitions_of
 from .snippet import _apply, _cycle_type, _inversion_sign, all_sectors
 
 SHELL_N_LIMIT = 5
 SHELL_X_LIMIT = 8
 SECTOR_N_LIMIT = 6
+#: Largest grand angular momentum recounted by the Kostka route, which
+#: enumerates every partition of every shell up to it (p(24) = 1575).
+LAMBDA_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,30 @@ class ExplicitRep:
     classes: tuple
     traces: tuple[int, ...]
 
-    def generator(self, name: str) -> SignedPerm:
-        for gen_name, action in self.generators:
-            if gen_name == name:
-                return action
-        raise KeyError(name)
+
+@lru_cache(maxsize=None)
+def kostka_shell_reduction(n: int, x: int) -> MultiplicityVector:
+    """Shell content by Kostka counts: each way of distributing ``x`` quanta
+    over ``n`` particles contributes the Kostka count of its multiset."""
+    shapes = partitions_of(n)
+    totals = [0] * len(shapes)
+    for quanta in partitions_into_max_parts(x, n):
+        content = (0,) * (n - len(quanta)) + tuple(sorted(quanta))
+        for i, shape in enumerate(shapes):
+            totals[i] += kostka(shape, content)
+    return MultiplicityVector(shapes, tuple(totals))
+
+
+@lru_cache(maxsize=None)
+def subtraction_lambda_reduction(n: int, lam: int) -> MultiplicityVector:
+    """Hyperangular content from the Kostka shell at ``x = lam`` minus every
+    subspace with smaller grand angular momentum; there are
+    ``(lam - l)//2 + 1`` centre-of-mass/hyperradial copies of each lower ``l``."""
+    result = kostka_shell_reduction(n, lam)
+    for lower in range(lam):
+        copies = (lam - lower) // 2 + 1
+        result = result - subtraction_lambda_reduction(n, lower).scaled(copies)
+    return result
 
 
 def _class_representative(cycle_type: Partition) -> tuple[int, ...]:

@@ -2,8 +2,11 @@
 
 Energies are carried as exact rationals in trap units; the zero-point
 offset n/2 makes every energy a half-integer, so nothing here ever touches
-floating point.  The hyperangular reduction is a subtraction recursion
-over shells and is memoized on ``(n, lam)``.
+floating point.  Shell and hyperangular reductions are read off one
+truncated power series per irrep, built from Stanley's q-hook formula for
+the fake degree (EC2, Cor. 7.21.5) and memoized per particle number.  The
+brute-force route, Kostka counts over excitation multisets followed by a
+subtraction recursion over shells, lives in ``oracle`` as a cross-check.
 """
 
 from __future__ import annotations
@@ -13,14 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .characters import kostka
 from .errors import ConsistencyError
-from .partitions import (
-    MultiplicityVector,
-    Partition,
-    partitions_into_max_parts,
-    partitions_of,
-)
+from .partitions import MultiplicityVector, Partition, partitions_of
 
 
 @dataclass(frozen=True, order=True)
@@ -76,24 +73,58 @@ def hyperangular_dimension(n: int, lam: int) -> int:
     return dim
 
 
+#: Shortest series kept per (n, first factor); longer ones double it.
+_MIN_SERIES_LENGTH = 64
+
+
+def _series_length(x: int) -> int:
+    """Smallest power of two above ``x``, at least the minimum length."""
+    return max(_MIN_SERIES_LENGTH, 1 << x.bit_length())
+
+
+@lru_cache(maxsize=None)
+def _series(n: int, first: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of q^0 .. q^(length-1) in f^p(q) / prod_{i=first..n} (1 - q^i),
+    one tuple per shape p in ``partitions_of(n)`` order.
+
+    The fake degree f^p(q) = q^b(p) [n]_q! / prod_hooks [h]_q, with
+    b(p) = sum (i - 1) p_i, counts copies of p in the degree-d coinvariants.
+    Both [n]_q! and the hook product carry n factors of 1/(1 - q), so the
+    series equals q^b(p) prod_{i<first} (1 - q^i) / prod_hooks (1 - q^h).
+    """
+    out = []
+    for shape in partitions_of(n):
+        parts = shape.parts
+        conj = shape.conjugate().parts
+        coeffs = [0] * length
+        b = sum(i * v for i, v in enumerate(parts))
+        if b < length:
+            coeffs[b] = 1
+        for i in range(1, first):
+            for k in range(length - 1, i - 1, -1):
+                coeffs[k] -= coeffs[k - i]
+        for r, row in enumerate(parts):
+            for c in range(row):
+                hook = row - c + conj[c] - r - 1
+                for k in range(hook, length):
+                    coeffs[k] += coeffs[k - hook]
+        out.append(tuple(coeffs))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def shell_reduction(n: int, x: int) -> MultiplicityVector:
     """S_n irrep content of the shell at excitation ``x``.
 
-    Each way of distributing ``x`` quanta over ``n`` particles contributes
-    the Kostka count of its excitation multiset to every shape.
+    By Chevalley's theorem the polynomial ring is the invariants times the
+    coinvariants, so the multiplicity of p is [q^x] f^p(q) / prod_{i=1..n} (1 - q^i).
     """
     if n < 2:
         raise ValueError(f"need at least two particles, got n={n}")
     if x < 0:
         raise ValueError(f"excitation must be non-negative, got {x}")
-    shapes = partitions_of(n)
-    totals = [0] * len(shapes)
-    for quanta in partitions_into_max_parts(x, n):
-        content = (0,) * (n - len(quanta)) + tuple(sorted(quanta))
-        for i, shape in enumerate(shapes):
-            totals[i] += kostka(shape, content)
-    result = MultiplicityVector(shapes, tuple(totals))
+    series = _series(n, 1, _series_length(x))
+    result = MultiplicityVector(partitions_of(n), tuple(s[x] for s in series))
     if result.total_dimension() != shell_dimension(n, x):
         raise ConsistencyError(f"shell reduction does not fill the shell for n={n}, x={x}")
     return result
@@ -103,18 +134,15 @@ def shell_reduction(n: int, x: int) -> MultiplicityVector:
 def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
     """S_n irrep content of a single hyperangular subspace.
 
-    Obtained from the shell at ``x = lam`` by subtracting every subspace
-    with smaller grand angular momentum; there are ``(lam - l)//2 + 1``
-    centre-of-mass/hyperradial copies of each lower ``l``.
+    Dividing the centre-of-mass mode (1 - q) and the hyperradial mode
+    (1 - q^2) out of the shell series leaves [q^lam] f^p(q) / prod_{i=3..n} (1 - q^i).
     """
     if n < 3:
         raise ValueError(f"hyperangular structure needs n >= 3, got n={n}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    result = shell_reduction(n, lam)
-    for lower in range(lam):
-        copies = (lam - lower) // 2 + 1
-        result = result - lambda_reduction(n, lower).scaled(copies)
+    series = _series(n, 3, _series_length(lam))
+    result = MultiplicityVector(partitions_of(n), tuple(s[lam] for s in series))
     if result.min_count() < 0:
         raise ConsistencyError(f"negative multiplicity in lambda reduction n={n}, lam={lam}")
     if result.total_dimension() != hyperangular_dimension(n, lam):

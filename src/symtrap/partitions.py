@@ -51,13 +51,17 @@ class Partition:
         return Partition(tuple(sum(1 for v in self.parts if v > j) for j in range(width)))
 
     def compact(self) -> str:
-        """Exponent notation without brackets, e.g. ``21^2`` for (2, 1, 1)."""
-        if self.parts[0] > 9:
-            return ",".join(str(v) for v in self.parts)
-        out = []
-        for value, count in sorted(Counter(self.parts).items(), reverse=True):
-            out.append(str(value) if count == 1 else f"{value}^{count}")
-        return "".join(out)
+        """Exponent notation without brackets, e.g. ``21^2`` for (2, 1, 1).
+
+        Parts and exponents are single digits; beyond 9 the comma form
+        ``10,1`` is used (``10,`` for one part), so ``parse`` reads every
+        label back.
+        """
+        counts = sorted(Counter(self.parts).items(), reverse=True)
+        if self.parts[0] > 9 or any(count > 9 for _, count in counts):
+            text = ",".join(str(v) for v in self.parts)
+            return text + "," if len(self.parts) == 1 else text
+        return "".join(str(value) if count == 1 else f"{value}^{count}" for value, count in counts)
 
     def label(self) -> str:
         return f"[{self.compact()}]"
@@ -67,15 +71,22 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse ``21^2``, ``211`` or ``2,1,1`` (brackets optional)."""
+        """Parse ``21^2``, ``211`` or ``2,1,1`` (brackets optional).
+
+        In exponent form every part and every exponent is one digit, so
+        ``2^21`` is (2, 2, 1).
+        """
         body = text.strip().strip("[]")
         if not body:
             raise ValueError(f"cannot parse partition from {text!r}")
         if "," in body:
-            return cls(tuple(int(tok) for tok in body.split(",")))
+            tokens = body.split(",")
+            if not tokens[-1]:
+                tokens.pop()
+            return cls(tuple(int(tok) for tok in tokens))
         parts: list[int] = []
         pos = 0
-        for match in re.finditer(r"(\d)(?:\^(\d+))?", body):
+        for match in re.finditer(r"(\d)(?:\^(\d))?", body):
             if match.start() != pos:
                 raise ValueError(f"cannot parse partition from {text!r}")
             pos = match.end()

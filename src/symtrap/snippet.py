@@ -158,19 +158,6 @@ class SectorVector:
     def items(self):
         return zip(all_sectors(self.n), self.amps)
 
-    def leading_sector(self) -> int:
-        return next(i for i, a in enumerate(self.amps) if a)
-
-
-def _group_elements(n: int):
-    """All 2 n! elements as (permutation, inverted) pairs with their class."""
-    out = []
-    for c in all_sectors(n):
-        t = _cycle_type(c)
-        out.append((c, 0, t))
-        out.append((c, 1, t))
-    return out
-
 
 def _apply_element(n: int, c: Sector, inverted: int, sign: int, vec):
     """Image of a dense amplitude vector under one group element."""

@@ -154,6 +154,23 @@ class TestExitCodes:
     def test_invalid_input_exits_two(self, args):
         assert run(*args).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reduce-shell", "--n", "4", "--max-energy", "-1"],
+            ["reduce-lambda", "--n", "4", "--max-lambda", "-3"],
+            ["degeneracy-table", "--n", "4", "--by", "lambda", "--max-lambda", "-1"],
+            ["degeneracy-table", "--n", "4", "--by", "shell", "--max-energy", "-1"],
+            ["spectrum", "--n", "3", "--state", "0,0,1,21", "--max-energy", "-1"],
+            ["map", "--n", "3", "--state", "0,0,1,21", "--ceiling", "-4"],
+        ],
+        ids=lambda args: f"{args[0]}{args[-2]}",
+    )
+    def test_negative_range_exits_two(self, args):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert not result.stdout
+
     def test_success_is_zero(self):
         assert run("reduce-lambda", "--n", "3", "--max-lambda", "2").exit_code == 0
 
@@ -169,3 +186,27 @@ class TestExitCodes:
         result = run("reduce-shell", "--n", "3", "--max-energy", "2", "--verify")
         assert result.exit_code == 3
         assert "consistency" in result.stderr
+
+    def test_failed_lambda_cross_check_exits_three(self, monkeypatch):
+        from symtrap import cli
+        from symtrap.partitions import MultiplicityVector, partitions_of
+
+        def wrong_reduction(n, lam):
+            keys = partitions_of(n)
+            return MultiplicityVector(keys, (99,) + (0,) * (len(keys) - 1))
+
+        monkeypatch.setattr(cli, "lambda_reduction", wrong_reduction)
+        result = run("reduce-lambda", "--n", "3", "--max-lambda", "2", "--verify")
+        assert result.exit_code == 3
+        assert "consistency" in result.stderr
+
+    def test_lambda_verify_states_its_guard(self):
+        from symtrap.oracle import LAMBDA_LIMIT
+
+        def verify_to(top):
+            return run("reduce-lambda", "--n", "3", "--max-lambda", str(top), "--verify")
+
+        result = verify_to(LAMBDA_LIMIT + 1)
+        assert result.exit_code == 0
+        assert f"above {LAMBDA_LIMIT} skipped" in result.stderr
+        assert not verify_to(LAMBDA_LIMIT).stderr

@@ -231,3 +231,57 @@ class TestEnumerateLevels:
             by_shell[label.excitation] += reduction.total_dimension()
         for x, total in by_shell.items():
             assert total == shell_dimension(n, x)
+
+
+class TestSeriesRoute:
+    """The fake-degree series against the Kostka-and-subtraction oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shells_match_kostka_route(self, n):
+        from symtrap.oracle import kostka_shell_reduction
+
+        for x in range(21):
+            assert shell_reduction(n, x) == kostka_shell_reduction(n, x)
+
+    @pytest.mark.parametrize("n,top", [(3, 24), (4, 24), (5, 24), (6, 24), (7, 24), (8, 20)])
+    def test_lambdas_match_subtraction_route(self, n, top):
+        from symtrap.oracle import subtraction_lambda_reduction
+
+        for lam in range(top + 1):
+            assert lambda_reduction(n, lam) == subtraction_lambda_reduction(n, lam)
+
+    def test_eight_particles_to_lambda_sixty(self):
+        for lam in range(61):
+            reduction = lambda_reduction(8, lam)
+            assert reduction.min_count() >= 0
+            assert reduction.total_dimension() == hyperangular_dimension(8, lam)
+
+    def test_rows_past_the_first_series_length(self):
+        from symtrap.oscillator import _MIN_SERIES_LENGTH
+
+        x = _MIN_SERIES_LENGTH + 3
+        assert shell_reduction(4, x).total_dimension() == shell_dimension(4, x)
+        assert lambda_reduction(4, x).total_dimension() == hyperangular_dimension(4, x)
+
+    def test_import_computes_nothing(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, symtrap.cli\n"
+            "caches = {f'{m}.{k}': v.cache_info().currsize\n"
+            "          for m, mod in list(sys.modules.items()) if m.startswith('symtrap')\n"
+            "          for k, v in vars(mod).items() if hasattr(v, 'cache_info')}\n"
+            "assert 'symtrap.oscillator._series' in caches, caches\n"
+            "assert 'symtrap.oscillator.lambda_reduction' in caches, caches\n"
+            "assert not any(caches.values()), caches\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr

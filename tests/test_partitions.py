@@ -93,8 +93,21 @@ class TestPartitionBasics:
         assert Partition((2, 1, 1)).label() == "[21^2]"
         assert Partition((2, 2)).label() == "[2^2]"
 
+    def test_single_digit_exponents(self):
+        assert Partition((2, 2, 1)).compact() == "2^21"
+        assert Partition.parse("2^21").parts == (2, 2, 1)
+        assert Partition.parse("2^21^4").parts == (2, 2, 1, 1, 1, 1)
+        assert Partition((1,) * 10).compact() == ",".join(["1"] * 10)
+        assert Partition((10,)).compact() == "10,"
+
+    def test_compact_round_trip_exhaustive(self):
+        for n in range(1, 13):
+            for p in partitions_of(n):
+                assert Partition.parse(p.compact()) == p
+                assert Partition.parse(p.label()) == p
+
     def test_parse_garbage(self):
-        for text in ["", "x", "2^", "[]"]:
+        for text in ["", "x", "2^", "[]", ",", "1^0", "2^21^"]:
             with pytest.raises(ValueError):
                 Partition.parse(text)
 
