@@ -12,7 +12,7 @@ from .branching import (
     FERMI,
     ComponentPattern,
     branch_multiplicity,
-    branch_multiplicity_by_characters,
+    branch_row,
     component_degeneracy,
     cumulative_shell_degeneracy,
     spin_decomposition,
@@ -36,12 +36,13 @@ from .mapping import (
     SearchExhaustedError,
     StateLabel,
     adiabatic_map,
+    enumerate_levels,
     ground_state,
+    level_content,
     spectrum_by_irrep,
 )
 from .oscillator import (
     HypercylindricalLabel,
-    enumerate_levels_g0,
     hyperangular_dimension,
     lambda_reduction,
     shell_dimension,
@@ -53,7 +54,6 @@ from .partitions import (
     Partition,
     class_sign,
     class_size,
-    conjugate,
     irrep_dimension,
     partitions_of,
 )
@@ -61,7 +61,6 @@ from .snippet import (
     SectorVector,
     SnippetIrrepLabel,
     all_sectors,
-    enumerate_levels_ginf,
     sector_rep_characters,
     snippet_projection_basis,
     snippet_reduction,
@@ -92,21 +91,20 @@ __all__ = [
     "adiabatic_map",
     "all_sectors",
     "branch_multiplicity",
-    "branch_multiplicity_by_characters",
+    "branch_row",
     "character_table_sn",
     "character_table_snz2",
     "class_sign",
     "class_size",
     "component_degeneracy",
-    "conjugate",
     "cumulative_shell_degeneracy",
-    "enumerate_levels_g0",
-    "enumerate_levels_ginf",
+    "enumerate_levels",
     "ground_state",
     "hyperangular_dimension",
     "irrep_dimension",
     "kostka",
     "lambda_reduction",
+    "level_content",
     "partitions_of",
     "reduce_class_function",
     "sector_rep_characters",

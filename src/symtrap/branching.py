@@ -4,27 +4,20 @@ A component pattern records how many particles sit in each distinguishable
 spin component.  Physical states must carry the fully symmetric (bosons)
 or fully antisymmetric (fermions) line of the corresponding Young
 subgroup, and the number of such lines inside an S_n irrep is a Kostka
-count; a slower character inner product over the subgroup provides an
-independent route to the same number.
+count.  Each pattern's counts over all irreps form one memoized row,
+which every degeneracy and ground-state search reads; the slower subgroup
+character inner product lives in ``oracle`` as the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
-from math import factorial, prod
 
-from .characters import kostka, sn_character
+from .characters import kostka
 from .errors import ConsistencyError
 from .oscillator import lambda_reduction, shell_reduction
-from .partitions import (
-    MultiplicityVector,
-    Partition,
-    class_sign,
-    class_size,
-    partitions_of,
-)
+from .partitions import MultiplicityVector, Partition, partitions_of
 
 BOSE = "bose"
 FERMI = "fermi"
@@ -99,47 +92,27 @@ def branch_multiplicity(p: Partition, pattern: ComponentPattern) -> int:
     return kostka(shape, pattern.content())
 
 
-def branch_multiplicity_by_characters(p: Partition, pattern: ComponentPattern) -> int:
-    """Same count through the subgroup character inner product (slow path)."""
-    if p.n != pattern.n:
-        raise ValueError(f"irrep of {p.n} cannot host a pattern of {pattern.n} particles")
-    blocks = pattern.counts
-    order = prod(factorial(b) for b in blocks)
-    total = 0
-    for combo in iter_product(*[partitions_of(b) for b in blocks]):
-        size = prod(class_size(c) for c in combo)
-        merged = Partition(tuple(sorted((part for c in combo for part in c.parts), reverse=True)))
-        chi = sn_character(p, merged)
-        eps = 1
-        if pattern.statistics == FERMI:
-            eps = prod(class_sign(c) for c in combo)
-        total += size * eps * chi
-    count, rem = divmod(total, order)
-    if rem or count < 0:
-        raise ConsistencyError(f"subgroup reduction of {p} by {pattern} is not integral")
-    return count
+@lru_cache(maxsize=None)
+def branch_row(pattern: ComponentPattern) -> tuple[int, ...]:
+    """:func:`branch_multiplicity` of every irrep of S_n, in ``partitions_of`` order."""
+    return tuple(branch_multiplicity(p, pattern) for p in partitions_of(pattern.n))
+
+
+def _degeneracy(n: int, reduce, k: int, pattern: ComponentPattern) -> int:
+    """The S_n content ``reduce(n, k)`` dotted with the pattern's branching row."""
+    if pattern.n != n:
+        raise ValueError(f"pattern {pattern} does not describe {n} particles")
+    return sum(c * b for c, b in zip(reduce(n, k).counts, branch_row(pattern)))
 
 
 def component_degeneracy(n: int, lam: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in one hyperangular subspace."""
-    if pattern.n != n:
-        raise ValueError(f"pattern {pattern} does not describe {n} particles")
-    return sum(
-        count * branch_multiplicity(p, pattern)
-        for p, count in lambda_reduction(n, lam).items()
-        if count
-    )
+    return _degeneracy(n, lambda_reduction, lam, pattern)
 
 
 def cumulative_shell_degeneracy(n: int, x: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in the whole shell ``x``."""
-    if pattern.n != n:
-        raise ValueError(f"pattern {pattern} does not describe {n} particles")
-    return sum(
-        count * branch_multiplicity(p, pattern)
-        for p, count in shell_reduction(n, x).items()
-        if count
-    )
+    return _degeneracy(n, shell_reduction, x, pattern)
 
 
 def _hook_content_count(shape: tuple[int, ...], k: int) -> int:

@@ -86,12 +86,6 @@ class CharacterTable:
     def irrep_index(self, irrep) -> int:
         return self.irreps.index(irrep)
 
-    def value(self, irrep, cls) -> int:
-        return self.values[self.irrep_index(irrep)][self.class_index(cls)]
-
-    def dimension(self, irrep) -> int:
-        return self.values[self.irrep_index(irrep)][0]
-
 
 @dataclass(frozen=True)
 class ClassFunction:

@@ -20,7 +20,7 @@ from .branching import (
     BOSE,
     FERMI,
     ComponentPattern,
-    branch_multiplicity,
+    branch_row,
     component_degeneracy,
     cumulative_shell_degeneracy,
     distinguishable_pattern,
@@ -97,7 +97,7 @@ def _render_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _emit(fmt: str, output: str | None, headers, rows, json_obj, title=None) -> None:
+def _emit(fmt: str, output: str | None, title: str, headers, rows, json_obj) -> None:
     if fmt == "text":
         payload = _render_text(headers, rows, title)
     elif fmt == "csv":
@@ -126,7 +126,7 @@ def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
 
 def _parse_pattern(n: int, pattern: str, stats: str) -> ComponentPattern:
     counts = tuple(int(tok) for tok in pattern.split(","))
-    built = ComponentPattern(counts, BOSE if stats == "bose" else FERMI)
+    built = ComponentPattern(counts, stats)
     if built.n != n:
         raise ValueError(f"pattern {built} does not describe {n} particles")
     return built
@@ -167,43 +167,24 @@ def _merge_stats(current: str | None, new: str, text: str) -> str:
     return new
 
 
-def _run_guarded(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConsistencyError as exc:
-            click.echo(f"consistency failure: {exc}", err=True)
-            sys.exit(EXIT_INCONSISTENT)
-        except (ValueError, SearchExhaustedError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
-
-    return wrapper
-
-
-def _format_option(fn):
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["text", "csv", "json"]),
-        default="text",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-    return click.option("--output", type=click.Path(writable=True), help="Write to a file.")(fn)
-
-
 def _check_n(ctx, param, value):
     if not 2 <= value <= TABLE_LIMIT:
         raise click.BadParameter(f"supported particle numbers are 2..{TABLE_LIMIT}")
     return value
 
 
-def _n_option(fn):
-    return click.option(
-        "--n", type=int, required=True, callback=_check_n, help="Number of particles."
-    )(fn)
+_N_OPTION = click.option(
+    "--n", type=int, required=True, callback=_check_n, help="Number of particles."
+)
+_OUTPUT_OPTION = click.option("--output", type=click.Path(writable=True), help="Write to a file.")
+_FORMAT_OPTION = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["text", "csv", "json"]),
+    default="text",
+    show_default=True,
+    help="Output format.",
+)
 
 
 @click.group()
@@ -212,18 +193,56 @@ def main() -> None:
     """Exact symmetry tables, spectra and adiabatic maps for trapped atoms."""
 
 
-@main.command("chartable")
-@_n_option
-@click.option(
-    "--group",
-    type=click.Choice(["sn", "snz2"]),
-    default="snz2",
-    show_default=True,
-    help="Plain permutation group or its parity double.",
+def _command(name: str, *options):
+    """Register the decorated function as the command ``name``.
+
+    The command takes ``--n``, then ``options``, then ``--output`` and
+    ``--format``.  The function receives ``n`` and its own options and
+    returns ``(title, headers, rows, body)``: text and csv render the
+    table, JSON the ``body`` between ``"n"`` and ``"schema"``.  Invalid
+    input exits 2, a failed consistency check exits 3.
+    """
+
+    def register(fn):
+        @wraps(fn)
+        def run(n: int, fmt: str, output: str | None, **kwargs) -> None:
+            try:
+                title, headers, rows, body = fn(n, **kwargs)
+                _emit(fmt, output, title, headers, rows, {"n": n, **body, "schema": SCHEMA})
+            except ConsistencyError as exc:
+                click.echo(f"consistency failure: {exc}", err=True)
+                sys.exit(EXIT_INCONSISTENT)
+            except (ValueError, SearchExhaustedError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_INVALID)
+
+        for option in reversed((_N_OPTION, *options, _OUTPUT_OPTION, _FORMAT_OPTION)):
+            run = option(run)
+        return main.command(name)(run)
+
+    return register
+
+
+_VERIFY_MATRICES = click.option(
+    "--verify", is_flag=True, help="Cross-check against explicit matrices."
 )
-@_format_option
-@_run_guarded
-def chartable_cmd(n: int, group: str, fmt: str, output: str | None) -> None:
+_STATS = dict(type=click.Choice(["bose", "fermi"]), default="fermi", show_default=True)
+_STATE = click.option(
+    "--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition."
+)
+
+
+@_command(
+    "chartable",
+    click.option(
+        "--group",
+        type=click.Choice(["sn", "snz2"]),
+        default="snz2",
+        show_default=True,
+        help="Plain permutation group or its parity double.",
+    ),
+)
+def chartable_cmd(n: int, group: str):
     """Print the character table, sector characters appended for snz2."""
     if group == "sn":
         table = character_table_sn(n)
@@ -238,88 +257,73 @@ def chartable_cmd(n: int, group: str, fmt: str, output: str | None) -> None:
             [f"{parity} lambda", *sector_rep_characters(n, parity).values]
             for parity in ("even", "odd")
         ]
-    headers = ["irrep", *class_names]
     rows = [[name, *row] for name, row in zip(irrep_names, table.values)] + extra_rows
-    json_obj = {
-        "n": n,
+    body = {
         "group": table.group,
         "classes": class_names,
         "class_sizes": list(table.class_sizes),
-        "rows": [
-            {"irrep": name, "values": list(row)}
-            for name, row in zip(irrep_names, table.values)
-        ]
-        + [{"irrep": row[0], "values": row[1:]} for row in extra_rows],
-        "schema": SCHEMA,
+        "rows": [{"irrep": row[0], "values": row[1:]} for row in rows],
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"character table {table.group}")
+    return f"character table {table.group}", ["irrep", *class_names], rows, body
 
 
-@main.command("reduce-shell")
-@_n_option
-@click.option(
-    "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest shell excitation X."
-)
-@click.option("--verify", is_flag=True, help="Cross-check against explicit matrices.")
-@_format_option
-@_run_guarded
-def reduce_shell_cmd(n: int, max_energy: int, verify: bool, fmt: str, output: str | None) -> None:
-    """Irrep content of every oscillator shell up to X = MAX_ENERGY."""
+def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str, title: str):
+    """One row of ``reduce(n, k)`` per ``k`` up to ``top``; ``check`` re-derives the rows."""
     shapes = partitions_of(n)
-    rows = [[x, *shell_reduction(n, x).counts] for x in range(max_energy + 1)]
+    rows = [[k, *reduce(n, k).counts] for k in range(top + 1)]
     if verify:
-        _verify_shells(n, max_energy)
-    headers = ["X", *[p.label() for p in shapes]]
-    json_obj = {
-        "n": n,
+        check(n, rows)
+    body = {
         "irreps": [list(p.parts) for p in shapes],
-        "rows": [{"x": row[0], "counts": row[1:]} for row in rows],
-        "schema": SCHEMA,
+        "rows": [{column.lower(): row[0], "counts": row[1:]} for row in rows],
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"shell reduction n={n}")
+    return f"{title} n={n}", [column, *[p.label() for p in shapes]], rows, body
 
 
-def _verify_shells(n: int, max_energy: int) -> None:
+@_command(
+    "reduce-shell",
+    click.option(
+        "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest shell excitation X."
+    ),
+    _VERIFY_MATRICES,
+)
+def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
+    """Irrep content of every oscillator shell up to X = MAX_ENERGY."""
+    return _reduction_table(
+        n, max_energy, verify, shell_reduction, _verify_shells, "X", "shell reduction"
+    )
+
+
+def _verify_shells(n: int, rows: list[list[int]]) -> None:
     from .oracle import SHELL_N_LIMIT, SHELL_X_LIMIT, explicit_shell_rep
 
     if n > SHELL_N_LIMIT:
         click.echo(f"verify: skipped (guard n <= {SHELL_N_LIMIT})", err=True)
         return
-    for x in range(min(max_energy, SHELL_X_LIMIT) + 1):
-        _, oracle_reduction = explicit_shell_rep(n, x)
-        if oracle_reduction.counts != shell_reduction(n, x).counts:
+    for x, *counts in rows[: SHELL_X_LIMIT + 1]:
+        if explicit_shell_rep(n, x)[1].counts != tuple(counts):
             raise ConsistencyError(f"shell oracle disagrees at n={n}, x={x}")
-    if max_energy > SHELL_X_LIMIT:
+    if len(rows) > SHELL_X_LIMIT + 1:
         click.echo(f"verify: shells above X={SHELL_X_LIMIT} skipped (guard)", err=True)
 
 
-@main.command("reduce-lambda")
-@_n_option
-@click.option(
-    "--max-lambda", type=_NON_NEGATIVE, required=True, help="Largest grand angular momentum."
+@_command(
+    "reduce-lambda",
+    click.option(
+        "--max-lambda", type=_NON_NEGATIVE, required=True, help="Largest grand angular momentum."
+    ),
+    click.option(
+        "--verify",
+        is_flag=True,
+        help="Recount each row by Kostka counts and shell subtraction "
+        "(rows past the oracle's lambda guard are reported as skipped).",
+    ),
 )
-@click.option(
-    "--verify",
-    is_flag=True,
-    help="Recount each row by Kostka counts and shell subtraction "
-    "(rows past the oracle's lambda guard are reported as skipped).",
-)
-@_format_option
-@_run_guarded
-def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool, fmt: str, output: str | None) -> None:
+def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool):
     """Irrep content of every hyperangular subspace up to MAX_LAMBDA."""
-    shapes = partitions_of(n)
-    rows = [[lam, *lambda_reduction(n, lam).counts] for lam in range(max_lambda + 1)]
-    if verify:
-        _verify_lambdas(n, rows)
-    headers = ["lambda", *[p.label() for p in shapes]]
-    json_obj = {
-        "n": n,
-        "irreps": [list(p.parts) for p in shapes],
-        "rows": [{"lambda": row[0], "counts": row[1:]} for row in rows],
-        "schema": SCHEMA,
-    }
-    _emit(fmt, output, headers, rows, json_obj, title=f"lambda reduction n={n}")
+    return _reduction_table(
+        n, max_lambda, verify, lambda_reduction, _verify_lambdas, "lambda", "lambda reduction"
+    )
 
 
 def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
@@ -332,12 +336,8 @@ def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
         click.echo(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)", err=True)
 
 
-@main.command("reduce-snippet")
-@_n_option
-@click.option("--verify", is_flag=True, help="Cross-check against explicit matrices.")
-@_format_option
-@_run_guarded
-def reduce_snippet_cmd(n: int, verify: bool, fmt: str, output: str | None) -> None:
+@_command("reduce-snippet", _VERIFY_MATRICES)
+def reduce_snippet_cmd(n: int, verify: bool):
     """Parity-labelled irrep content of one hard-core sector space."""
     even = snippet_reduction(n, "even")
     odd = snippet_reduction(n, "odd")
@@ -347,16 +347,13 @@ def reduce_snippet_cmd(n: int, verify: bool, fmt: str, output: str | None) -> No
         [_irrep_text(p, pi), even[(p, pi)], odd[(p, pi)]]
         for (p, pi) in even.keys
     ]
-    headers = ["irrep", "even lambda", "odd lambda"]
-    json_obj = {
-        "n": n,
+    body = {
         "rows": [
             {"irrep": list(p.parts), "pi": pi, "even": even[(p, pi)], "odd": odd[(p, pi)]}
             for (p, pi) in even.keys
         ],
-        "schema": SCHEMA,
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"sector reduction n={n}")
+    return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, body
 
 
 def _verify_sectors(n: int) -> None:
@@ -373,138 +370,99 @@ def _verify_sectors(n: int) -> None:
             raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
 
 
-@main.command("branch")
-@_n_option
-@click.option("--pattern", help="Component pattern, e.g. 2,2 (all patterns when omitted).")
-@click.option(
-    "--stats",
-    type=click.Choice(["bose", "fermi"]),
-    default="fermi",
-    show_default=True,
-    help="Exchange statistics for --pattern.",
+def _all_patterns(n: int) -> list[ComponentPattern]:
+    return [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
+
+
+def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
+    """One row of ``cells(pattern)`` per pattern, tagged by counts and statistics in JSON."""
+    rows = [[pat.label(), *cells(pat)] for pat in patterns]
+    body = {
+        **meta,
+        "rows": [
+            {"pattern": list(pat.counts), "statistics": pat.statistics, "counts": row[1:]}
+            for pat, row in zip(patterns, rows)
+        ],
+    }
+    return title, ["pattern", *columns], rows, body
+
+
+@_command(
+    "branch",
+    click.option("--pattern", help="Component pattern, e.g. 2,2 (all patterns when omitted)."),
+    click.option("--stats", **_STATS, help="Exchange statistics for --pattern."),
 )
-@_format_option
-@_run_guarded
-def branch_cmd(n: int, pattern: str | None, stats: str, fmt: str, output: str | None) -> None:
+def branch_cmd(n: int, pattern: str | None, stats: str):
     """Multiplicity of each symmetrized component line inside every irrep."""
     shapes = partitions_of(n)
-    if pattern:
-        selected = [_parse_pattern(n, pattern, stats)]
-    else:
-        selected = (
-            list(patterns_for(n, BOSE))
-            + list(patterns_for(n, FERMI))
-            + [distinguishable_pattern(n)]
-        )
-    rows = [
-        [pat.label(), *[branch_multiplicity(p, pat) for p in shapes]] for pat in selected
-    ]
-    headers = ["pattern", *[p.label() for p in shapes]]
-    json_obj = {
-        "n": n,
-        "irreps": [list(p.parts) for p in shapes],
-        "rows": [
-            {
-                "pattern": list(pat.counts),
-                "statistics": pat.statistics,
-                "counts": row[1:],
-            }
-            for pat, row in zip(selected, rows)
-        ],
-        "schema": SCHEMA,
-    }
-    _emit(fmt, output, headers, rows, json_obj, title=f"subgroup branching n={n}")
+    selected = [_parse_pattern(n, pattern, stats)] if pattern else _all_patterns(n)
+    return _pattern_table(
+        f"subgroup branching n={n}",
+        selected,
+        [p.label() for p in shapes],
+        branch_row,
+        {"irreps": [list(p.parts) for p in shapes]},
+    )
 
 
-@main.command("degeneracy-table")
-@_n_option
-@click.option(
-    "--by",
-    type=click.Choice(["lambda", "shell"]),
-    default="lambda",
-    show_default=True,
-    help="Count states per hyperangular subspace or per whole shell.",
+@_command(
+    "degeneracy-table",
+    click.option(
+        "--by",
+        type=click.Choice(["lambda", "shell"]),
+        default="lambda",
+        show_default=True,
+        help="Count states per hyperangular subspace or per whole shell.",
+    ),
+    click.option("--max-lambda", type=_NON_NEGATIVE, help="Largest lambda column (--by lambda)."),
+    click.option("--max-energy", type=_NON_NEGATIVE, help="Largest shell column X (--by shell)."),
 )
-@click.option("--max-lambda", type=_NON_NEGATIVE, help="Largest lambda column (--by lambda).")
-@click.option("--max-energy", type=_NON_NEGATIVE, help="Largest shell column X (--by shell).")
-@_format_option
-@_run_guarded
-def degeneracy_table_cmd(
-    n: int,
-    by: str,
-    max_lambda: int | None,
-    max_energy: int | None,
-    fmt: str,
-    output: str | None,
-) -> None:
+def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
     if by == "lambda":
         if max_lambda is None:
             raise ValueError("--max-lambda is required with --by lambda")
-        columns = list(range(max_lambda + 1))
-        count = lambda pat, col: component_degeneracy(n, col, pat)
-        column_head = "lambda"
+        top, count, column_head = max_lambda, component_degeneracy, "lambda"
     else:
         if max_energy is None:
             raise ValueError("--max-energy is required with --by shell")
-        columns = list(range(max_energy + 1))
-        count = lambda pat, col: cumulative_shell_degeneracy(n, col, pat)
-        column_head = "X"
-    selected = (
-        list(patterns_for(n, BOSE))
-        + list(patterns_for(n, FERMI))
-        + [distinguishable_pattern(n)]
+        top, count, column_head = max_energy, cumulative_shell_degeneracy, "X"
+    columns = list(range(top + 1))
+    return _pattern_table(
+        f"component degeneracies n={n} by {by}",
+        _all_patterns(n),
+        [f"{column_head}={col}" for col in columns],
+        lambda pat: [count(n, col, pat) for col in columns],
+        {"by": by, "columns": columns},
     )
-    rows = [[pat.label(), *[count(pat, col) for col in columns]] for pat in selected]
-    headers = ["pattern", *[f"{column_head}={col}" for col in columns]]
-    json_obj = {
-        "n": n,
-        "by": by,
-        "columns": columns,
-        "rows": [
-            {
-                "pattern": list(pat.counts),
-                "statistics": pat.statistics,
-                "counts": row[1:],
-            }
-            for pat, row in zip(selected, rows)
-        ],
-        "schema": SCHEMA,
-    }
-    _emit(fmt, output, headers, rows, json_obj, title=f"component degeneracies n={n} by {by}")
 
 
-@main.command("spin-decompose")
-@_n_option
-@click.option("--k", type=int, required=True, help="Number of spin components.")
-@_format_option
-@_run_guarded
-def spin_decompose_cmd(n: int, k: int, fmt: str, output: str | None) -> None:
+@_command(
+    "spin-decompose",
+    click.option("--k", type=int, required=True, help="Number of spin components."),
+)
+def spin_decompose_cmd(n: int, k: int):
     """Permutation content of the k-component spin space."""
     reduction = spin_decomposition(n, k)
     rows = [[p.label(), count] for p, count in reduction.items()]
-    headers = ["irrep", "multiplicity"]
-    json_obj = {
-        "n": n,
+    body = {
         "k": k,
         "rows": [
             {"irrep": list(p.parts), "multiplicity": count}
             for p, count in reduction.items()
         ],
-        "schema": SCHEMA,
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"spin decomposition n={n}, k={k}")
+    return f"spin decomposition n={n}, k={k}", ["irrep", "multiplicity"], rows, body
 
 
-@main.command("spectrum")
-@_n_option
-@click.option("--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition.")
-@click.option(
-    "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest excitation listed."
+@_command(
+    "spectrum",
+    _STATE,
+    click.option(
+        "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest excitation listed."
+    ),
 )
-@_format_option
-@_run_guarded
-def spectrum_cmd(n: int, state: str, max_energy: int, fmt: str, output: str | None) -> None:
+def spectrum_cmd(n: int, state: str, max_energy: int):
     """Both exact-limit spectra of the symmetry class containing STATE."""
     hyper, p = _parse_state(n, state)
     mu = GNLabel(hyper.nu_r, hyper.parity, p)
@@ -512,51 +470,36 @@ def spectrum_cmd(n: int, state: str, max_energy: int, fmt: str, output: str | No
     json_rows = []
     for regime, tag in ((G_ZERO, "g=0"), (G_INF, "g=inf")):
         for entry in spectrum_by_irrep(n, regime, mu, max_energy):
-            rows.append(
-                [
-                    tag,
-                    _energy_cell(n, entry.hyper.excitation),
-                    str(entry.hyper),
-                    entry.multiplicity,
-                ]
-            )
+            level = entry.hyper
+            energy = _energy_cell(n, level.excitation)
+            rows.append([tag, energy, str(level), entry.multiplicity])
             json_rows.append(
                 {
                     "regime": tag,
-                    "energy": _energy_cell(n, entry.hyper.excitation),
-                    "level": [entry.hyper.nu_r, entry.hyper.nu_rho, entry.hyper.lam],
+                    "energy": energy,
+                    "level": [level.nu_r, level.nu_rho, level.lam],
                     "multiplicity": entry.multiplicity,
                 }
             )
-    headers = ["regime", "energy", "level", "multiplicity"]
-    json_obj = {
-        "n": n,
+    body = {
         "mu": {"nu_r": mu.nu_r, "pi": mu.pi, "irrep": list(mu.p.parts)},
         "rows": json_rows,
-        "schema": SCHEMA,
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"spectrum of {mu}")
+    return f"spectrum of {mu}", ["regime", "energy", "level", "multiplicity"], rows, body
 
 
-@main.command("map")
-@_n_option
-@click.option("--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition.")
-@click.option("--tau", type=int, default=0, show_default=True, help="Copy index at the source level.")
-@click.option("--component", help="Subgroup irrep tag echoed in the output, e.g. 1^2x1^2.")
-@click.option(
-    "--ceiling", type=_NON_NEGATIVE, help="Extra excitation searched above the source."
+@_command(
+    "map",
+    _STATE,
+    click.option(
+        "--tau", type=int, default=0, show_default=True, help="Copy index at the source level."
+    ),
+    click.option("--component", help="Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
+    click.option(
+        "--ceiling", type=_NON_NEGATIVE, help="Extra excitation searched above the source."
+    ),
 )
-@_format_option
-@_run_guarded
-def map_cmd(
-    n: int,
-    state: str,
-    tau: int,
-    component: str | None,
-    ceiling: int | None,
-    fmt: str,
-    output: str | None,
-) -> None:
+def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | None):
     """Adiabatic hard-core image of a free-limit level."""
     hyper, p = _parse_state(n, state)
     source = StateLabel(hyper, p, tau=tau, component=component, regime=G_ZERO)
@@ -573,9 +516,7 @@ def map_cmd(
         ["source", str(source), _energy_text(n, hyper.excitation)],
         ["target", line, _energy_text(n, target.excitation)],
     ]
-    headers = ["role", "level", "energy"]
-    json_obj = {
-        "n": n,
+    body = {
         "source": {
             "level": [hyper.nu_r, hyper.nu_rho, hyper.lam],
             "irrep": list(p.parts),
@@ -592,42 +533,30 @@ def map_cmd(
             "convention_ordered": result.convention_ordered,
             "energy": _energy_cell(n, target.excitation),
         },
-        "schema": SCHEMA,
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"adiabatic map n={n}")
+    return f"adiabatic map n={n}", ["role", "level", "energy"], rows, body
 
 
-@main.command("ground-state")
-@_n_option
-@click.option("--pattern", required=True, help="Component pattern, e.g. 2,2.")
-@click.option(
-    "--stats",
-    type=click.Choice(["bose", "fermi"]),
-    default="fermi",
-    show_default=True,
-    help="Exchange statistics.",
+@_command(
+    "ground-state",
+    click.option("--pattern", required=True, help="Component pattern, e.g. 2,2."),
+    click.option("--stats", **_STATS, help="Exchange statistics."),
+    click.option(
+        "--regime",
+        type=click.Choice([G_ZERO, G_INF]),
+        default=G_ZERO,
+        show_default=True,
+        help="Exact limit to search.",
+    ),
 )
-@click.option(
-    "--regime",
-    type=click.Choice([G_ZERO, G_INF]),
-    default=G_ZERO,
-    show_default=True,
-    help="Exact limit to search.",
-)
-@_format_option
-@_run_guarded
-def ground_state_cmd(
-    n: int, pattern: str, stats: str, regime: str, fmt: str, output: str | None
-) -> None:
+def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
     """Lowest levels admitting the pattern's symmetrization."""
     built = _parse_pattern(n, pattern, stats)
     labels = ground_state(n, built, regime=regime)
     rows = [
         [str(label), _energy_text(n, label.hyper.excitation)] for label in labels
     ]
-    headers = ["state", "energy"]
-    json_obj = {
-        "n": n,
+    body = {
         "pattern": list(built.counts),
         "statistics": built.statistics,
         "regime": regime,
@@ -642,46 +571,40 @@ def ground_state_cmd(
             }
             for label in labels
         ],
-        "schema": SCHEMA,
     }
-    _emit(fmt, output, headers, rows, json_obj, title=f"ground states {built.label()} at {regime}")
+    return f"ground states {built.label()} at {regime}", ["state", "energy"], rows, body
 
 
-@main.command("sector-basis")
-@_n_option
-@click.option("--irrep", required=True, help="Parity-labelled irrep, e.g. '2^2+'.")
-@click.option(
-    "--lambda-parity",
-    type=click.Choice(["even", "odd"]),
-    required=True,
-    help="Hyperangular parity of the seed level.",
+@_command(
+    "sector-basis",
+    click.option("--irrep", required=True, help="Parity-labelled irrep, e.g. '2^2+'."),
+    click.option(
+        "--lambda-parity",
+        type=click.Choice(["even", "odd"]),
+        required=True,
+        help="Hyperangular parity of the seed level.",
+    ),
+    click.option("--component", help="Project further onto a subgroup line, e.g. 1^2x1^2."),
+    click.option("--verify", is_flag=True, help="Re-check orthogonality and invariance."),
 )
-@click.option("--component", help="Project further onto a subgroup line, e.g. 1^2x1^2.")
-@click.option("--verify", is_flag=True, help="Re-check orthogonality and invariance.")
-@_format_option
-@_run_guarded
 def sector_basis_cmd(
-    n: int,
-    irrep: str,
-    lambda_parity: str,
-    component: str | None,
-    verify: bool,
-    fmt: str,
-    output: str | None,
-) -> None:
+    n: int, irrep: str, lambda_parity: str, component: str | None, verify: bool
+):
     """Exact symmetrized amplitude vectors over the ordering sectors."""
-    body = irrep.strip()
-    if body.endswith("+"):
+    text = irrep.strip()
+    if text.endswith("+"):
         pi = 1
-    elif body.endswith("-"):
+    elif text.endswith("-"):
         pi = -1
     else:
         raise ValueError("irrep needs a parity suffix, e.g. '2^2+' or '21^2-'")
-    p = Partition.parse(body[:-1])
+    p = Partition.parse(text[:-1])
     pattern = _parse_component_tag(n, component) if component else None
     vectors = snippet_projection_basis(n, lambda_parity, p, pi, component=pattern)
     if verify:
-        _verify_basis(vectors)
+        from .oracle import verify_sector_basis
+
+        verify_sector_basis(n, lambda_parity, pi, vectors, pattern)
     headers = ["sector", *[f"v{i + 1}" for i in range(len(vectors))]]
     rows = []
     if vectors:
@@ -689,8 +612,7 @@ def sector_basis_cmd(
             ordering = "".join(str(d) for d in sector[0])
             rows.append([ordering, *[v.amps[idx] for v in vectors]])
     labels = [str(v.label) if v.label else f"component line {i + 1}" for i, v in enumerate(vectors)]
-    json_obj = {
-        "n": n,
+    body = {
         "irrep": list(p.parts),
         "pi": pi,
         "lambda_parity": lambda_parity,
@@ -704,7 +626,6 @@ def sector_basis_cmd(
             for i, v in enumerate(vectors)
         ],
         "rows": rows,
-        "schema": SCHEMA,
     }
     title = f"sector basis {_irrep_text(p, pi)} ({lambda_parity} lambda)"
     if labels:
@@ -712,18 +633,7 @@ def sector_basis_cmd(
             f"  v{i + 1}: {label}  norm^2 = {vectors[i].norm_sq}"
             for i, label in enumerate(labels)
         )
-    _emit(fmt, output, headers, rows, json_obj, title=title)
-
-
-def _verify_basis(vectors) -> None:
-    from .linalg import dot
-
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1 :]:
-            if dot(a.amps, b.amps) != 0:
-                raise ConsistencyError("sector basis vectors are not orthogonal")
-        if dot(a.amps, a.amps) != a.norm_sq:
-            raise ConsistencyError("sector vector norm bookkeeping is wrong")
+    return title, headers, rows, body
 
 
 if __name__ == "__main__":

@@ -7,25 +7,36 @@ triple never cross, so the k-th level of a triple on one side maps to the
 k-th level on the other.  Equal-energy levels inside one triple are
 ordered by a fixed convention (``lam`` ascending, then ``nu_rho``) and the
 result is flagged, since no physical input resolves such ties.
+
+Both limits are read by one route: :func:`level_content` gives the
+parity-labelled irrep content at one grand angular momentum, and
+:func:`enumerate_levels` walks the levels in (excitation, ``lam``,
+``nu_rho``) order.  Spectra, the map and ground states all consume them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .branching import ComponentPattern, branch_multiplicity
+from .branching import ComponentPattern, branch_row
 from .oscillator import (
     HypercylindricalLabel,
     antisymmetric_multiplicity,
     lambda_reduction,
 )
-from .partitions import Partition
+from .partitions import MultiplicityVector, Partition, partitions_of
 from .snippet import snippet_reduction
 
 G_ZERO = "g0"
 G_INF = "ginf"
 REGIMES = (G_ZERO, G_INF)
+
+
+def _check_regime(regime: str) -> None:
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}")
 
 
 class SearchExhaustedError(Exception):
@@ -68,8 +79,7 @@ class StateLabel:
     regime: str = G_ZERO
 
     def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
+        _check_regime(self.regime)
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
         if self.regime == G_INF and self.pi not in (1, -1):
@@ -124,18 +134,58 @@ class MapResult:
         return self.target_hyper.energy(self.target_p.n)
 
 
-def _g0_multiplicity(n: int, lam: int, mu: GNLabel) -> int:
-    if (-1 if lam % 2 else 1) != mu.pi:
-        return 0
-    return lambda_reduction(n, lam).get(mu.p, 0)
+@lru_cache(maxsize=None)
+def _parity_keys(n: int) -> tuple:
+    """The S_n x Z2 irreps ``(p, pi)``: every partition at +1, then at -1."""
+    return tuple((p, pi) for pi in (1, -1) for p in partitions_of(n))
 
 
-def _ginf_multiplicity(n: int, lam: int, mu: GNLabel) -> int:
+@lru_cache(maxsize=None)
+def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
+    """Multiplicity of each parity-labelled irrep ``(p, pi)`` in one level at ``lam``.
+
+    At g=0 this is the hyperangular reduction, every copy carrying the
+    parity of ``lam``; at g=inf it is the sector reduction of that parity
+    once per antisymmetric seed (all zero without a seed).  Both limits
+    share the keys :func:`_parity_keys`, the S_n x Z2 irrep order; the g=0
+    side never builds that table.
+    """
+    _check_regime(regime)
+    even = lam % 2 == 0
+    if regime == G_ZERO:
+        counts = lambda_reduction(n, lam).counts
+        zeros = (0,) * len(counts)
+        return MultiplicityVector(_parity_keys(n), counts + zeros if even else zeros + counts)
     seeds = antisymmetric_multiplicity(n, lam)
     if not seeds:
-        return 0
-    parity = "even" if lam % 2 == 0 else "odd"
-    return seeds * snippet_reduction(n, parity).get((mu.p, mu.pi), 0)
+        return level_content(n, G_ZERO, lam).scaled(0)
+    return snippet_reduction(n, "even" if even else "odd").scaled(seeds)
+
+
+def _relative_levels(n: int, regime: str, budget: int):
+    """``(lam, nu_rho, content)`` with ``lam + 2 nu_rho <= budget``, ``lam``
+    then ``nu_rho`` ascending; hyperangular spaces with empty content are skipped."""
+    for lam in range(budget + 1):
+        content = level_content(n, regime, lam)
+        if any(content.counts):
+            for nu_rho in range((budget - lam) // 2 + 1):
+                yield lam, nu_rho, content
+
+
+def enumerate_levels(n: int, regime: str, e_max: int):
+    """Every level of one exact limit with excitation at most ``e_max``.
+
+    Yields ``(label, content)`` ordered by excitation, then ``lam``, then
+    ``nu_rho``, with ``content`` the :func:`level_content` of the level;
+    hard-core levels without an antisymmetric seed do not exist and are
+    not listed.
+    """
+    _check_regime(regime)
+    if e_max < 0:
+        raise ValueError(f"e_max must be non-negative, got {e_max}")
+    for x in range(e_max + 1):
+        for lam, nu_rho, content in _relative_levels(n, regime, x):
+            yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content
 
 
 def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:
@@ -144,17 +194,14 @@ def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[Spec
     Entries are sorted by energy; equal energies are ordered ``lam``
     ascending then ``nu_rho`` ascending.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}")
+    _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    count = _g0_multiplicity if regime == G_ZERO else _ginf_multiplicity
+    slot = _parity_keys(n).index((mu.p, mu.pi))
     entries = []
-    for lam in range(e_max - mu.nu_r + 1):
-        mult = count(n, lam, mu)
-        if not mult:
-            continue
-        for nu_rho in range((e_max - mu.nu_r - lam) // 2 + 1):
+    for lam, nu_rho, content in _relative_levels(n, regime, e_max - mu.nu_r):
+        mult = content.counts[slot]
+        if mult:
             hyper = HypercylindricalLabel(mu.nu_r, nu_rho, lam)
             entries.append(SpectrumEntry(hyper.energy(n), hyper, mult))
     entries.sort(key=lambda e: (e.energy, e.hyper.lam, e.hyper.nu_rho))
@@ -174,7 +221,7 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     if source.n != n:
         raise ValueError(f"state {source} does not describe {n} particles")
     mu = source.gn_label
-    source_mult = _g0_multiplicity(n, source.hyper.lam, mu)
+    source_mult = level_content(n, G_ZERO, source.hyper.lam)[(mu.p, mu.pi)]
     if source_mult == 0:
         raise ValueError(f"irrep {mu.p} does not occur at lam={source.hyper.lam}")
     if not 0 <= source.tau < source_mult:
@@ -212,12 +259,6 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     )
 
 
-def _g0_levels_at(n: int, x: int):
-    for lam in range(x + 1):
-        for nu_rho in range((x - lam) // 2 + 1):
-            yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam)
-
-
 def ground_state(
     n: int,
     pattern: ComponentPattern,
@@ -228,31 +269,20 @@ def ground_state(
 
     Returns every label at the lowest admitting energy, one per irrep copy.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}")
+    _check_regime(regime)
     if pattern.n != n:
         raise ValueError(f"pattern {pattern} does not describe {n} particles")
     ceiling = 4 * n if e_ceiling is None else e_ceiling
     tag = pattern.subgroup_tag()
-    for x in range(ceiling + 1):
-        found: list[StateLabel] = []
-        for hyper in _g0_levels_at(n, x):
-            if regime == G_ZERO:
-                for p, mult in lambda_reduction(n, hyper.lam).items():
-                    if mult and branch_multiplicity(p, pattern):
-                        for tau in range(mult):
-                            found.append(StateLabel(hyper, p, tau, None, tag, G_ZERO))
-            else:
-                seeds = antisymmetric_multiplicity(n, hyper.lam)
-                if not seeds:
-                    continue
-                parity = "even" if hyper.lam % 2 == 0 else "odd"
-                for (p, pi), mult in snippet_reduction(n, parity).items():
-                    if mult and branch_multiplicity(p, pattern):
-                        for tau in range(seeds * mult):
-                            found.append(StateLabel(hyper, p, tau, pi, tag, G_INF))
-        if found:
-            return found
-    raise SearchExhaustedError(
-        f"no level admitting {pattern} within {ceiling} quanta"
-    )
+    admitted = {p for p, count in zip(partitions_of(n), branch_row(pattern)) if count}
+    found: list[StateLabel] = []
+    for hyper, content in enumerate_levels(n, regime, ceiling):
+        if found and hyper.excitation > found[0].hyper.excitation:
+            break
+        for (p, pi), mult in content.items():
+            if mult and p in admitted:
+                sign = pi if regime == G_INF else None
+                found.extend(StateLabel(hyper, p, tau, sign, tag, regime) for tau in range(mult))
+    if not found:
+        raise SearchExhaustedError(f"no level admitting {pattern} within {ceiling} quanta")
+    return found

@@ -4,17 +4,23 @@ These builders materialize the actual (signed) permutation matrices that
 the production code deliberately avoids, take traces, and decompose them
 with the character tables; the shell and hyperangular reductions are also
 recounted combinatorially, by Kostka counts over excitation multisets and a
-subtraction recursion over shells.  They are orders of magnitude slower than
-the production paths and guarded by hard limits; they run from the test
-suite and behind the CLI ``--verify`` flag, never in production.
+subtraction recursion over shells, and the subgroup branching by a
+character inner product over the Young subgroup.  The same signed
+permutations check that a sector basis is invariant under the group
+(``verify_sector_basis``).  They are orders of magnitude slower than the
+production paths and guarded by hard limits; they run from the test suite
+and behind the CLI ``--verify`` flag, never in production.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product as iter_product
+from math import factorial, prod
 
+from .branching import BOSE, FERMI, ComponentPattern
 from .characters import (
     ClassFunction,
     character_table_sn,
@@ -24,9 +30,16 @@ from .characters import (
     sn_character,
 )
 from .errors import ConsistencyError
-from .linalg import matrix_rank
-from .partitions import MultiplicityVector, Partition, partitions_into_max_parts, partitions_of
-from .snippet import _apply, _cycle_type, _inversion_sign, all_sectors
+from .linalg import dot, matrix_rank
+from .partitions import (
+    MultiplicityVector,
+    Partition,
+    class_sign,
+    class_size,
+    partitions_into_max_parts,
+    partitions_of,
+)
+from .snippet import _apply, _cycle_type, _inversion_sign, _sector_index, all_sectors
 
 SHELL_N_LIMIT = 5
 SHELL_X_LIMIT = 8
@@ -47,6 +60,13 @@ class SignedPerm:
         images = tuple(self.images[j] for j in other.images)
         signs = tuple(s * self.signs[j] for j, s in zip(other.images, other.signs))
         return SignedPerm(images, signs)
+
+    def apply(self, vec) -> list:
+        """The matrix times the column vector ``vec``."""
+        out = [0] * len(vec)
+        for amp, row, s in zip(vec, self.images, self.signs):
+            out[row] += s * amp
+        return out
 
     def trace(self) -> int:
         return sum(s for i, (j, s) in enumerate(zip(self.images, self.signs)) if i == j)
@@ -99,6 +119,27 @@ def subtraction_lambda_reduction(n: int, lam: int) -> MultiplicityVector:
         copies = (lam - lower) // 2 + 1
         result = result - subtraction_lambda_reduction(n, lower).scaled(copies)
     return result
+
+
+def branch_multiplicity_by_characters(p: Partition, pattern: ComponentPattern) -> int:
+    """``branching.branch_multiplicity`` through the subgroup character inner product."""
+    if p.n != pattern.n:
+        raise ValueError(f"irrep of {p.n} cannot host a pattern of {pattern.n} particles")
+    blocks = pattern.counts
+    order = prod(factorial(b) for b in blocks)
+    total = 0
+    for combo in iter_product(*[partitions_of(b) for b in blocks]):
+        size = prod(class_size(c) for c in combo)
+        merged = Partition(tuple(sorted((part for c in combo for part in c.parts), reverse=True)))
+        chi = sn_character(p, merged)
+        eps = 1
+        if pattern.statistics == FERMI:
+            eps = prod(class_sign(c) for c in combo)
+        total += size * eps * chi
+    count, rem = divmod(total, order)
+    if rem or count < 0:
+        raise ConsistencyError(f"subgroup reduction of {p} by {pattern} is not integral")
+    return count
 
 
 def _class_representative(cycle_type: Partition) -> tuple[int, ...]:
@@ -170,13 +211,12 @@ def _adjacent(n: int, i: int) -> tuple[int, ...]:
 
 
 def _sector_action(n: int, c: tuple[int, ...], inverted: int, sign: int) -> SignedPerm:
-    sectors = all_sectors(n)
-    index = {p: i for i, p in enumerate(sectors)}
+    index = _sector_index(n)
     images = []
-    for q in sectors:
+    for q in all_sectors(n):
         target = q[::-1] if inverted else q
         images.append(index[_apply(c, target)])
-    signs = (sign if inverted else 1,) * len(sectors)
+    signs = (sign if inverted else 1,) * len(images)
     return SignedPerm(tuple(images), signs)
 
 
@@ -226,11 +266,6 @@ def explicit_isotypic_rank(n: int, lambda_parity: str, p: Partition, pi: int) ->
     return matrix_rank([tuple(r) for r in rows])
 
 
-def _compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation applying ``b`` first, then ``a``."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
 def verify_shell_homomorphism(n: int, x: int, pairs: int = 20, seed: int = 0) -> None:
     """Check U(a) @ U(b) == U(ab) on random pairs for the shell action."""
     import random
@@ -242,7 +277,7 @@ def verify_shell_homomorphism(n: int, x: int, pairs: int = 20, seed: int = 0) ->
         a = tuple(rng.sample(range(1, n + 1), n))
         b = tuple(rng.sample(range(1, n + 1), n))
         left = _shell_action(a, basis, index) @ _shell_action(b, basis, index)
-        right = _shell_action(_compose_perms(a, b), basis, index)
+        right = _shell_action(_apply(a, b), basis, index)
         if left != right:
             raise ConsistencyError(f"shell action is not a homomorphism for n={n}, x={x}")
 
@@ -265,7 +300,7 @@ def verify_sector_homomorphism(
         b = tuple(rng.sample(range(1, n + 1), n))
         inv_a, inv_b = rng.randrange(2), rng.randrange(2)
         left = _sector_action(n, a, inv_a, sign) @ _sector_action(n, b, inv_b, sign)
-        product = _compose_perms(a, b)
+        product = _apply(a, b)
         right = _sector_action(n, product, (inv_a + inv_b) % 2, sign)
         if left != right:
             raise ConsistencyError(
@@ -274,3 +309,49 @@ def verify_sector_homomorphism(
         pure = _sector_action(n, a, 0, sign)
         if pure @ inversion != inversion @ pure:
             raise ConsistencyError(f"sector inversion is not central for n={n}")
+
+
+def verify_sector_basis(
+    n: int,
+    lambda_parity: str,
+    pi: int,
+    vectors,
+    component: ComponentPattern | None = None,
+) -> None:
+    """Check a ``snippet_projection_basis`` result with explicit signed permutations.
+
+    The vectors must be pairwise orthogonal with the stored squared norms.
+    A chain-path basis must span a space that the adjacent transpositions
+    and inversion map into itself: the image ``g v`` lies in the span
+    exactly when sum_b (b . g v)^2 / |b|^2 equals |v|^2 (Bessel equality
+    for an orthogonal basis).  Component vectors are not S_n-invariant;
+    instead inversion must act as ``pi`` and every adjacent transposition
+    inside one component block as the pattern's sign (+1 Bose, -1 Fermi).
+    """
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1 :]:
+            if dot(a.amps, b.amps) != 0:
+                raise ConsistencyError("sector basis vectors are not orthogonal")
+        if dot(a.amps, a.amps) != a.norm_sq:
+            raise ConsistencyError("sector vector norm bookkeeping is wrong")
+    sign = _inversion_sign(n, lambda_parity)
+    inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
+    if component is None:
+        actions = [_sector_action(n, _adjacent(n, i), 0, sign) for i in range(1, n)]
+        for v in vectors:
+            for g in actions + [inversion]:
+                image = g.apply(v.amps)
+                if sum(Fraction(dot(b.amps, image) ** 2, b.norm_sq) for b in vectors) != v.norm_sq:
+                    raise ConsistencyError("sector basis is not invariant under S_n x Z2")
+        return
+    exchange = 1 if component.statistics == BOSE else -1
+    eigen = [(inversion, pi)]
+    start = 1
+    for count in component.counts:
+        for i in range(start, start + count - 1):
+            eigen.append((_sector_action(n, _adjacent(n, i), 0, sign), exchange))
+        start += count
+    for v in vectors:
+        for g, value in eigen:
+            if g.apply(v.amps) != [value * a for a in v.amps]:
+                raise ConsistencyError(f"component vector is not an eigenvector of {component}")

@@ -153,22 +153,3 @@ def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
 def antisymmetric_multiplicity(n: int, lam: int) -> int:
     """Copies of the totally antisymmetric irrep at grand angular momentum ``lam``."""
     return lambda_reduction(n, lam)[Partition((1,) * n)]
-
-
-def enumerate_levels_g0(
-    n: int, e_max: int
-) -> list[tuple[HypercylindricalLabel, MultiplicityVector]]:
-    """All non-interacting levels with excitation at most ``e_max``.
-
-    Levels are ordered by excitation, then ``lam``, then ``nu_rho``; each is
-    paired with the irrep content of its hyperangular factor.
-    """
-    if e_max < 0:
-        raise ValueError(f"e_max must be non-negative, got {e_max}")
-    out = []
-    for x in range(e_max + 1):
-        for lam in range(x + 1):
-            for nu_rho in range((x - lam) // 2 + 1):
-                nu_r = x - lam - 2 * nu_rho
-                out.append((HypercylindricalLabel(nu_r, nu_rho, lam), lambda_reduction(n, lam)))
-    return out

@@ -150,10 +150,6 @@ def irrep_dimension(p: Partition) -> int:
     return dim
 
 
-def conjugate(p: Partition) -> Partition:
-    return p.conjugate()
-
-
 def class_size(cycle_type: CycleType) -> int:
     """Number of elements of S_n with the given cycle type."""
     z = 1

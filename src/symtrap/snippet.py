@@ -9,7 +9,10 @@ the sign of the reversal permutation.  With that convention the totally
 antisymmetric combination shows the familiar alternating signs.
 
 Characters are evaluated combinatorially per conjugacy class; full
-matrices are materialized only in the oracle module.
+matrices are materialized only in the oracle module, which also holds the
+explicit group action on amplitude vectors and the invariance check of
+the bases built here.  The hard-core levels themselves are listed by
+``mapping.enumerate_levels``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .characters import (
 )
 from .errors import ConsistencyError
 from .linalg import dot, gram_schmidt, select_independent
-from .oscillator import HypercylindricalLabel, antisymmetric_multiplicity
 from .partitions import (
     MultiplicityVector,
     Partition,
@@ -152,24 +154,8 @@ class SectorVector:
     norm_sq: int
     label: SnippetIrrepLabel | None = None
 
-    def amplitude(self, sector: Sector) -> int:
-        return self.amps[_sector_index(self.n)[sector]]
-
     def items(self):
         return zip(all_sectors(self.n), self.amps)
-
-
-def _apply_element(n: int, c: Sector, inverted: int, sign: int, vec):
-    """Image of a dense amplitude vector under one group element."""
-    sectors = all_sectors(n)
-    index = _sector_index(n)
-    out = [0] * len(vec)
-    for amp, q in zip(vec, sectors):
-        if not amp:
-            continue
-        target = q[::-1] if inverted else q
-        out[index[_apply(c, target)]] += sign * amp if inverted else amp
-    return out
 
 
 def _isotypic_column(n, lambda_parity, p, pi, q):
@@ -311,29 +297,4 @@ def snippet_projection_basis(
         for tau, v in enumerate(ortho):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
-    return out
-
-
-def enumerate_levels_ginf(
-    n: int, e_max: int
-) -> list[tuple[HypercylindricalLabel, MultiplicityVector, int]]:
-    """All hard-core levels with excitation at most ``e_max``.
-
-    Only hyperangular spaces carrying at least one antisymmetric seed
-    appear; each level reports the parity-labelled reduction scaled by its
-    seed count, so the dimensions per label add up to ``seeds * n!``.
-    """
-    if e_max < 0:
-        raise ValueError(f"e_max must be non-negative, got {e_max}")
-    out = []
-    for x in range(e_max + 1):
-        for lam in range(x + 1):
-            seeds = antisymmetric_multiplicity(n, lam)
-            if not seeds:
-                continue
-            parity = "even" if lam % 2 == 0 else "odd"
-            reduction = snippet_reduction(n, parity).scaled(seeds)
-            for nu_rho in range((x - lam) // 2 + 1):
-                nu_r = x - lam - 2 * nu_rho
-                out.append((HypercylindricalLabel(nu_r, nu_rho, lam), reduction, seeds))
     return out

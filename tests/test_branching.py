@@ -6,13 +6,13 @@ from symtrap.branching import (
     FERMI,
     ComponentPattern,
     branch_multiplicity,
-    branch_multiplicity_by_characters,
     component_degeneracy,
     cumulative_shell_degeneracy,
     distinguishable_pattern,
     spin_decomposition,
 )
 from symtrap.characters import ClassFunction, character_table_sn, reduce_class_function
+from symtrap.oracle import branch_multiplicity_by_characters
 from symtrap.oscillator import hyperangular_dimension
 from symtrap.partitions import Partition, partitions_of
 

@@ -210,3 +210,57 @@ class TestExitCodes:
         assert result.exit_code == 0
         assert f"above {LAMBDA_LIMIT} skipped" in result.stderr
         assert not verify_to(LAMBDA_LIMIT).stderr
+
+
+#: Parameter names of every command, in order, as first released; the
+#: command decorator must keep ``--output`` before ``--format``.
+COMMAND_PARAMS = {
+    "branch": ["n", "pattern", "stats", "output", "fmt"],
+    "chartable": ["n", "group", "output", "fmt"],
+    "degeneracy-table": ["n", "by", "max_lambda", "max_energy", "output", "fmt"],
+    "ground-state": ["n", "pattern", "stats", "regime", "output", "fmt"],
+    "map": ["n", "state", "tau", "component", "ceiling", "output", "fmt"],
+    "reduce-lambda": ["n", "max_lambda", "verify", "output", "fmt"],
+    "reduce-shell": ["n", "max_energy", "verify", "output", "fmt"],
+    "reduce-snippet": ["n", "verify", "output", "fmt"],
+    "sector-basis": ["n", "irrep", "lambda_parity", "component", "verify", "output", "fmt"],
+    "spectrum": ["n", "state", "max_energy", "output", "fmt"],
+    "spin-decompose": ["n", "k", "output", "fmt"],
+}
+
+
+def test_command_shapes():
+    assert sorted(main.commands) == sorted(COMMAND_PARAMS)
+    for name, params in COMMAND_PARAMS.items():
+        assert [p.name for p in main.commands[name].params] == params
+
+
+class TestSectorBasisVerify:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--irrep", "2^21-", "--lambda-parity", "even"],
+            ["--irrep", "2^21-", "--lambda-parity", "even", "--component", "1^2x1^2"],
+            ["--irrep", "32-", "--lambda-parity", "even", "--component", "3x2"],
+        ],
+        ids=["chain", "fermi-component", "bose-component"],
+    )
+    def test_real_bases_pass(self, extra):
+        result = run("sector-basis", "--n", "5", *extra, "--verify")
+        assert result.exit_code == 0, result.output
+        assert not result.stderr
+
+    @pytest.mark.parametrize("component", [[], ["--component", "1^2"]], ids=["chain", "component"])
+    def test_non_invariant_basis_exits_three(self, monkeypatch, component):
+        from symtrap import cli
+        from symtrap.snippet import SectorVector
+
+        def unit_basis(n, lambda_parity, p, pi, component=None):
+            return [SectorVector(n, (1,) + (0,) * 5, 1)]
+
+        monkeypatch.setattr(cli, "snippet_projection_basis", unit_basis)
+        args = ["sector-basis", "--n", "3", "--irrep", "21+", "--lambda-parity", "even"]
+        result = run(*args, *component, "--verify")
+        assert result.exit_code == 3
+        assert "consistency" in result.stderr
+        assert run(*args, *component).exit_code == 0

@@ -1,6 +1,8 @@
 import pytest
 from math import comb, factorial
 
+from symtrap.branching import BOSE, FERMI, distinguishable_pattern, patterns_for
+from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
     SECTOR_N_LIMIT,
     SHELL_N_LIMIT,
@@ -9,12 +11,18 @@ from symtrap.oracle import (
     explicit_isotypic_rank,
     explicit_sector_rep,
     explicit_shell_rep,
+    verify_sector_basis,
     verify_sector_homomorphism,
     verify_shell_homomorphism,
 )
 from symtrap.oscillator import shell_reduction
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
-from symtrap.snippet import sector_rep_characters, snippet_reduction
+from symtrap.snippet import (
+    SectorVector,
+    sector_rep_characters,
+    snippet_projection_basis,
+    snippet_reduction,
+)
 
 
 class TestSignedPerm:
@@ -34,6 +42,12 @@ class TestSignedPerm:
     def test_dense_rows(self):
         m = SignedPerm((1, 0), (1, -1))
         assert m.dense_rows() == [(0, -1), (1, 0)]
+
+    def test_apply_matches_dense_rows(self):
+        m = SignedPerm((2, 0, 1), (1, -1, -1))
+        vec = [5, 7, 11]
+        expected = [sum(a * b for a, b in zip(row, vec)) for row in m.dense_rows()]
+        assert m.apply(vec) == expected == [-7, -11, 5]
 
 
 class TestShellOracle:
@@ -134,3 +148,39 @@ class TestProjectorRanks:
             p = Partition(parts)
             rank = explicit_isotypic_rank(5, "even", p, pi)
             assert rank == reduction[(p, pi)] * irrep_dimension(p)
+
+
+class TestVerifySectorBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_basis_passes_on_both_paths(self, n):
+        patterns = [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    for pattern in [None, *patterns]:
+                        vectors = snippet_projection_basis(n, parity, p, pi, component=pattern)
+                        verify_sector_basis(n, parity, pi, vectors, pattern)
+
+    def test_rejects_a_vector_outside_the_block(self):
+        vectors = snippet_projection_basis(3, "even", Partition((2, 1)), 1)
+        stray = SectorVector(3, (1, 0, 0, 0, 0, 0), 1)
+        for bad in ([stray], vectors[:1]):
+            with pytest.raises(ConsistencyError, match="invariant"):
+                verify_sector_basis(3, "even", 1, bad)
+
+    def test_rejects_a_wrong_component_sign(self):
+        pattern = patterns_for(4, FERMI)[2]
+        vectors = snippet_projection_basis(4, "even", Partition((2, 2)), 1, component=pattern)
+        assert vectors
+        verify_sector_basis(4, "even", 1, vectors, pattern)
+        with pytest.raises(ConsistencyError, match="eigenvector"):
+            verify_sector_basis(4, "even", -1, vectors, pattern)
+        with pytest.raises(ConsistencyError, match="eigenvector"):
+            verify_sector_basis(4, "even", 1, vectors, patterns_for(4, BOSE)[2])
+
+    def test_rejects_overlap_and_wrong_norm(self):
+        a = SectorVector(2, (1, 1), 2)
+        with pytest.raises(ConsistencyError, match="orthogonal"):
+            verify_sector_basis(2, "even", 1, [a, SectorVector(2, (1, 0), 1)])
+        with pytest.raises(ConsistencyError, match="norm"):
+            verify_sector_basis(2, "even", 1, [SectorVector(2, (1, 1), 3)])

@@ -1,10 +1,10 @@
 import pytest
 from fractions import Fraction
 
+from symtrap.mapping import G_ZERO, enumerate_levels
 from symtrap.oscillator import (
     HypercylindricalLabel,
     antisymmetric_multiplicity,
-    enumerate_levels_g0,
     hyperangular_dimension,
     lambda_reduction,
     shell_dimension,
@@ -201,36 +201,44 @@ class TestRotationCharacterRoute:
         assert all(reduction[(p, -pi)] == 0 for p in shapes)
 
 
+def _g0_levels(n, e_max):
+    """Free levels with the irrep content at each level's own parity."""
+    return [
+        (label, tuple(content[(p, label.parity)] for p in partitions_of(n)))
+        for label, content in enumerate_levels(n, G_ZERO, e_max)
+    ]
+
+
 class TestEnumerateLevels:
     def test_four_particles_to_first_shell(self):
-        levels = enumerate_levels_g0(4, 1)
+        levels = _g0_levels(4, 1)
         assert [(l.nu_r, l.nu_rho, l.lam) for l, _ in levels] == [
             (0, 0, 0),
             (1, 0, 0),
             (0, 0, 1),
         ]
-        assert levels[0][1].counts == (1, 0, 0, 0, 0)
-        assert levels[2][1].counts == (0, 1, 0, 0, 0)
+        assert levels[0][1] == (1, 0, 0, 0, 0)
+        assert levels[2][1] == (0, 1, 0, 0, 0)
 
     def test_three_particles_trivial(self):
-        levels = enumerate_levels_g0(3, 0)
+        levels = _g0_levels(3, 0)
         assert len(levels) == 1
-        assert levels[0][1].counts == (1, 0, 0)
+        assert levels[0][1] == (1, 0, 0)
 
     def test_second_shell_labels(self):
-        levels = enumerate_levels_g0(4, 2)
+        levels = _g0_levels(4, 2)
         shell_two = [(l.nu_r, l.nu_rho, l.lam) for l, _ in levels if l.excitation == 2]
         assert shell_two == [(2, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 2)]
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_shell_dimensions_recovered(self, n):
-        levels = enumerate_levels_g0(n, 8)
         by_shell = {}
-        for label, reduction in levels:
+        for label, content in enumerate_levels(n, G_ZERO, 8):
             by_shell.setdefault(label.excitation, 0)
-            by_shell[label.excitation] += reduction.total_dimension()
+            by_shell[label.excitation] += content.total_dimension()
         for x, total in by_shell.items():
             assert total == shell_dimension(n, x)
+        assert sorted(by_shell) == list(range(9))
 
 
 class TestSeriesRoute:

@@ -7,7 +7,6 @@ from symtrap.partitions import (
     Partition,
     class_sign,
     class_size,
-    conjugate,
     irrep_dimension,
     partitions_into_max_parts,
     partitions_of,
@@ -114,13 +113,13 @@ class TestPartitionBasics:
 
 class TestConjugation:
     def test_row_of_four(self):
-        assert conjugate(Partition((4,))).parts == (1, 1, 1, 1)
+        assert Partition((4,)).conjugate().parts == (1, 1, 1, 1)
 
     def test_hook(self):
-        assert conjugate(Partition((2, 1, 1))).parts == (3, 1)
+        assert Partition((2, 1, 1)).conjugate().parts == (3, 1)
 
     def test_self_conjugate(self):
-        assert conjugate(Partition((2, 2))).parts == (2, 2)
+        assert Partition((2, 2)).conjugate().parts == (2, 2)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_involution(self, n):

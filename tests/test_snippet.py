@@ -7,13 +7,13 @@ from math import factorial
 from symtrap.branching import FERMI, ComponentPattern
 from symtrap.characters import character_table_snz2
 from symtrap.linalg import dot
+from symtrap.mapping import G_INF, enumerate_levels
+from symtrap.oracle import _sector_action
 from symtrap.oscillator import antisymmetric_multiplicity
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
-    _apply_element,
     _inversion_sign,
     all_sectors,
-    enumerate_levels_ginf,
     reversal_cycle_type,
     sector_rep_characters,
     snippet_projection_basis,
@@ -174,7 +174,7 @@ class TestProjectionBasis:
                     for c in all_sectors(n):
                         for inverted in (0, 1):
                             for v in basis:
-                                moved = _apply_element(n, c, inverted, sign[parity], list(v))
+                                moved = _sector_action(n, c, inverted, sign[parity]).apply(list(v))
                                 _assert_in_span(moved, basis)
 
     def test_group_invariance_generators_for_five(self):
@@ -184,8 +184,8 @@ class TestProjectionBasis:
         basis = [v.amps for v in vectors]
         for c in generators:
             for v in basis[:6]:
-                _assert_in_span(_apply_element(5, c, 0, sign, list(v)), basis)
-        _assert_in_span(_apply_element(5, (1, 2, 3, 4, 5), 1, sign, list(basis[0])), basis)
+                _assert_in_span(_sector_action(5, c, 0, sign).apply(list(v)), basis)
+        _assert_in_span(_sector_action(5, (1, 2, 3, 4, 5), 1, sign).apply(list(basis[0])), basis)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_inversion_acts_with_irrep_parity(self, n):
@@ -195,7 +195,7 @@ class TestProjectionBasis:
             for p in partitions_of(n):
                 for pi in (1, -1):
                     for v in snippet_projection_basis(n, parity, p, pi):
-                        moved = _apply_element(n, identity, 1, sign, list(v.amps))
+                        moved = _sector_action(n, identity, 1, sign).apply(list(v.amps))
                         assert moved == [pi * a for a in v.amps]
 
     def test_component_pair_for_two_plus_two(self):
@@ -209,7 +209,7 @@ class TestProjectionBasis:
         # the in-component exchanges act as -1 on both vectors
         for swap in [(2, 1, 3, 4), (1, 2, 4, 3)]:
             for v in vectors:
-                moved = _apply_element(4, swap, 0, 1, list(v.amps))
+                moved = _sector_action(4, swap, 0, 1).apply(list(v.amps))
                 assert moved == [-a for a in v.amps]
 
     def test_component_pair_for_three_plus_one(self):
@@ -243,23 +243,26 @@ def _assert_in_span(vector, basis):
 
 class TestEnumerateLevelsGinf:
     def test_three_particles_lowest(self):
-        levels = enumerate_levels_ginf(3, 3)
+        levels = list(enumerate_levels(3, G_INF, 3))
         assert len(levels) == 1
-        label, reduction, seeds = levels[0]
+        label, content = levels[0]
         assert (label.nu_r, label.nu_rho, label.lam) == (0, 0, 3)
-        assert seeds == 1
+        assert antisymmetric_multiplicity(3, label.lam) == 1
         odd = snippet_reduction(3, "odd")
-        assert reduction.counts == odd.counts
+        assert content.counts == odd.counts
 
     def test_lowest_levels_by_particle_number(self):
-        assert [(l.nu_r, l.nu_rho, l.lam) for l, _, _ in enumerate_levels_ginf(4, 6)] == [
+        assert [(l.nu_r, l.nu_rho, l.lam) for l, _ in enumerate_levels(4, G_INF, 6)] == [
             (0, 0, 6)
         ]
-        assert [(l.nu_r, l.nu_rho, l.lam) for l, _, _ in enumerate_levels_ginf(5, 10)] == [
+        assert [(l.nu_r, l.nu_rho, l.lam) for l, _ in enumerate_levels(5, G_INF, 10)] == [
             (0, 0, 10)
         ]
 
     def test_dimension_bookkeeping(self):
-        for label, reduction, seeds in enumerate_levels_ginf(4, 10):
-            assert reduction.total_dimension() == seeds * factorial(4)
-            assert seeds == antisymmetric_multiplicity(4, label.lam)
+        for label, content in enumerate_levels(4, G_INF, 10):
+            seeds = antisymmetric_multiplicity(4, label.lam)
+            assert seeds
+            assert content.total_dimension() == seeds * factorial(4)
+            parity = "even" if label.lam % 2 == 0 else "odd"
+            assert content == snippet_reduction(4, parity).scaled(seeds)
