@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from functools import wraps
+from math import factorial
 
 import click
 
@@ -40,7 +41,7 @@ from .mapping import (
     spectrum_by_irrep,
 )
 from .oscillator import HypercylindricalLabel, lambda_reduction, shell_reduction
-from .partitions import Partition, partitions_of
+from .partitions import Partition, irrep_dimension, partitions_of
 from .snippet import (
     sector_rep_characters,
     snippet_projection_basis,
@@ -53,6 +54,11 @@ EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
 _NON_NEGATIVE = click.IntRange(min=0)
+
+#: Largest sector basis ``sector-basis`` builds, in printed amplitudes.  The
+#: largest n=6 block, [321] with 128 vectors of 720, has 92,160; at n=7 the
+#: limit admits [7], [61], [21^5] and [1^7] (at most 18 vectors, a few seconds).
+AMPLITUDE_LIMIT = 100_000
 
 
 def _energy_text(n: int, x: int) -> str:
@@ -585,12 +591,21 @@ def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
         help="Hyperangular parity of the seed level.",
     ),
     click.option("--component", help="Project further onto a subgroup line, e.g. 1^2x1^2."),
-    click.option("--verify", is_flag=True, help="Re-check orthogonality and invariance."),
+    click.option(
+        "--verify",
+        is_flag=True,
+        help="Re-check orthogonality and invariance; for n <= 5 also rebuild "
+        "the basis by subgroup sums and compare.",
+    ),
 )
 def sector_basis_cmd(
     n: int, irrep: str, lambda_parity: str, component: str | None, verify: bool
 ):
-    """Exact symmetrized amplitude vectors over the ordering sectors."""
+    """Exact symmetrized amplitude vectors over the ordering sectors.
+
+    A block of more than 100,000 amplitudes (multiplicity times dimension
+    times n! sectors) is refused with exit 2; every n=6 block fits.
+    """
     text = irrep.strip()
     if text.endswith("+"):
         pi = 1
@@ -600,11 +615,23 @@ def sector_basis_cmd(
         raise ValueError("irrep needs a parity suffix, e.g. '2^2+' or '21^2-'")
     p = Partition.parse(text[:-1])
     pattern = _parse_component_tag(n, component) if component else None
+    size = snippet_reduction(n, lambda_parity).get((p, pi)) * irrep_dimension(p) * factorial(n)
+    if size > AMPLITUDE_LIMIT:
+        raise ValueError(
+            f"the {_irrep_text(p, pi)} block at n={n} has {size} amplitudes, "
+            f"over the limit of {AMPLITUDE_LIMIT}"
+        )
     vectors = snippet_projection_basis(n, lambda_parity, p, pi, component=pattern)
     if verify:
-        from .oracle import verify_sector_basis
+        from .oracle import CHAIN_N_LIMIT, subgroup_chain_basis, verify_sector_basis
 
         verify_sector_basis(n, lambda_parity, pi, vectors, pattern)
+        if n > CHAIN_N_LIMIT:
+            click.echo(
+                f"verify: subgroup-sum rebuild skipped (guard n <= {CHAIN_N_LIMIT})", err=True
+            )
+        elif subgroup_chain_basis(n, lambda_parity, p, pi, pattern) != vectors:
+            raise ConsistencyError(f"subgroup sums give another basis for {_irrep_text(p, pi)}")
     headers = ["sector", *[f"v{i + 1}" for i in range(len(vectors))]]
     rows = []
     if vectors:

@@ -1,51 +1,46 @@
-"""Exact dense linear algebra over the rationals, sized for desk problems.
+"""Exact dense linear algebra over the integers, sized for desk problems.
 
-Vectors are sequences of ints or Fractions.  Nothing here normalizes with
-square roots: orthogonal bases are returned as primitive integer vectors
-and callers track squared norms separately.
+Vectors are sequences of ints.  Elimination is fraction-free: a row is
+reduced by cross-multiplication, ``row = b[p]*row - row[p]*b``, and kept
+small by dividing out the gcd of its entries (Bareiss, *Math. Comp.* 22
+(1968)), so no rational arithmetic appears.  Nothing normalizes with
+square roots either: orthogonal bases are returned as primitive integer
+vectors and callers track squared norms separately.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    fracs = [Fraction(a) for a in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g > 1:
-        ints = [a // g for a in ints]
-    lead = next((a for a in ints if a), 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return tuple(ints)
+    """Scale an integer vector to coprime entries with positive leading entry."""
+    g = gcd(*vec)
+    if next((a for a in vec if a), 0) < 0:
+        g = -g
+    if g in (0, 1):
+        return tuple(vec)
+    return tuple(a // g for a in vec)
 
 
 class _Echelon:
     """Incremental row echelon form used for independence testing."""
 
     def __init__(self) -> None:
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[tuple[int, ...]] = []
         self.pivots: list[int] = []
 
-    def residual(self, vec) -> list[Fraction]:
-        row = [Fraction(a) for a in vec]
+    def residual(self, row):
         for pivot, basis_row in zip(self.pivots, self.rows):
-            if row[pivot]:
-                factor = row[pivot]
-                row = [a - factor * b for a, b in zip(row, basis_row)]
+            factor = row[pivot]
+            if factor:
+                scale = basis_row[pivot]
+                row = primitive([scale * a - factor * b for a, b in zip(row, basis_row)])
         return row
 
     def add(self, vec) -> bool:
@@ -53,8 +48,7 @@ class _Echelon:
         row = self.residual(vec)
         for i, a in enumerate(row):
             if a:
-                inv = 1 / a
-                self.rows.append([v * inv for v in row])
+                self.rows.append(row)
                 self.pivots.append(i)
                 return True
         return False
@@ -84,16 +78,21 @@ def matrix_rank(rows) -> int:
 
 
 def gram_schmidt(vectors) -> list[tuple[int, ...]]:
-    """Orthogonalize exactly, returning primitive integer vectors."""
-    ortho: list[list[Fraction]] = []
+    """Orthogonalize exactly, returning primitive integer vectors.
+
+    Each earlier vector ``b`` is removed by ``row = |b|^2 row - (b.row) b``,
+    a nonzero multiple of the rational projection step, so the primitive
+    results equal those of rational Gram-Schmidt.
+    """
     out: list[tuple[int, ...]] = []
-    for vec in vectors:
-        row = [Fraction(a) for a in vec]
-        for basis in ortho:
-            coeff = dot(basis, row) / dot(basis, basis)
+    norms: list[int] = []
+    for row in vectors:
+        for basis, norm in zip(out, norms):
+            coeff = dot(basis, row)
             if coeff:
-                row = [a - coeff * b for a, b in zip(row, basis)]
+                row = primitive([norm * a - coeff * b for a, b in zip(row, basis)])
         if any(row):
-            ortho.append(row)
-            out.append(primitive(row))
+            row = primitive(row)
+            out.append(row)
+            norms.append(dot(row, row))
     return out

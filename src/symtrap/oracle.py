@@ -7,7 +7,8 @@ recounted combinatorially, by Kostka counts over excitation multisets and a
 subtraction recursion over shells, and the subgroup branching by a
 character inner product over the Young subgroup.  The same signed
 permutations check that a sector basis is invariant under the group
-(``verify_sector_basis``).  They are orders of magnitude slower than the
+(``verify_sector_basis``) and rebuild it by subgroup character sums
+(``subgroup_chain_basis``).  They are orders of magnitude slower than the
 production paths and guarded by hard limits; they run from the test suite
 and behind the CLI ``--verify`` flag, never in production.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 from math import factorial, prod
 
 from .branching import BOSE, FERMI, ComponentPattern
@@ -30,20 +31,34 @@ from .characters import (
     sn_character,
 )
 from .errors import ConsistencyError
-from .linalg import dot, matrix_rank
+from .linalg import dot, matrix_rank, select_independent
 from .partitions import (
     MultiplicityVector,
     Partition,
     class_sign,
     class_size,
+    irrep_dimension,
     partitions_into_max_parts,
     partitions_of,
 )
-from .snippet import _apply, _cycle_type, _inversion_sign, _sector_index, all_sectors
+from .snippet import (
+    SectorVector,
+    SnippetIrrepLabel,
+    _apply,
+    _cycle_type,
+    _inversion_sign,
+    _orthogonal,
+    _sector_index,
+    _standard_chains,
+    all_sectors,
+    snippet_reduction,
+)
 
 SHELL_N_LIMIT = 5
 SHELL_X_LIMIT = 8
 SECTOR_N_LIMIT = 6
+#: Largest particle number whose sector bases are rebuilt by subgroup sums.
+CHAIN_N_LIMIT = 5
 #: Largest grand angular momentum recounted by the Kostka route, which
 #: enumerates every partition of every shell up to it (p(24) = 1575).
 LAMBDA_LIMIT = 24
@@ -210,6 +225,7 @@ def _adjacent(n: int, i: int) -> tuple[int, ...]:
     return tuple(image)
 
 
+@lru_cache(maxsize=None)
 def _sector_action(n: int, c: tuple[int, ...], inverted: int, sign: int) -> SignedPerm:
     index = _sector_index(n)
     images = []
@@ -247,23 +263,26 @@ def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, Multip
     return rep, reduction
 
 
+def _isotypic_columns(n: int, lambda_parity: str, p: Partition, pi: int):
+    """Columns, in sector order, of ``sum_c chi_p(c) U(c) (1 + pi U(inversion))``,
+    the explicitly summed projector onto the ``(p, pi)`` isotypic."""
+    sign = _inversion_sign(n, lambda_parity)
+    inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
+    terms = [
+        (sn_character(p, _cycle_type(c)), _sector_action(n, c, 0, sign)) for c in all_sectors(n)
+    ]
+    for q in range(factorial(n)):
+        col = [0] * factorial(n)
+        for chi, g in terms:
+            col[g.images[q]] += chi
+        yield [a + pi * b for a, b in zip(col, inversion.apply(col))]
+
+
 def explicit_isotypic_rank(n: int, lambda_parity: str, p: Partition, pi: int) -> int:
     """Rank of the explicitly summed projector onto the ``(p, pi)`` isotypic."""
     if not 2 <= n <= SHELL_N_LIMIT:
         raise ValueError(f"projector rank guard: 2 <= n <= {SHELL_N_LIMIT}")
-    sign = _inversion_sign(n, lambda_parity)
-    size = factorial(n)
-    rows = [[0] * size for _ in range(size)]
-    for c in all_sectors(n):
-        chi = sn_character(p, _cycle_type(c))
-        if not chi:
-            continue
-        pure = _sector_action(n, c, 0, sign)
-        inv = _sector_action(n, c, 1, sign)
-        for col in range(size):
-            rows[pure.images[col]][col] += chi
-            rows[inv.images[col]][col] += pi * chi * inv.signs[col]
-    return matrix_rank([tuple(r) for r in rows])
+    return matrix_rank(_isotypic_columns(n, lambda_parity, p, pi))
 
 
 def verify_shell_homomorphism(n: int, x: int, pairs: int = 20, seed: int = 0) -> None:
@@ -355,3 +374,86 @@ def verify_sector_basis(
         for g, value in eigen:
             if g.apply(v.amps) != [value * a for a in v.amps]:
                 raise ConsistencyError(f"component vector is not an eigenvector of {component}")
+
+
+def _weighted_sum(terms, vec) -> list:
+    """``sum weight * g vec`` over the ``(weight, g)`` pairs in ``terms``."""
+    out = [0] * len(vec)
+    for weight, g in terms:
+        if weight:
+            out = [a + weight * b for a, b in zip(out, g.apply(vec))]
+    return out
+
+
+def _subgroup_projector(n: int, shape: tuple[int, ...], sign: int):
+    """Character projector of the ``shape`` isotypic of S_m on 1..m, m = |shape|."""
+    m = sum(shape)
+    rest = tuple(range(m + 1, n + 1))
+    return [
+        (sn_character(Partition(shape), _cycle_type(sub)), _sector_action(n, sub + rest, 0, sign))
+        for sub in permutations(range(1, m + 1))
+    ]
+
+
+def _young_projector(n: int, pattern: ComponentPattern, sign: int):
+    """Sum over the pattern's Young subgroup, signed for fermions."""
+    blocks = []
+    start = 1
+    for count in pattern.counts:
+        blocks.append(list(permutations(range(start, start + count))))
+        start += count
+    terms = []
+    for combo in iter_product(*blocks):
+        c = tuple(v for block in combo for v in block)
+        eps = class_sign(_cycle_type(c)) if pattern.statistics == FERMI else 1
+        terms.append((eps, _sector_action(n, c, 0, sign)))
+    return terms
+
+
+def subgroup_chain_basis(
+    n: int,
+    lambda_parity: str,
+    p: Partition,
+    pi: int,
+    component: ComponentPattern | None = None,
+) -> list[SectorVector]:
+    """``snippet.snippet_projection_basis`` rebuilt from explicit subgroup sums.
+
+    The ``(p, pi)`` isotypic block is spanned by the first independent
+    columns, in sector order, of the projector
+    ``sum_c chi_p(c) U(c) (1 + pi U(inversion))``.  Without ``component``
+    each standard chain's copies come from projecting that span with the
+    character projectors of S_{n-1} > ... > S_2 along the chain; with it,
+    from the sum over the pattern's Young subgroup.  Every sum runs over
+    all subgroup elements, so this is guarded to ``n <= CHAIN_N_LIMIT``.
+    """
+    if not 2 <= n <= CHAIN_N_LIMIT:
+        raise ValueError(f"subgroup chain guard: 2 <= n <= {CHAIN_N_LIMIT}")
+    mult = snippet_reduction(n, lambda_parity)[(p, pi)]
+    if mult == 0:
+        return []
+    dim = irrep_dimension(p)
+    span = select_independent(_isotypic_columns(n, lambda_parity, p, pi), limit=mult * dim)
+    if len(span) != mult * dim:
+        raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
+    sign = _inversion_sign(n, lambda_parity)
+
+    def projected(projectors):
+        for v in span:
+            for terms in projectors:
+                v = _weighted_sum(terms, v)
+            yield v
+
+    # No limit below: the kept count is the rank, an independent check of
+    # the multiplicities the production route stops at.
+    if component is not None:
+        basis = select_independent(projected([_young_projector(n, component, sign)]))
+        return [SectorVector(n, v, dot(v, v)) for v in _orthogonal(basis)]
+    out = []
+    for j, chain in enumerate(_standard_chains(p.parts), start=1):
+        projectors = [_subgroup_projector(n, shape, sign) for shape in chain[1:-1]]
+        basis = select_independent(projected(projectors))
+        for tau, v in enumerate(_orthogonal(basis)):
+            out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
+    out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
@@ -112,6 +112,7 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, reverse-lexicographic: [n] first, [1^n] last."""
     if n < 1:
@@ -173,15 +174,24 @@ class MultiplicityVector:
 
     keys: tuple
     counts: tuple[int, ...]
+    #: Slot of each key (its first occurrence), for constant-time lookup.
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if len(self.keys) != len(self.counts):
             raise ValueError("keys and counts must have equal length")
+        slots: dict = {}
+        for i, key in enumerate(self.keys):
+            slots.setdefault(key, i)
+        object.__setattr__(self, "_slots", slots)
 
     def __getitem__(self, key) -> int:
-        return self.counts[self.keys.index(key)]
+        try:
+            return self.counts[self._slots[key]]
+        except KeyError:
+            raise ValueError(f"{key!r} is not a key of this vector") from None
 
     def get(self, key, default: int = 0) -> int:
         try:

@@ -8,11 +8,13 @@ ordering and carries a global sign: the seed's hyperangular parity times
 the sign of the reversal permutation.  With that convention the totally
 antisymmetric combination shows the familiar alternating signs.
 
-Characters are evaluated combinatorially per conjugacy class; full
-matrices are materialized only in the oracle module, which also holds the
-explicit group action on amplitude vectors and the invariance check of
-the bases built here.  The hard-core levels themselves are listed by
-``mapping.enumerate_levels``.
+Characters are evaluated combinatorially per conjugacy class.  The
+chain-adapted bases come from Jucys-Murphy filters on per-n index tables
+of the transpositions; full matrices and subgroup sums are materialized
+only in the oracle module, which also holds the explicit group action on
+amplitude vectors, the invariance check of the bases built here and a
+rebuild of them by subgroup sums.  The hard-core levels themselves are
+listed by ``mapping.enumerate_levels``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 from math import factorial
+from operator import add, itemgetter
 
 from .branching import BOSE, ComponentPattern, branch_multiplicity
 from .characters import (
@@ -173,21 +176,6 @@ def _isotypic_column(n, lambda_parity, p, pi, q):
     return col
 
 
-def _chain_project(n: int, m: int, shape: Partition, vec):
-    """Project onto the ``shape`` isotypic of the subgroup permuting 1..m."""
-    index = _sector_index(n)
-    out = [0] * len(vec)
-    for sub in permutations(range(1, m + 1)):
-        chi = sn_character(shape, _cycle_type(sub))
-        if not chi:
-            continue
-        c = sub + tuple(range(m + 1, n + 1))
-        for amp, q in zip(vec, all_sectors(n)):
-            if amp:
-                out[index[_apply(c, q)]] += chi * amp
-    return out
-
-
 def _pattern_project(n: int, pattern: ComponentPattern, vec):
     """Project onto the pattern's symmetrized line of its Young subgroup."""
     index = _sector_index(n)
@@ -213,6 +201,47 @@ def _pattern_project(n: int, pattern: ComponentPattern, vec):
             if amp:
                 out[index[_apply(c, q)]] += eps * amp
     return out
+
+
+@lru_cache(maxsize=None)
+def _index_tables(n: int):
+    """Index tables of the S_n action on sector amplitudes, built on first use.
+
+    ``jm[k]`` holds one getter per transposition ``t = (i k)``, ``i < k``,
+    returning ``(t . v)[j] = v[idx[j]]`` for every sector ``j``, so the
+    Jucys-Murphy element ``X_k`` is the sum of their results;
+    ``reversal[j]`` indexes sector ``j`` read backwards.
+    """
+    # Sectors as byte strings, so that relabelling is one bytes.translate.
+    sectors = [bytes(q) for q in all_sectors(n)]
+    index = {q: j for j, q in enumerate(sectors)}
+
+    def transposition(i: int, k: int):
+        swap = bytes.maketrans(bytes((i, k)), bytes((k, i)))
+        return itemgetter(*(index[q.translate(swap)] for q in sectors))
+
+    jm = {k: tuple(transposition(i, k) for i in range(1, k)) for k in range(2, n + 1)}
+    reversal = tuple(index[q[::-1]] for q in sectors)
+    return jm, reversal
+
+
+def _jm_factors(chain: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """Factors ``(k, c)`` of the filter ``prod_k prod_{c != c_k} (X_k - c)``.
+
+    ``chain`` runs from the shape of S_n down to (1).  Box ``k`` has content
+    ``c_k``; ``c`` runs over the contents of the other addable corners of
+    the shape of S_{k-1}, the other eigenvalues ``X_k`` can take there
+    (Okounkov & Vershik, *Selecta Math.* 2 (1996)).
+    """
+    n = len(chain)
+    factors = []
+    for k in range(2, n + 1):
+        smaller = (*chain[n - k + 1], 0)
+        larger = (*chain[n - k], 0)
+        row = next(i for i, (a, b) in enumerate(zip(smaller, larger)) if a != b)
+        corners = [i for i in range(len(smaller)) if i == 0 or smaller[i - 1] > smaller[i]]
+        factors += [(k, smaller[i] - i) for i in corners if i != row]
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -242,10 +271,13 @@ def snippet_projection_basis(
     """Orthogonal exact basis of the ``(p, pi)`` isotypic sector subspace.
 
     Without ``component`` the isotypic block is split to individual irrep
-    components via the subgroup chain S_{n-1} > ... > S_2, whose joint
-    eigenlines are unique; the result is ``mult * dim`` mutually orthogonal
-    primitive integer vectors labelled by copy ``tau`` and component ``j``.
-    With ``component`` the block is instead intersected with the pattern's
+    components along the subgroup chain S_n > S_{n-1} > ... > S_2: the
+    component ``j`` of the ``j``-th standard tableau (in ``_standard_chains``
+    order) is the joint eigenspace of the Jucys-Murphy elements X_2..X_n
+    with that tableau's contents, cut out by filters on the index tables.
+    The result is ``mult * dim`` mutually orthogonal primitive integer
+    vectors labelled by copy ``tau`` and component ``j``.  With
+    ``component`` the block is instead intersected with the pattern's
     symmetrized line, as needed for multi-component states.
 
     A zero multiplicity yields an empty list.
@@ -255,46 +287,66 @@ def snippet_projection_basis(
         raise ValueError(f"pi must be +1 or -1, got {pi}")
     if p.n != n:
         raise ValueError(f"irrep {p} does not belong to S_{n}")
+    if component is not None and component.n != n:
+        raise ValueError(f"pattern {component} does not describe {n} particles")
     mult = snippet_reduction(n, lambda_parity)[(p, pi)]
     if mult == 0:
         return []
-    dim = irrep_dimension(p)
-    sectors = all_sectors(n)
-
-    def isotypic_columns():
-        for q in sectors:
-            yield _isotypic_column(n, lambda_parity, p, pi, q)
-
-    span = select_independent(isotypic_columns(), limit=mult * dim)
-    if len(span) != mult * dim:
-        raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
-
     if component is not None:
-        if component.n != n:
-            raise ValueError(f"pattern {component} does not describe {n} particles")
-        expected = mult * branch_multiplicity(p, component)
-        if expected == 0:
-            return []
-        projected = [_pattern_project(n, component, v) for v in span]
-        basis = select_independent(projected, limit=expected)
-        if len(basis) != expected:
-            raise ConsistencyError(f"component projection of {p} has unexpected rank")
-        vectors = gram_schmidt(basis)
-        vectors.sort(key=lambda v: next(i for i, a in enumerate(v) if a))
-        return [SectorVector(n, v, dot(v, v)) for v in vectors]
+        return _component_basis(n, lambda_parity, p, pi, mult, component)
+
+    # Each standard chain's filter maps e_q + pi*s*e_{rev q}, in sector
+    # order, to a fixed nonzero multiple of its projection onto the chain's
+    # Gelfand-Tsetlin line, so the greedy pass keeps the same sectors as
+    # one over the projected isotypic columns.  The dim chain lines are
+    # independent, so the per-chain rank checks together also check the
+    # rank of the whole isotypic block.
+    jm, reversal = _index_tables(n)
+    sign = pi * _inversion_sign(n, lambda_parity)
+    size = len(reversal)
+
+    def filtered(factors):
+        for q in range(size):
+            v = [0] * size
+            v[q] = 1
+            v[reversal[q]] += sign
+            for k, c in factors:
+                image = [-c * a for a in v]
+                for move in jm[k]:
+                    image = list(map(add, image, move(v)))
+                v = image
+            yield v
 
     out = []
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
-        vectors = span
-        for shape in chain[1:-1]:
-            m = sum(shape)
-            vectors = [_chain_project(n, m, Partition(shape), v) for v in vectors]
-        basis = select_independent(vectors, limit=mult)
+        basis = select_independent(filtered(_jm_factors(chain)), limit=mult)
         if len(basis) != mult:
             raise ConsistencyError(f"chain component of {p} has unexpected rank")
-        ortho = gram_schmidt(basis)
-        ortho.sort(key=lambda v: next(i for i, a in enumerate(v) if a))
-        for tau, v in enumerate(ortho):
+        for tau, v in enumerate(_orthogonal(basis)):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
     return out
+
+
+def _orthogonal(basis) -> list[tuple[int, ...]]:
+    """Primitive Gram-Schmidt of ``basis``, ordered by first nonzero sector."""
+    vectors = gram_schmidt(basis)
+    vectors.sort(key=lambda v: next(i for i, a in enumerate(v) if a))
+    return vectors
+
+
+def _component_basis(n, lambda_parity, p, pi, mult, component) -> list[SectorVector]:
+    """The isotypic block intersected with the pattern's symmetrized line."""
+    expected = mult * branch_multiplicity(p, component)
+    if expected == 0:
+        return []
+    dim = irrep_dimension(p)
+    columns = (_isotypic_column(n, lambda_parity, p, pi, q) for q in all_sectors(n))
+    span = select_independent(columns, limit=mult * dim)
+    if len(span) != mult * dim:
+        raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
+    projected = [_pattern_project(n, component, v) for v in span]
+    basis = select_independent(projected, limit=expected)
+    if len(basis) != expected:
+        raise ConsistencyError(f"component projection of {p} has unexpected rank")
+    return [SectorVector(n, v, dot(v, v)) for v in _orthogonal(basis)]

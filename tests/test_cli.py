@@ -171,6 +171,18 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert not result.stdout
 
+    def test_over_budget_sector_block_is_refused(self):
+        result = run("sector-basis", "--n", "8", "--irrep", "421^2-", "--lambda-parity", "even")
+        assert result.exit_code == 2
+        assert not result.stdout
+        assert "174182400 amplitudes, over the limit of 100000" in result.stderr
+
+    def test_largest_six_particle_block_is_accepted(self):
+        result = run("sector-basis", "--n", "6", "--irrep", "321+", "--lambda-parity", "even")
+        assert result.exit_code == 0
+        assert "v128: [321]+ tau=7 j=16" in result.stdout
+        assert len(result.stdout.splitlines()) == 1 + 128 + 2 + 720
+
     def test_success_is_zero(self):
         assert run("reduce-lambda", "--n", "3", "--max-lambda", "2").exit_code == 0
 
@@ -264,3 +276,23 @@ class TestSectorBasisVerify:
         assert result.exit_code == 3
         assert "consistency" in result.stderr
         assert run(*args, *component).exit_code == 0
+
+    @pytest.mark.parametrize("component", [[], ["--component", "1^2"]], ids=["chain", "component"])
+    def test_basis_unlike_the_subgroup_route_exits_three(self, monkeypatch, component):
+        """Reordered vectors pass the invariance check but not the comparison."""
+        from symtrap import cli
+        from symtrap.snippet import snippet_projection_basis
+
+        def reordered(*args, **kwargs):
+            return snippet_projection_basis(*args, **kwargs)[::-1]
+
+        monkeypatch.setattr(cli, "snippet_projection_basis", reordered)
+        args = ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"]
+        result = run(*args, *component, "--verify")
+        assert result.exit_code == 3
+        assert "subgroup sums give another basis for [2^2]+" in result.stderr
+
+    def test_subgroup_route_states_its_guard(self):
+        result = run("sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd", "--verify")
+        assert result.exit_code == 0
+        assert "subgroup-sum rebuild skipped (guard n <= 5)" in result.stderr

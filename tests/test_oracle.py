@@ -4,6 +4,7 @@ from math import comb, factorial
 from symtrap.branching import BOSE, FERMI, distinguishable_pattern, patterns_for
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
+    CHAIN_N_LIMIT,
     SECTOR_N_LIMIT,
     SHELL_N_LIMIT,
     SHELL_X_LIMIT,
@@ -11,6 +12,7 @@ from symtrap.oracle import (
     explicit_isotypic_rank,
     explicit_sector_rep,
     explicit_shell_rep,
+    subgroup_chain_basis,
     verify_sector_basis,
     verify_sector_homomorphism,
     verify_shell_homomorphism,
@@ -184,3 +186,35 @@ class TestVerifySectorBasis:
             verify_sector_basis(2, "even", 1, [a, SectorVector(2, (1, 0), 1)])
         with pytest.raises(ConsistencyError, match="norm"):
             verify_sector_basis(2, "even", 1, [SectorVector(2, (1, 1), 3)])
+
+
+def _all_patterns(n):
+    return [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
+
+
+class TestSubgroupChainBasis:
+    """The Jucys-Murphy route against subgroup sums over explicit matrices."""
+
+    @pytest.mark.parametrize("n", range(2, CHAIN_N_LIMIT + 1))
+    def test_chain_path_matches(self, n):
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    expected = subgroup_chain_basis(n, parity, p, pi)
+                    assert snippet_projection_basis(n, parity, p, pi) == expected
+
+    @pytest.mark.parametrize(
+        "n,pattern",
+        [(n, pattern) for n in range(2, CHAIN_N_LIMIT + 1) for pattern in _all_patterns(n)],
+        ids=str,
+    )
+    def test_component_path_matches(self, n, pattern):
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    expected = subgroup_chain_basis(n, parity, p, pi, pattern)
+                    assert snippet_projection_basis(n, parity, p, pi, pattern) == expected
+
+    def test_guard(self):
+        with pytest.raises(ValueError):
+            subgroup_chain_basis(CHAIN_N_LIMIT + 1, "even", Partition((6,)), -1)

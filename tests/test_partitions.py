@@ -65,6 +65,10 @@ class TestPartitionBasics:
     def test_single_particle(self):
         assert [p.parts for p in partitions_of(1)] == [(1,)]
 
+    def test_memoized(self):
+        assert partitions_of(8) is partitions_of(8)
+        assert len(partitions_of(8)) == 22
+
     def test_seven_partitions_of_five(self):
         assert len(partitions_of(5)) == 7
         assert partitions_of(5)[0].parts == (5,)
@@ -211,6 +215,22 @@ class TestMultiplicityVector:
         assert v[Partition((2, 1))] == 2
         assert v.get(Partition((3,))) == 1
         assert v.total_dimension() == 1 + 2 * 2 + 1
+
+    def test_missing_key(self):
+        v = MultiplicityVector(tuple((p, 1) for p in partitions_of(3)), (4, 5, 6))
+        assert v[(Partition((2, 1)), 1)] == 5
+        assert v.get((Partition((2, 1)), -1)) == 0
+        assert v.get(Partition((4,)), 7) == 7
+        with pytest.raises(ValueError):
+            v[(Partition((2, 1)), -1)]
+
+    def test_lookup_table_is_not_part_of_the_value(self):
+        keys = partitions_of(3)
+        a = MultiplicityVector(keys, (1, 2, 1))
+        b = MultiplicityVector(tuple(keys), [1, 2, 1])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"MultiplicityVector(keys={keys!r}, counts=(1, 2, 1))"
+        assert a != MultiplicityVector(keys, (1, 2, 2))
 
     def test_mismatched_keys_rejected(self):
         a = MultiplicityVector(partitions_of(3), (1, 0, 0))

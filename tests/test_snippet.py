@@ -13,6 +13,7 @@ from symtrap.oscillator import antisymmetric_multiplicity
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
     _inversion_sign,
+    _standard_chains,
     all_sectors,
     reversal_cycle_type,
     sector_rep_characters,
@@ -230,6 +231,34 @@ class TestProjectionBasis:
         vectors = snippet_projection_basis(4, "even", Partition((2, 2)), 1)
         labels = [(v.label.tau, v.label.j) for v in vectors]
         assert labels == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("pi", [1, -1])
+    def test_largest_six_particle_block(self, pi):
+        """[321]: 8 copies of 16 components, each a Jucys-Murphy eigenvector."""
+        p = Partition((3, 2, 1))
+        vectors = snippet_projection_basis(6, "even", p, pi)
+        assert len(vectors) == 128
+        labels = [(v.label.p, v.label.pi, v.label.tau, v.label.j) for v in vectors]
+        assert labels == [(p, pi, tau, j) for tau in range(8) for j in range(1, 17)]
+        amps = [v.amps for v in vectors]
+        for i, a in enumerate(amps):
+            assert dot(a, a) == vectors[i].norm_sq
+            for b in amps[i + 1 :]:
+                assert dot(a, b) == 0
+        sign = _inversion_sign(6, "even")
+        tableaux = _standard_chains(p.parts)
+        for v in vectors[:16]:
+            chain = tableaux[v.label.j - 1]
+            for k in range(2, 7):
+                larger, smaller = chain[6 - k], (*chain[7 - k], 0)
+                row = next(i for i, part in enumerate(larger) if part != smaller[i])
+                image = [0] * 720
+                for i in range(1, k):
+                    swap = list(range(1, 7))
+                    swap[i - 1], swap[k - 1] = k, i
+                    moved = _sector_action(6, tuple(swap), 0, sign).apply(v.amps)
+                    image = [a + b for a, b in zip(image, moved)]
+                assert image == [(smaller[row] - row) * a for a in v.amps]
 
 
 def _assert_in_span(vector, basis):
