@@ -57,7 +57,7 @@ _NON_NEGATIVE = click.IntRange(min=0)
 
 #: Largest sector basis ``sector-basis`` builds, in printed amplitudes.  The
 #: largest n=6 block, [321] with 128 vectors of 720, has 92,160; at n=7 the
-#: limit admits [7], [61], [21^5] and [1^7] (at most 18 vectors, a few seconds).
+#: limit admits [7], [61], [21^5] and [1^7] (at most 18 vectors, under a second).
 AMPLITUDE_LIMIT = 100_000
 
 
@@ -229,9 +229,10 @@ def _command(name: str, *options):
     return register
 
 
-_VERIFY_MATRICES = click.option(
-    "--verify", is_flag=True, help="Cross-check against explicit matrices."
-)
+def _verify(text: str):
+    return click.option("--verify", is_flag=True, help=text)
+
+
 _STATS = dict(type=click.Choice(["bose", "fermi"]), default="fermi", show_default=True)
 _STATE = click.option(
     "--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition."
@@ -291,7 +292,10 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str,
     click.option(
         "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest shell excitation X."
     ),
-    _VERIFY_MATRICES,
+    _verify(
+        "Cross-check each shell against explicit permutation matrices for n <= 5 "
+        "and X <= 8 (the rest is reported as skipped); exit 3 on a mismatch."
+    ),
 )
 def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
     """Irrep content of every oscillator shell up to X = MAX_ENERGY."""
@@ -318,11 +322,9 @@ def _verify_shells(n: int, rows: list[list[int]]) -> None:
     click.option(
         "--max-lambda", type=_NON_NEGATIVE, required=True, help="Largest grand angular momentum."
     ),
-    click.option(
-        "--verify",
-        is_flag=True,
-        help="Recount each row by Kostka counts and shell subtraction "
-        "(rows past the oracle's lambda guard are reported as skipped).",
+    _verify(
+        "Recount each row by Kostka counts and shell subtraction for lambda <= 24 "
+        "(later rows are reported as skipped); exit 3 on a mismatch."
     ),
 )
 def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool):
@@ -342,7 +344,13 @@ def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
         click.echo(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)", err=True)
 
 
-@_command("reduce-snippet", _VERIFY_MATRICES)
+@_command(
+    "reduce-snippet",
+    _verify(
+        "Cross-check characters and reduction against explicit sector matrices "
+        "for n <= 6 (skipped above); exit 3 on a mismatch."
+    ),
+)
 def reduce_snippet_cmd(n: int, verify: bool):
     """Parity-labelled irrep content of one hard-core sector space."""
     even = snippet_reduction(n, "even")
@@ -502,7 +510,10 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
     ),
     click.option("--component", help="Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
     click.option(
-        "--ceiling", type=_NON_NEGATIVE, help="Extra excitation searched above the source."
+        "--ceiling",
+        type=_NON_NEGATIVE,
+        help="Extra excitation searched above the source (default 4n); "
+        "exit 2 when no image lies within it.",
     ),
 )
 def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | None):
@@ -552,7 +563,8 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
         type=click.Choice([G_ZERO, G_INF]),
         default=G_ZERO,
         show_default=True,
-        help="Exact limit to search.",
+        help="Exact limit to search, up to 4n quanta; exit 2 when no level "
+        "there admits the pattern.",
     ),
 )
 def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
@@ -591,11 +603,9 @@ def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
         help="Hyperangular parity of the seed level.",
     ),
     click.option("--component", help="Project further onto a subgroup line, e.g. 1^2x1^2."),
-    click.option(
-        "--verify",
-        is_flag=True,
-        help="Re-check orthogonality and invariance; for n <= 5 also rebuild "
-        "the basis by subgroup sums and compare.",
+    _verify(
+        "Re-check orthogonality and invariance; for n <= 5 also rebuild the "
+        "basis by subgroup sums and compare; exit 3 on a failure."
     ),
 )
 def sector_basis_cmd(

@@ -44,11 +44,9 @@ from .partitions import (
 from .snippet import (
     SectorVector,
     SnippetIrrepLabel,
-    _apply,
     _cycle_type,
     _inversion_sign,
     _orthogonal,
-    _sector_index,
     _standard_chains,
     all_sectors,
     snippet_reduction,
@@ -62,6 +60,16 @@ CHAIN_N_LIMIT = 5
 #: Largest grand angular momentum recounted by the Kostka route, which
 #: enumerates every partition of every shell up to it (p(24) = 1575).
 LAMBDA_LIMIT = 24
+
+
+def _apply(c: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel the ordering ``p`` by the permutation ``c``."""
+    return tuple(c[x - 1] for x in p)
+
+
+@lru_cache(maxsize=None)
+def _sector_index(n: int) -> dict:
+    return {p: i for i, p in enumerate(all_sectors(n))}
 
 
 @dataclass(frozen=True)

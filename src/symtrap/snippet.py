@@ -8,38 +8,29 @@ ordering and carries a global sign: the seed's hyperangular parity times
 the sign of the reversal permutation.  With that convention the totally
 antisymmetric combination shows the familiar alternating signs.
 
-Characters are evaluated combinatorially per conjugacy class.  The
-chain-adapted bases come from Jucys-Murphy filters on per-n index tables
-of the transpositions; full matrices and subgroup sums are materialized
-only in the oracle module, which also holds the explicit group action on
-amplitude vectors, the invariance check of the bases built here and a
-rebuild of them by subgroup sums.  The hard-core levels themselves are
-listed by ``mapping.enumerate_levels``.
+Characters are evaluated combinatorially per conjugacy class.  Each basis
+block is one group-algebra element applied to the candidates
+``e_q + pi*s*e_{rev q}``; only its column at the identity sector is built,
+on per-n index tables of the transpositions (the only S_n action here),
+and every candidate is read off that column by right reindexing.  Full
+matrices, tuple relabelling and subgroup sums live only in the oracle
+module, with the invariance check of these bases and their rebuild by
+subgroup sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product as iter_product
+from itertools import permutations
 from math import factorial
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from .branching import BOSE, ComponentPattern, branch_multiplicity
-from .characters import (
-    ClassFunction,
-    character_table_snz2,
-    sn_character,
-)
+from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
 from .linalg import dot, gram_schmidt, select_independent
-from .partitions import (
-    MultiplicityVector,
-    Partition,
-    class_sign,
-    class_size,
-    irrep_dimension,
-)
+from .partitions import MultiplicityVector, Partition, class_size
 
 Sector = tuple[int, ...]
 
@@ -53,31 +44,18 @@ def all_sectors(n: int) -> tuple[Sector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sector_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(all_sectors(n))}
-
-
-@lru_cache(maxsize=None)
 def _cycle_type(perm: Sector) -> Partition:
-    n = len(perm)
-    seen = [False] * (n + 1)
+    seen = set()
     lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
+    for x in perm:
         length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
+        while x not in seen:
+            seen.add(x)
             x = perm[x - 1]
             length += 1
-        lengths.append(length)
+        if length:
+            lengths.append(length)
     return Partition(tuple(sorted(lengths, reverse=True)))
-
-
-def _apply(c: Sector, p: Sector) -> Sector:
-    """Relabel the ordering ``p`` by the permutation ``c``."""
-    return tuple(c[x - 1] for x in p)
 
 
 def reversal_cycle_type(n: int) -> Partition:
@@ -161,68 +139,52 @@ class SectorVector:
         return zip(all_sectors(self.n), self.amps)
 
 
-def _isotypic_column(n, lambda_parity, p, pi, q):
-    """Column of the (unnormalized) isotypic projector at the sector ``q``."""
-    index = _sector_index(n)
-    inv_sign = _inversion_sign(n, lambda_parity)
-    col = [0] * factorial(n)
-    reversed_q = q[::-1]
-    for c in all_sectors(n):
-        chi = sn_character(p, _cycle_type(c))
-        if not chi:
-            continue
-        col[index[_apply(c, q)]] += chi
-        col[index[_apply(c, reversed_q)]] += pi * chi * inv_sign
-    return col
-
-
-def _pattern_project(n: int, pattern: ComponentPattern, vec):
-    """Project onto the pattern's symmetrized line of its Young subgroup."""
-    index = _sector_index(n)
-    starts = []
-    base = 1
-    for c in pattern.counts:
-        starts.append(base)
-        base += c
-    block_perms = []
-    for start, count in zip(starts, pattern.counts):
-        block_perms.append(list(permutations(range(start, start + count))))
-    out = [0] * len(vec)
-    for combo in iter_product(*block_perms):
-        c = [0] * n
-        eps = 1
-        for start, block in zip(starts, combo):
-            for offset, value in enumerate(block):
-                c[start - 1 + offset] = value
-            if pattern.statistics != BOSE:
-                eps *= class_sign(_cycle_type(tuple(v - start + 1 for v in block)))
-        c = tuple(c)
-        for amp, q in zip(vec, all_sectors(n)):
-            if amp:
-                out[index[_apply(c, q)]] += eps * amp
-    return out
-
-
 @lru_cache(maxsize=None)
 def _index_tables(n: int):
     """Index tables of the S_n action on sector amplitudes, built on first use.
 
     ``jm[k]`` holds one getter per transposition ``t = (i k)``, ``i < k``,
     returning ``(t . v)[j] = v[idx[j]]`` for every sector ``j``, so the
-    Jucys-Murphy element ``X_k`` is the sum of their results;
-    ``reversal[j]`` indexes sector ``j`` read backwards.
+    Jucys-Murphy element ``X_k`` is the sum of their results.  The getters
+    ``reversal`` and ``inverse`` read every sector backwards and at its
+    inverse permutation.
     """
     # Sectors as byte strings, so that relabelling is one bytes.translate.
     sectors = [bytes(q) for q in all_sectors(n)]
     index = {q: j for j, q in enumerate(sectors)}
+    identity = sectors[0]
 
     def transposition(i: int, k: int):
         swap = bytes.maketrans(bytes((i, k)), bytes((k, i)))
         return itemgetter(*(index[q.translate(swap)] for q in sectors))
 
     jm = {k: tuple(transposition(i, k) for i in range(1, k)) for k in range(2, n + 1)}
-    reversal = tuple(index[q[::-1]] for q in sectors)
-    return jm, reversal
+    reversal = itemgetter(*(index[q[::-1]] for q in sectors))
+    inverse = itemgetter(*(index[identity.translate(bytes.maketrans(q, identity))] for q in sectors))
+    return jm, reversal, inverse
+
+
+def _right_reindex(n: int, q: Sector, v):
+    """``R_q v`` for the right reindex ``R_q: e_h -> e_{h q}``, which commutes
+    with every left action.
+
+    Inverting every sector swaps right and left: ``R_q = inverse . L_{q^-1} .
+    inverse``.  Peeling ``h = q`` from ``k = n`` down, each ``(h(k) k)`` is
+    swapped out of ``h`` and applied to ``v``, giving ``q^-1`` as a product
+    of transposition getters.
+    """
+    if q == all_sectors(n)[0]:
+        return v
+    jm, _, inverse = _index_tables(n)
+    v = inverse(v)
+    h = [0, *q]
+    for k in range(n, 1, -1):
+        j = h[k]
+        if j != k:
+            v = jm[k][j - 1](v)
+            h[h.index(k)] = j
+            h[k] = k
+    return inverse(v)
 
 
 def _jm_factors(chain: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
@@ -274,12 +236,16 @@ def snippet_projection_basis(
     components along the subgroup chain S_n > S_{n-1} > ... > S_2: the
     component ``j`` of the ``j``-th standard tableau (in ``_standard_chains``
     order) is the joint eigenspace of the Jucys-Murphy elements X_2..X_n
-    with that tableau's contents, cut out by filters on the index tables.
+    with that tableau's contents, cut out by the filter ``prod (X_k - c)``.
     The result is ``mult * dim`` mutually orthogonal primitive integer
     vectors labelled by copy ``tau`` and component ``j``.  With
     ``component`` the block is instead intersected with the pattern's
-    symmetrized line, as needed for multi-component states.
+    symmetrized line, as needed for multi-component states: the isotypic
+    projector's character column times the signed Young-subgroup sum.
 
+    Each block keeps the first independent candidates in sector order.  A
+    sector skipped by the greedy pass over the projected isotypic columns
+    maps into the span of earlier kept ones, so the same sectors are kept.
     A zero multiplicity yields an empty list.
     """
     _check_parity(lambda_parity)
@@ -292,40 +258,70 @@ def snippet_projection_basis(
     mult = snippet_reduction(n, lambda_parity)[(p, pi)]
     if mult == 0:
         return []
-    if component is not None:
-        return _component_basis(n, lambda_parity, p, pi, mult, component)
-
-    # Each standard chain's filter maps e_q + pi*s*e_{rev q}, in sector
-    # order, to a fixed nonzero multiple of its projection onto the chain's
-    # Gelfand-Tsetlin line, so the greedy pass keeps the same sectors as
-    # one over the projected isotypic columns.  The dim chain lines are
-    # independent, so the per-chain rank checks together also check the
-    # rank of the whole isotypic block.
-    jm, reversal = _index_tables(n)
+    jm = _index_tables(n)[0]
     sign = pi * _inversion_sign(n, lambda_parity)
-    size = len(reversal)
-
-    def filtered(factors):
-        for q in range(size):
-            v = [0] * size
-            v[q] = 1
-            v[reversal[q]] += sign
-            for k, c in factors:
-                image = [-c * a for a in v]
-                for move in jm[k]:
-                    image = list(map(add, image, move(v)))
-                v = image
-            yield v
-
+    if component is not None:
+        expected = mult * branch_multiplicity(p, component)
+        if expected == 0:
+            return []
+        chi = [sn_character(p, _cycle_type(s)) for s in all_sectors(n)]
+        w = _act(chi, _young_factors(component, jm))
+        basis = _block(n, w, sign, expected, f"component projection of {p}")
+        return [SectorVector(n, v, dot(v, v)) for v in basis]
+    # The dim chain lines are independent, so the per-chain rank checks
+    # together also check the rank of the whole isotypic block.
+    unit = [1] + [0] * (factorial(n) - 1)
     out = []
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
-        basis = select_independent(filtered(_jm_factors(chain)), limit=mult)
-        if len(basis) != mult:
-            raise ConsistencyError(f"chain component of {p} has unexpected rank")
-        for tau, v in enumerate(_orthogonal(basis)):
+        w = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chain)])
+        for tau, v in enumerate(_block(n, w, sign, mult, f"chain component of {p}")):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
     return out
+
+
+def _act(v, factors):
+    """Apply ``prod (c + s * sum(moves))`` to ``v``, one ``(c, s, moves)`` at a time."""
+    for c, s, moves in factors:
+        step = add if s > 0 else sub
+        image = [c * a for a in v]
+        for move in moves:
+            image = list(map(step, image, move(v)))
+        v = image
+    return v
+
+
+def _young_factors(pattern: ComponentPattern, jm):
+    """Factors of the pattern's Young-subgroup sum, signed for fermions.
+
+    A block on ``start..end`` sums to ``prod_k (1 + s * sum_{start<=i<k} (i k))``
+    over ``start < k <= end`` (coset factorization), with ``s = -1`` for
+    fermions so that every element carries its sign.
+    """
+    s = 1 if pattern.statistics == BOSE else -1
+    factors = []
+    start = 1
+    for count in pattern.counts:
+        factors += [(1, s, jm[k][start - 1 :]) for k in range(start + 1, start + count)]
+        start += count
+    return factors
+
+
+def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
+    """The first ``limit`` independent candidates ``R_q w + sign * R_{rev q} w``
+    in sector order, orthogonalized; ``R_{rev q} w`` is ``R_q w`` reversed."""
+    flip = _index_tables(n)[1]
+    step = add if sign > 0 else sub
+
+    def candidates():
+        for q in all_sectors(n):
+            u = _right_reindex(n, q, w)
+            yield list(map(step, u, flip(u)))
+
+    basis = select_independent(candidates(), limit=limit)
+    if len(basis) != limit:
+        raise ConsistencyError(f"{what} has unexpected rank")
+    return _orthogonal(basis)
 
 
 def _orthogonal(basis) -> list[tuple[int, ...]]:
@@ -333,20 +329,3 @@ def _orthogonal(basis) -> list[tuple[int, ...]]:
     vectors = gram_schmidt(basis)
     vectors.sort(key=lambda v: next(i for i, a in enumerate(v) if a))
     return vectors
-
-
-def _component_basis(n, lambda_parity, p, pi, mult, component) -> list[SectorVector]:
-    """The isotypic block intersected with the pattern's symmetrized line."""
-    expected = mult * branch_multiplicity(p, component)
-    if expected == 0:
-        return []
-    dim = irrep_dimension(p)
-    columns = (_isotypic_column(n, lambda_parity, p, pi, q) for q in all_sectors(n))
-    span = select_independent(columns, limit=mult * dim)
-    if len(span) != mult * dim:
-        raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
-    projected = [_pattern_project(n, component, v) for v in span]
-    basis = select_independent(projected, limit=expected)
-    if len(basis) != expected:
-        raise ConsistencyError(f"component projection of {p} has unexpected rank")
-    return [SectorVector(n, v, dot(v, v)) for v in _orthogonal(basis)]

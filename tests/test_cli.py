@@ -292,6 +292,23 @@ class TestSectorBasisVerify:
         assert result.exit_code == 3
         assert "subgroup sums give another basis for [2^2]+" in result.stderr
 
+    def test_component_rank_guard_exits_three(self, monkeypatch):
+        from symtrap import snippet
+        from symtrap.partitions import MultiplicityVector
+
+        real = snippet.snippet_reduction
+
+        def one_extra(n, lambda_parity):
+            counts = real(n, lambda_parity)
+            return counts + MultiplicityVector(counts.keys, (1,) * len(counts.keys))
+
+        monkeypatch.setattr(snippet, "snippet_reduction", one_extra)
+        args = ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"]
+        result = run(*args, "--component", "1^2x1^2")
+        assert result.exit_code == 3
+        assert "component projection of [2^2] has unexpected rank" in result.stderr
+        assert not result.stdout
+
     def test_subgroup_route_states_its_guard(self):
         result = run("sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd", "--verify")
         assert result.exit_code == 0

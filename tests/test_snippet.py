@@ -4,15 +4,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from symtrap.branching import FERMI, ComponentPattern
+from symtrap.branching import BOSE, FERMI, ComponentPattern, branch_multiplicity
 from symtrap.characters import character_table_snz2
 from symtrap.linalg import dot
 from symtrap.mapping import G_INF, enumerate_levels
-from symtrap.oracle import _sector_action
+from symtrap.errors import ConsistencyError
+from symtrap.oracle import _sector_action, verify_sector_basis
 from symtrap.oscillator import antisymmetric_multiplicity
-from symtrap.partitions import Partition, irrep_dimension, partitions_of
+from symtrap.partitions import MultiplicityVector, Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
+    _index_tables,
     _inversion_sign,
+    _right_reindex,
     _standard_chains,
     all_sectors,
     reversal_cycle_type,
@@ -259,6 +262,56 @@ class TestProjectionBasis:
                     moved = _sector_action(6, tuple(swap), 0, sign).apply(v.amps)
                     image = [a + b for a, b in zip(image, moved)]
                 assert image == [(smaller[row] - row) * a for a in v.amps]
+
+
+    @pytest.mark.parametrize(
+        "parts,pi,parity,pattern",
+        [
+            ((3, 2, 1), 1, "even", ComponentPattern((2, 2, 2), FERMI)),
+            ((4, 2), 1, "even", ComponentPattern((2, 2, 1, 1), BOSE)),
+            ((3, 3), 1, "even", ComponentPattern((3, 3), BOSE)),
+            ((5, 1), -1, "odd", ComponentPattern((2, 1, 1, 1, 1), FERMI)),
+        ],
+        ids=["321+ even 1^2x1^2x1^2", "42+ even 2x2", "3^2+ even 3x3", "51- odd 1^2"],
+    )
+    def test_six_particle_component_bases(self, parts, pi, parity, pattern):
+        p = Partition(parts)
+        expected = snippet_reduction(6, parity)[(p, pi)] * branch_multiplicity(p, pattern)
+        assert expected > 0
+        vectors = snippet_projection_basis(6, parity, p, pi, component=pattern)
+        assert len(vectors) == expected
+        verify_sector_basis(6, parity, pi, vectors, pattern)
+
+    def test_component_rank_guard(self, monkeypatch):
+        """One copy more than the sector space holds cannot be found."""
+        from symtrap import snippet
+
+        real = snippet.snippet_reduction
+
+        def one_extra(n, lambda_parity):
+            counts = real(n, lambda_parity)
+            return counts + MultiplicityVector(counts.keys, (1,) * len(counts.keys))
+
+        monkeypatch.setattr(snippet, "snippet_reduction", one_extra)
+        pattern = ComponentPattern((2, 2), FERMI)
+        with pytest.raises(ConsistencyError, match="component projection of .* unexpected rank"):
+            snippet_projection_basis(4, "even", Partition((2, 2)), 1, component=pattern)
+
+
+class TestRightReindex:
+    """R_q: e_h -> e_{h q} is fixed by R_q e_id = e_q and by commuting with S_n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_moves_identity_and_commutes_with_left_action(self, n):
+        size = factorial(n)
+        unit = [1] + [0] * (size - 1)
+        v = [(7 * j * j + 3 * j) % 11 - 5 for j in range(size)]
+        moves = [move for row in _index_tables(n)[0].values() for move in row]
+        for q, sector in enumerate(all_sectors(n)):
+            assert list(_right_reindex(n, sector, unit)) == [int(j == q) for j in range(size)]
+            moved = _right_reindex(n, sector, v)
+            for move in moves:
+                assert list(_right_reindex(n, sector, move(v))) == list(move(moved))
 
 
 def _assert_in_span(vector, basis):
