@@ -8,45 +8,20 @@ aligned tables, ``--format csv`` machine-readable integer cells, and
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import sys
 from functools import wraps
 from math import factorial
+from typing import TYPE_CHECKING
 
 import click
 
-from .branching import (
-    BOSE,
-    FERMI,
-    ComponentPattern,
-    branch_row,
-    component_degeneracy,
-    cumulative_shell_degeneracy,
-    distinguishable_pattern,
-    patterns_for,
-    spin_decomposition,
-)
-from .characters import TABLE_LIMIT, character_table_sn, character_table_snz2
-from .errors import ConsistencyError
-from .mapping import (
-    G_INF,
-    G_ZERO,
-    GNLabel,
-    SearchExhaustedError,
-    StateLabel,
-    adiabatic_map,
-    ground_state,
-    spectrum_by_irrep,
-)
-from .oscillator import HypercylindricalLabel, lambda_reduction, shell_reduction
-from .partitions import Partition, irrep_dimension, partitions_of
-from .snippet import (
-    sector_rep_characters,
-    snippet_projection_basis,
-    snippet_reduction,
-)
+from . import __version__
+from .errors import ConsistencyError, SearchExhaustedError
+
+if TYPE_CHECKING:
+    from .branching import ComponentPattern
+    from .oscillator import HypercylindricalLabel
+    from .partitions import Partition
 
 SCHEMA = "symtrap/1"
 
@@ -91,6 +66,9 @@ def _render_text(headers: list[str], rows: list[list], title: str | None = None)
 
 
 def _render_csv(headers: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -100,6 +78,8 @@ def _render_csv(headers: list[str], rows: list[list]) -> str:
 
 
 def _render_json(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -118,6 +98,9 @@ def _emit(fmt: str, output: str | None, title: str, headers, rows, json_obj) -> 
 
 
 def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
+    from .oscillator import HypercylindricalLabel
+    from .partitions import Partition
+
     tokens = text.split(",")
     if len(tokens) < 4:
         raise ValueError(
@@ -131,6 +114,8 @@ def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
 
 
 def _parse_pattern(n: int, pattern: str, stats: str) -> ComponentPattern:
+    from .branching import ComponentPattern
+
     counts = tuple(int(tok) for tok in pattern.split(","))
     built = ComponentPattern(counts, stats)
     if built.n != n:
@@ -144,6 +129,8 @@ def _parse_component_tag(n: int, text: str) -> ComponentPattern:
     Symmetric blocks ``[k]`` mean bosonic exchange, antisymmetric blocks
     ``[1^k]`` fermionic; missing particles are padded with singlets.
     """
+    from .branching import BOSE, FERMI, ComponentPattern
+
     counts: list[int] = []
     statistics = None
     for block in text.replace("[", "").replace("]", "").split("x"):
@@ -174,6 +161,8 @@ def _merge_stats(current: str | None, new: str, text: str) -> str:
 
 
 def _check_n(ctx, param, value):
+    from .characters import TABLE_LIMIT
+
     if not 2 <= value <= TABLE_LIMIT:
         raise click.BadParameter(f"supported particle numbers are 2..{TABLE_LIMIT}")
     return value
@@ -194,7 +183,7 @@ _FORMAT_OPTION = click.option(
 
 
 @click.group()
-@click.version_option(package_name="symtrap")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact symmetry tables, spectra and adiabatic maps for trapped atoms."""
 
@@ -220,6 +209,9 @@ def _command(name: str, *options):
                 sys.exit(EXIT_INCONSISTENT)
             except (ValueError, SearchExhaustedError) as exc:
                 click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_INVALID)
+            except OSError as exc:
+                click.echo(f"error: cannot write {output or 'stdout'}: {exc.strerror}", err=True)
                 sys.exit(EXIT_INVALID)
 
         for option in reversed((_N_OPTION, *options, _OUTPUT_OPTION, _FORMAT_OPTION)):
@@ -251,12 +243,16 @@ _STATE = click.option(
 )
 def chartable_cmd(n: int, group: str):
     """Print the character table, sector characters appended for snz2."""
+    from .characters import character_table_sn, character_table_snz2
+
     if group == "sn":
         table = character_table_sn(n)
         class_names = [c.label() for c in table.classes]
         irrep_names = [p.label() for p in table.irreps]
         extra_rows = []
     else:
+        from .snippet import sector_rep_characters
+
         table = character_table_snz2(n)
         class_names = [("i" if inv else "") + c.label() for c, inv in table.classes]
         irrep_names = [_irrep_text(p, pi) for p, pi in table.irreps]
@@ -276,6 +272,8 @@ def chartable_cmd(n: int, group: str):
 
 def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str, title: str):
     """One row of ``reduce(n, k)`` per ``k`` up to ``top``; ``check`` re-derives the rows."""
+    from .partitions import partitions_of
+
     shapes = partitions_of(n)
     rows = [[k, *reduce(n, k).counts] for k in range(top + 1)]
     if verify:
@@ -299,6 +297,8 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str,
 )
 def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
     """Irrep content of every oscillator shell up to X = MAX_ENERGY."""
+    from .oscillator import shell_reduction
+
     return _reduction_table(
         n, max_energy, verify, shell_reduction, _verify_shells, "X", "shell reduction"
     )
@@ -329,6 +329,8 @@ def _verify_shells(n: int, rows: list[list[int]]) -> None:
 )
 def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool):
     """Irrep content of every hyperangular subspace up to MAX_LAMBDA."""
+    from .oscillator import lambda_reduction
+
     return _reduction_table(
         n, max_lambda, verify, lambda_reduction, _verify_lambdas, "lambda", "lambda reduction"
     )
@@ -353,6 +355,8 @@ def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
 )
 def reduce_snippet_cmd(n: int, verify: bool):
     """Parity-labelled irrep content of one hard-core sector space."""
+    from .snippet import snippet_reduction
+
     even = snippet_reduction(n, "even")
     odd = snippet_reduction(n, "odd")
     if verify:
@@ -372,6 +376,7 @@ def reduce_snippet_cmd(n: int, verify: bool):
 
 def _verify_sectors(n: int) -> None:
     from .oracle import SECTOR_N_LIMIT, explicit_sector_rep
+    from .snippet import sector_rep_characters, snippet_reduction
 
     if n > SECTOR_N_LIMIT:
         click.echo(f"verify: skipped (guard n <= {SECTOR_N_LIMIT})", err=True)
@@ -385,6 +390,8 @@ def _verify_sectors(n: int) -> None:
 
 
 def _all_patterns(n: int) -> list[ComponentPattern]:
+    from .branching import BOSE, FERMI, distinguishable_pattern, patterns_for
+
     return [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
 
 
@@ -408,6 +415,9 @@ def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
 )
 def branch_cmd(n: int, pattern: str | None, stats: str):
     """Multiplicity of each symmetrized component line inside every irrep."""
+    from .branching import branch_row
+    from .partitions import partitions_of
+
     shapes = partitions_of(n)
     selected = [_parse_pattern(n, pattern, stats)] if pattern else _all_patterns(n)
     return _pattern_table(
@@ -433,6 +443,8 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
 )
 def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
+    from .branching import component_degeneracy, cumulative_shell_degeneracy
+
     if by == "lambda":
         if max_lambda is None:
             raise ValueError("--max-lambda is required with --by lambda")
@@ -457,6 +469,8 @@ def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: in
 )
 def spin_decompose_cmd(n: int, k: int):
     """Permutation content of the k-component spin space."""
+    from .branching import spin_decomposition
+
     reduction = spin_decomposition(n, k)
     rows = [[p.label(), count] for p, count in reduction.items()]
     body = {
@@ -478,6 +492,8 @@ def spin_decompose_cmd(n: int, k: int):
 )
 def spectrum_cmd(n: int, state: str, max_energy: int):
     """Both exact-limit spectra of the symmetry class containing STATE."""
+    from .mapping import G_INF, G_ZERO, GNLabel, spectrum_by_irrep
+
     hyper, p = _parse_state(n, state)
     mu = GNLabel(hyper.nu_r, hyper.parity, p)
     rows = []
@@ -518,6 +534,8 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
 )
 def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | None):
     """Adiabatic hard-core image of a free-limit level."""
+    from .mapping import G_ZERO, StateLabel, adiabatic_map
+
     hyper, p = _parse_state(n, state)
     source = StateLabel(hyper, p, tau=tau, component=component, regime=G_ZERO)
     result = adiabatic_map(n, source, extra_energy=ceiling)
@@ -560,8 +578,8 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
     click.option("--stats", **_STATS, help="Exchange statistics."),
     click.option(
         "--regime",
-        type=click.Choice([G_ZERO, G_INF]),
-        default=G_ZERO,
+        type=click.Choice(["g0", "ginf"]),
+        default="g0",
         show_default=True,
         help="Exact limit to search, up to 4n quanta; exit 2 when no level "
         "there admits the pattern.",
@@ -569,6 +587,8 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
 )
 def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
     """Lowest levels admitting the pattern's symmetrization."""
+    from .mapping import ground_state
+
     built = _parse_pattern(n, pattern, stats)
     labels = ground_state(n, built, regime=regime)
     rows = [
@@ -616,6 +636,9 @@ def sector_basis_cmd(
     A block of more than 100,000 amplitudes (multiplicity times dimension
     times n! sectors) is refused with exit 2; every n=6 block fits.
     """
+    from .partitions import Partition, irrep_dimension
+    from .snippet import snippet_projection_basis, snippet_reduction
+
     text = irrep.strip()
     if text.endswith("+"):
         pi = 1

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .branching import ComponentPattern, branch_row
+from .errors import SearchExhaustedError
 from .oscillator import (
     HypercylindricalLabel,
     antisymmetric_multiplicity,
@@ -37,10 +38,6 @@ REGIMES = (G_ZERO, G_INF)
 def _check_regime(regime: str) -> None:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-
-
-class SearchExhaustedError(Exception):
-    """No matching level was found below the configured energy ceiling."""
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ from functools import lru_cache
 from itertools import permutations, product as iter_product
 from math import factorial, prod
 
+# ``perfbench/traced_cli.py`` imports ``symtrap.cli`` and this module, then
+# wraps the functions of every layer it finds in ``sys.modules``, mapping
+# included; since the CLI imports its layers on demand, this import keeps
+# mapping loaded for it.  ROADMAP item 4 (tracing inside the package)
+# retires this pin.
+from . import mapping  # noqa: F401
 from .branching import BOSE, FERMI, ComponentPattern
 from .characters import (
     ClassFunction,

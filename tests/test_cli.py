@@ -119,6 +119,21 @@ class TestBehaviour:
         run_ok("reduce-lambda", "--n", "3", "--max-lambda", "3", "--format", "csv", "--output", str(target))
         assert target.read_text(encoding="utf-8").splitlines()[0] == "lambda,[3],[21],[1^3]"
 
+    def test_version_from_source_checkout(self):
+        """``--version`` reads the package, not installed metadata."""
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "symtrap.cli", "--version"],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "0.1.0" in result.stdout
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -171,6 +186,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert not result.stdout
 
+    def test_output_into_missing_directory_exits_two(self, tmp_path):
+        target = tmp_path / "missing" / "table.txt"
+        result = run("chartable", "--n", "3", "--output", str(target))
+        assert result.exit_code == 2
+        assert not result.stdout
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot write ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_over_budget_sector_block_is_refused(self):
         result = run("sector-basis", "--n", "8", "--irrep", "421^2-", "--lambda-parity", "even")
         assert result.exit_code == 2
@@ -187,27 +211,29 @@ class TestExitCodes:
         assert run("reduce-lambda", "--n", "3", "--max-lambda", "2").exit_code == 0
 
     def test_failed_cross_check_exits_three(self, monkeypatch):
-        from symtrap import cli
+        import symtrap.oracle  # noqa: F401  every layer loaded, so no importer binds the fake
+        from symtrap import oscillator
         from symtrap.partitions import MultiplicityVector, partitions_of
 
         def wrong_reduction(n, x):
             keys = partitions_of(n)
             return MultiplicityVector(keys, (99,) + (0,) * (len(keys) - 1))
 
-        monkeypatch.setattr(cli, "shell_reduction", wrong_reduction)
+        monkeypatch.setattr(oscillator, "shell_reduction", wrong_reduction)
         result = run("reduce-shell", "--n", "3", "--max-energy", "2", "--verify")
         assert result.exit_code == 3
         assert "consistency" in result.stderr
 
     def test_failed_lambda_cross_check_exits_three(self, monkeypatch):
-        from symtrap import cli
+        import symtrap.oracle  # noqa: F401  every layer loaded, so no importer binds the fake
+        from symtrap import oscillator
         from symtrap.partitions import MultiplicityVector, partitions_of
 
         def wrong_reduction(n, lam):
             keys = partitions_of(n)
             return MultiplicityVector(keys, (99,) + (0,) * (len(keys) - 1))
 
-        monkeypatch.setattr(cli, "lambda_reduction", wrong_reduction)
+        monkeypatch.setattr(oscillator, "lambda_reduction", wrong_reduction)
         result = run("reduce-lambda", "--n", "3", "--max-lambda", "2", "--verify")
         assert result.exit_code == 3
         assert "consistency" in result.stderr
@@ -264,13 +290,13 @@ class TestSectorBasisVerify:
 
     @pytest.mark.parametrize("component", [[], ["--component", "1^2"]], ids=["chain", "component"])
     def test_non_invariant_basis_exits_three(self, monkeypatch, component):
-        from symtrap import cli
+        from symtrap import snippet
         from symtrap.snippet import SectorVector
 
         def unit_basis(n, lambda_parity, p, pi, component=None):
             return [SectorVector(n, (1,) + (0,) * 5, 1)]
 
-        monkeypatch.setattr(cli, "snippet_projection_basis", unit_basis)
+        monkeypatch.setattr(snippet, "snippet_projection_basis", unit_basis)
         args = ["sector-basis", "--n", "3", "--irrep", "21+", "--lambda-parity", "even"]
         result = run(*args, *component, "--verify")
         assert result.exit_code == 3
@@ -280,13 +306,13 @@ class TestSectorBasisVerify:
     @pytest.mark.parametrize("component", [[], ["--component", "1^2"]], ids=["chain", "component"])
     def test_basis_unlike_the_subgroup_route_exits_three(self, monkeypatch, component):
         """Reordered vectors pass the invariance check but not the comparison."""
-        from symtrap import cli
+        from symtrap import snippet
         from symtrap.snippet import snippet_projection_basis
 
         def reordered(*args, **kwargs):
             return snippet_projection_basis(*args, **kwargs)[::-1]
 
-        monkeypatch.setattr(cli, "snippet_projection_basis", reordered)
+        monkeypatch.setattr(snippet, "snippet_projection_basis", reordered)
         args = ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"]
         result = run(*args, *component, "--verify")
         assert result.exit_code == 3

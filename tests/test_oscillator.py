@@ -279,6 +279,8 @@ class TestSeriesRoute:
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, symtrap.cli\n"
+            "import symtrap.branching, symtrap.characters, symtrap.linalg, symtrap.mapping\n"
+            "import symtrap.oscillator, symtrap.partitions, symtrap.snippet\n"
             "caches = {f'{m}.{k}': v.cache_info().currsize\n"
             "          for m, mod in list(sys.modules.items()) if m.startswith('symtrap')\n"
             "          for k, v in vars(mod).items() if hasattr(v, 'cache_info')}\n"
