@@ -11,18 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .errors import ConsistencyError
 from .partitions import (
+    TABLE_LIMIT,
     MultiplicityVector,
     Partition,
     class_size,
     partitions_of,
 )
-
-#: Largest n for which tables are generated.  Everything stays exact for
-#: larger n, but nothing in this package needs it.
-TABLE_LIMIT = 8
 
 
 class NotACharacterError(ValueError):
@@ -102,18 +100,17 @@ def _check_table_n(n: int) -> None:
 
 
 def _validate_orthogonality(table: CharacterTable) -> None:
+    """Both orthogonality relations, on each unordered pair (the forms are symmetric)."""
     rows, sizes, order = table.values, table.class_sizes, table.order
-    for i, row_i in enumerate(rows):
-        for j, row_j in enumerate(rows):
-            inner = sum(s * a * b for s, a, b in zip(sizes, row_i, row_j))
-            if inner != (order if i == j else 0):
+    for i, row in enumerate(rows):
+        weighted = tuple(map(mul, sizes, row))
+        for j in range(i, len(rows)):
+            if sum(map(mul, weighted, rows[j])) != (order if i == j else 0):
                 raise ConsistencyError(f"row orthogonality fails for {table.group}")
-    k = len(table.classes)
-    for a in range(k):
-        for b in range(k):
-            inner = sum(row[a] * row[b] for row in rows)
-            expected = order // sizes[a] if a == b else 0
-            if inner != expected:
+    columns = tuple(zip(*rows))
+    for a, column in enumerate(columns):
+        for b in range(a, len(columns)):
+            if sum(map(mul, column, columns[b])) != (order // sizes[a] if a == b else 0):
                 raise ConsistencyError(f"column orthogonality fails for {table.group}")
 
 

@@ -8,12 +8,10 @@ aligned tables, ``--format csv`` machine-readable integer cells, and
 
 from __future__ import annotations
 
+import os
 import sys
-from functools import wraps
 from math import factorial
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .errors import ConsistencyError, SearchExhaustedError
@@ -27,8 +25,6 @@ SCHEMA = "symtrap/1"
 
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
-
-_NON_NEGATIVE = click.IntRange(min=0)
 
 #: Largest sector basis ``sector-basis`` builds, in printed amplitudes.  The
 #: largest n=6 block, [321] with 128 vectors of 720, has 92,160; at n=7 the
@@ -94,7 +90,16 @@ def _emit(fmt: str, output: str | None, title: str, headers, rows, json_obj) -> 
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
-        click.echo(payload, nl=False)
+        _write(sys.stdout, payload)
+
+
+def _write(stream, text: str) -> None:
+    stream.write(text)
+    stream.flush()
+
+
+def _warn(message: str) -> None:
+    _write(sys.stderr, f"{message}\n")
 
 
 def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
@@ -160,35 +165,130 @@ def _merge_stats(current: str | None, new: str, text: str) -> str:
     return new
 
 
-def _check_n(ctx, param, value):
-    from .characters import TABLE_LIMIT
+# --- the command line ---------------------------------------------------------
+#
+# One table drives parsing, help and errors: ``COMMANDS`` maps each command
+# name to its options and function.  The layout, wording and exit codes are
+# those click 8.4.0 gave this program (tests/golden/usage pins them), so
+# scripts that read its help or errors see no change.
 
-    if not 2 <= value <= TABLE_LIMIT:
-        raise click.BadParameter(f"supported particle numbers are 2..{TABLE_LIMIT}")
+
+class _Choice(tuple):
+    """Converter accepting exactly one of the given words."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, self))}.")
+        return text
+
+
+def _integer(text: str, kind: str = "integer") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid {kind}.") from None
+
+
+def _non_negative(text: str) -> int:
+    value = _integer(text, "integer range")
+    if value < 0:
+        raise ValueError(f"{value} is not in the range x>=0.")
     return value
 
 
-_N_OPTION = click.option(
-    "--n", type=int, required=True, callback=_check_n, help="Number of particles."
-)
-_OUTPUT_OPTION = click.option("--output", type=click.Path(writable=True), help="Write to a file.")
-_FORMAT_OPTION = click.option(
+def _particle_number(text: str) -> int:
+    from .partitions import TABLE_LIMIT
+
+    n = _integer(text)
+    if not 2 <= n <= TABLE_LIMIT:
+        raise ValueError(f"supported particle numbers are 2..{TABLE_LIMIT}")
+    return n
+
+
+def _writable_path(text: str) -> str:
+    """A file name; a file that exists already must be readable and writable."""
+    try:
+        os.stat(text)
+    except OSError:
+        return text
+    for mode, word in ((os.R_OK, "readable"), (os.W_OK, "writable")):
+        if not os.access(text, mode):
+            shown = text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+            raise ValueError(f"Path {shown!r} is not {word}.")
+    return text
+
+
+_METAVARS = {
+    _integer: "INTEGER",
+    _particle_number: "INTEGER",
+    _non_negative: "INTEGER RANGE",
+    str: "TEXT",
+    _writable_path: "PATH",
+}
+
+
+class _Option(NamedTuple):
+    """``flag`` stores ``convert(text)`` as ``dest``; ``convert`` is None for a flag.
+
+    A converter raises ``ValueError`` with the message a usage error shows.
+    """
+
+    flag: str
+    dest: str
+    convert: Callable[[str], object] | None
+    required: bool
+    default: object
+    show_default: bool
+    help: str
+
+    def help_row(self) -> tuple[str, str]:
+        term = self.flag
+        if isinstance(self.convert, _Choice):
+            term += f" [{'|'.join(self.convert)}]"
+        elif self.convert is not None:
+            term += f" {_METAVARS[self.convert]}"
+        extras = []
+        if self.show_default and self.default is not None:
+            extras.append(f"default: {self.default}")
+        if self.convert is _non_negative:
+            extras.append("x>=0")
+        if self.required:
+            extras.append("required")
+        return term, f"{self.help}  [{'; '.join(extras)}]" if extras else self.help
+
+
+def _option(flag: str, convert, help: str, *, dest: str | None = None, required: bool = False,
+            default=None, show_default: bool = False) -> _Option:
+    dest = dest or flag[2:].replace("-", "_")
+    return _Option(flag, dest, convert, required, default, show_default, help)
+
+
+class _Command(NamedTuple):
+    options: tuple[_Option, ...]
+    #: ``fn(n, **options)`` returns ``(title, headers, rows, body)``.
+    fn: Callable
+
+
+#: Every command by name, in the order registered.
+COMMANDS: dict[str, _Command] = {}
+
+_N_OPTION = _option("--n", _particle_number, "Number of particles.", required=True)
+_OUTPUT_OPTION = _option("--output", _writable_path, "Write to a file.")
+_FORMAT_OPTION = _option(
     "--format",
-    "fmt",
-    type=click.Choice(["text", "csv", "json"]),
+    _Choice(("text", "csv", "json")),
+    "Output format.",
+    dest="fmt",
     default="text",
     show_default=True,
-    help="Output format.",
 )
+_TOP_LEVEL = "Exact symmetry tables, spectra and adiabatic maps for trapped atoms."
+_TOP_LEVEL_PIECES = "[OPTIONS] COMMAND [ARGS]..."
+_VERSION_ROW = ("--version", "Show the version and exit.")
+_HELP_ROW = ("--help", "Show this message and exit.")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main() -> None:
-    """Exact symmetry tables, spectra and adiabatic maps for trapped atoms."""
-
-
-def _command(name: str, *options):
+def _command(name: str, *options: _Option):
     """Register the decorated function as the command ``name``.
 
     The command takes ``--n``, then ``options``, then ``--output`` and
@@ -199,46 +299,302 @@ def _command(name: str, *options):
     """
 
     def register(fn):
-        @wraps(fn)
-        def run(n: int, fmt: str, output: str | None, **kwargs) -> None:
-            try:
-                title, headers, rows, body = fn(n, **kwargs)
-                _emit(fmt, output, title, headers, rows, {"n": n, **body, "schema": SCHEMA})
-            except ConsistencyError as exc:
-                click.echo(f"consistency failure: {exc}", err=True)
-                sys.exit(EXIT_INCONSISTENT)
-            except (ValueError, SearchExhaustedError) as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_INVALID)
-            except OSError as exc:
-                click.echo(f"error: cannot write {output or 'stdout'}: {exc.strerror}", err=True)
-                sys.exit(EXIT_INVALID)
-
-        for option in reversed((_N_OPTION, *options, _OUTPUT_OPTION, _FORMAT_OPTION)):
-            run = option(run)
-        return main.command(name)(run)
+        COMMANDS[name] = _Command((_N_OPTION, *options, _OUTPUT_OPTION, _FORMAT_OPTION), fn)
+        return fn
 
     return register
 
 
-def _verify(text: str):
-    return click.option("--verify", is_flag=True, help=text)
+def _run(command: _Command, values: dict) -> int:
+    n, fmt, output = values.pop("n"), values.pop("fmt"), values.pop("output")
+    try:
+        title, headers, rows, body = command.fn(n, **values)
+        _emit(fmt, output, title, headers, rows, {"n": n, **body, "schema": SCHEMA})
+    except ConsistencyError as exc:
+        _warn(f"consistency failure: {exc}")
+        return EXIT_INCONSISTENT
+    except (ValueError, SearchExhaustedError) as exc:
+        _warn(f"error: {exc}")
+        return EXIT_INVALID
+    except OSError as exc:
+        _warn(f"error: cannot write {output or 'stdout'}: {exc.strerror}")
+        return EXIT_INVALID
+    return 0
 
 
-_STATS = dict(type=click.Choice(["bose", "fermi"]), default="fermi", show_default=True)
-_STATE = click.option(
-    "--state", required=True, help="Source level: nu_R,nu_rho,lambda,partition."
-)
+class _UsageError(Exception):
+    """A command line that cannot run.  ``usage`` is ``(command path, usage
+    pieces)`` for the usage line and help hint printed above the message;
+    None prints the message alone."""
+
+    def __init__(self, message: str, usage: tuple[str, str] | None = None) -> None:
+        super().__init__(message)
+        self.message, self.usage = message, usage
+
+    def show(self) -> None:
+        text = f"Error: {self.message}\n"
+        if self.usage:
+            path, pieces = self.usage
+            hint = f"Try '{path} --help' for help."
+            text = f"{_usage_line(path, pieces, _help_width())}\n{hint}\n\n{text}"
+        _write(sys.stderr, text)
+
+
+def _did_you_mean(word: str, candidates) -> str:
+    from difflib import get_close_matches
+
+    matches = sorted(get_close_matches(word, candidates))
+    quoted = ", ".join(map(repr, matches))
+    if len(matches) > 1:
+        return f" (Did you mean one of: {quoted}?)"
+    return f" Did you mean {quoted}?" if matches else ""
+
+
+def _scan(args: list[str], takes_value: dict[str, bool], usage, interspersed: bool):
+    """Split ``args`` into options and other words, as click's parser does.
+
+    ``takes_value`` maps each option to whether it takes a value.  Returns
+    ``(given, rest)``: ``given`` maps each option used to its text (None for
+    a flag; a repeated option keeps its last text but its first place), and
+    ``rest`` holds the other words.  Without ``interspersed`` the options
+    end at the first other word.
+    """
+    given: dict[str, str | None] = {}
+    rest: list[str] = []
+    args = list(args)
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            if not interspersed:
+                args.insert(0, arg)
+                break
+            rest.append(arg)
+            continue
+        flag, equals, attached = arg.partition("=")
+        if flag not in takes_value:
+            if arg[:2] != "--":
+                raise _UsageError(f"No such option {arg[:2]!r}.", usage)
+            raise _UsageError(f"No such option {flag!r}." + _did_you_mean(flag, takes_value), usage)
+        if not takes_value[flag]:
+            if equals:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            given[flag] = None
+        elif equals:
+            given[flag] = attached
+        elif args:
+            given[flag] = args.pop(0)
+        else:
+            raise _UsageError(f"Option {flag!r} requires an argument.")
+    return given, rest + args
+
+
+def _parse(command: _Command, path: str, args: list[str]) -> dict | None:
+    """The option values of one command call; None when ``--help`` was printed."""
+    usage = (path, "[OPTIONS]")
+    by_flag = {option.flag: option for option in command.options}
+    takes_value = {flag: option.convert is not None for flag, option in by_flag.items()}
+    given, rest = _scan(args, {**takes_value, "--help": False}, usage, interspersed=True)
+    if "--help" in given:
+        _write(sys.stdout, _command_help(command, path) + "\n")
+        return None
+    # Options given are checked in the order given, then the others in table order.
+    order = [by_flag[flag] for flag in given]
+    order += [option for option in command.options if option.flag not in given]
+    values = {}
+    for option in order:
+        if option.flag not in given:
+            if option.required:
+                choices = option.convert if isinstance(option.convert, _Choice) else ()
+                listed = " Choose from:\n\t" + ",\n\t".join(choices) if choices else ""
+                raise _UsageError(f"Missing option '{option.flag}'.{listed}", usage)
+            values[option.dest] = option.default
+        elif option.convert is None:
+            values[option.dest] = True
+        else:
+            try:
+                values[option.dest] = option.convert(given[option.flag])
+            except ValueError as exc:
+                raise _UsageError(f"Invalid value for '{option.flag}': {exc}", usage) from None
+    if rest:
+        extra = "argument" if len(rest) == 1 else "arguments"
+        raise _UsageError(f"Got unexpected extra {extra} ({' '.join(rest)})", usage)
+    return values
+
+
+def _top_level_options(prog_name: str, args: list[str]) -> tuple[list[str], int | None]:
+    """Act on ``--version`` and ``--help`` before the command; return the
+    remaining words, and the exit code when one of them ended the call."""
+    usage = (prog_name, _TOP_LEVEL_PIECES)
+    given, rest = _scan(args, {"--version": False, "--help": False}, usage, interspersed=False)
+    for flag in given:
+        if flag == "--version":
+            _write(sys.stdout, f"{prog_name}, version {__version__}\n")
+        else:
+            _write(sys.stdout, _top_level_help(prog_name) + "\n")
+        return rest, 0
+    return rest, None
+
+
+def _dispatch(prog_name: str, args: list[str]) -> int:
+    if not args:
+        _write(sys.stderr, _top_level_help(prog_name) + "\n")
+        return EXIT_INVALID
+    rest, code = _top_level_options(prog_name, args)
+    if code is not None:
+        return code
+    usage = (prog_name, _TOP_LEVEL_PIECES)
+    if not rest:
+        raise _UsageError("Missing command.", usage)
+    name, *args = rest
+    command = COMMANDS.get(name)
+    if command is None:
+        if not name[:1].isalnum():  # a word after "--" that looks like an option is one
+            code = _top_level_options(prog_name, rest)[1]
+            if code is not None:
+                return code
+        raise _UsageError(f"No such command {name!r}." + _did_you_mean(name, COMMANDS), usage)
+    path = f"{prog_name} {name}"
+    values = _parse(command, path, args)
+    return 0 if values is None else _run(command, values)
+
+
+def _program_name() -> str:
+    """``python -m symtrap.cli`` when run with ``-m``, else the script's file name."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    script = os.path.basename(sys.argv[0])
+    if not package:
+        return script
+    module = os.path.splitext(script)[0]
+    if module != "__main__":
+        package = f"{package}.{module}"
+    return f"python -m {package.lstrip('.')}"
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line (``sys.argv[1:]`` by default) and exit with its code:
+    0 success, 2 invalid input, 3 failed internal consistency check."""
+    args = sys.argv[1:] if args is None else list(args)
+    try:
+        code = _dispatch(prog_name or _program_name(), args)
+    except _UsageError as exc:
+        exc.show()
+        code = EXIT_INVALID
+    except KeyboardInterrupt:
+        _write(sys.stderr, "\nAborted!\n")
+        code = 1
+    sys.exit(code)
+
+
+# --- help screens -------------------------------------------------------------
+
+
+def _help_width() -> int:
+    import shutil
+
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+
+def _wrap(text: str, width: int, first: str = "", later: str = "") -> str:
+    import textwrap
+
+    wrapper = textwrap.TextWrapper(
+        width, initial_indent=first, subsequent_indent=later, replace_whitespace=False
+    )
+    return wrapper.fill(text.expandtabs())
+
+
+def _wrap_paragraphs(text: str, width: int, indent: str = "") -> str:
+    """Re-fill each blank-line separated paragraph of ``text``."""
+    paragraphs = (" ".join(block.splitlines()) for block in text.split("\n\n"))
+    return "\n\n".join(_wrap(paragraph, width, indent, indent) for paragraph in paragraphs)
+
+
+def _usage_line(path: str, pieces: str, width: int) -> str:
+    prefix = f"Usage: {path} "
+    if width >= len(prefix) + 20:
+        return _wrap(pieces, width, prefix, " " * len(prefix))
+    return prefix + "\n" + _wrap(pieces, width, " " * 11, " " * 11)
+
+
+def _definition_list(rows: list[tuple[str, str]], width: int) -> str:
+    """Two indented columns; a long term puts its text on the next line."""
+    first_col = min(max(len(term) for term, _ in rows), 30) + 2
+    hanging = " " * (first_col + 2)
+    out = []
+    for term, text in rows:
+        lines = _wrap_paragraphs(text, max(width - first_col - 2, 10)).splitlines()
+        gap = " " * (first_col - len(term)) if len(term) <= first_col - 2 else "\n" + hanging
+        out.append(f"  {term}{gap}{lines[0]}\n")
+        out.extend(f"{hanging}{line}\n" for line in lines[1:])
+    return "".join(out)
+
+
+def _short_help(doc: str, limit: int) -> str:
+    """The first sentence of ``doc``, or as many words as fit ``limit`` and "..."."""
+    words = doc.split("\n\n")[0].split()
+    total = 0
+    for i, word in enumerate(words):
+        total += len(word) + (i > 0)
+        if total > limit:
+            break
+        if word[-1] == ".":
+            return " ".join(words[: i + 1])
+        if total == limit and i != len(words) - 1:
+            break
+    else:
+        return " ".join(words)
+    total += 3
+    while i > 0:
+        total -= len(words[i]) + 1
+        if total <= limit:
+            break
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _help_screen(path: str, pieces: str, doc: str, sections) -> str:
+    from textwrap import dedent
+
+    width = _help_width()
+    first, _, rest = doc.partition("\n")
+    text = _wrap_paragraphs(f"{first.strip()}\n{dedent(rest)}".strip(), width, "  ")
+    out = [_usage_line(path, pieces, width), "\n\n", text, "\n"]
+    for heading, rows in sections:
+        out += ["\n", f"{heading}:\n", _definition_list(rows, width)]
+    return "".join(out).rstrip("\n")
+
+
+def _command_help(command: _Command, path: str) -> str:
+    rows = [*(option.help_row() for option in command.options), _HELP_ROW]
+    return _help_screen(path, "[OPTIONS]", command.fn.__doc__, [("Options", rows)])
+
+
+def _top_level_help(prog_name: str) -> str:
+    names = sorted(COMMANDS)
+    limit = _help_width() - 6 - max(map(len, names))
+    commands = [(name, _short_help(COMMANDS[name].fn.__doc__, limit)) for name in names]
+    sections = [("Options", [_VERSION_ROW, _HELP_ROW]), ("Commands", commands)]
+    return _help_screen(prog_name, _TOP_LEVEL_PIECES, _TOP_LEVEL, sections)
+
+
+def _verify(text: str) -> _Option:
+    return _option("--verify", None, text, default=False)
+
+
+_STATS = dict(convert=_Choice(("bose", "fermi")), default="fermi", show_default=True)
+_STATE = _option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", required=True)
 
 
 @_command(
     "chartable",
-    click.option(
+    _option(
         "--group",
-        type=click.Choice(["sn", "snz2"]),
+        _Choice(("sn", "snz2")),
+        "Plain permutation group or its parity double.",
         default="snz2",
         show_default=True,
-        help="Plain permutation group or its parity double.",
     ),
 )
 def chartable_cmd(n: int, group: str):
@@ -287,9 +643,7 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str,
 
 @_command(
     "reduce-shell",
-    click.option(
-        "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest shell excitation X."
-    ),
+    _option("--max-energy", _non_negative, "Largest shell excitation X.", required=True),
     _verify(
         "Cross-check each shell against explicit permutation matrices for n <= 5 "
         "and X <= 8 (the rest is reported as skipped); exit 3 on a mismatch."
@@ -308,20 +662,18 @@ def _verify_shells(n: int, rows: list[list[int]]) -> None:
     from .oracle import SHELL_N_LIMIT, SHELL_X_LIMIT, explicit_shell_rep
 
     if n > SHELL_N_LIMIT:
-        click.echo(f"verify: skipped (guard n <= {SHELL_N_LIMIT})", err=True)
+        _warn(f"verify: skipped (guard n <= {SHELL_N_LIMIT})")
         return
     for x, *counts in rows[: SHELL_X_LIMIT + 1]:
         if explicit_shell_rep(n, x)[1].counts != tuple(counts):
             raise ConsistencyError(f"shell oracle disagrees at n={n}, x={x}")
     if len(rows) > SHELL_X_LIMIT + 1:
-        click.echo(f"verify: shells above X={SHELL_X_LIMIT} skipped (guard)", err=True)
+        _warn(f"verify: shells above X={SHELL_X_LIMIT} skipped (guard)")
 
 
 @_command(
     "reduce-lambda",
-    click.option(
-        "--max-lambda", type=_NON_NEGATIVE, required=True, help="Largest grand angular momentum."
-    ),
+    _option("--max-lambda", _non_negative, "Largest grand angular momentum.", required=True),
     _verify(
         "Recount each row by Kostka counts and shell subtraction for lambda <= 24 "
         "(later rows are reported as skipped); exit 3 on a mismatch."
@@ -343,7 +695,7 @@ def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
         if tuple(counts) != subtraction_lambda_reduction(n, lam).counts:
             raise ConsistencyError(f"lambda oracle disagrees at n={n}, lambda={lam}")
     if len(rows) > LAMBDA_LIMIT + 1:
-        click.echo(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)", err=True)
+        _warn(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)")
 
 
 @_command(
@@ -379,7 +731,7 @@ def _verify_sectors(n: int) -> None:
     from .snippet import sector_rep_characters, snippet_reduction
 
     if n > SECTOR_N_LIMIT:
-        click.echo(f"verify: skipped (guard n <= {SECTOR_N_LIMIT})", err=True)
+        _warn(f"verify: skipped (guard n <= {SECTOR_N_LIMIT})")
         return
     for parity in ("even", "odd"):
         rep, oracle_reduction = explicit_sector_rep(n, parity)
@@ -410,8 +762,8 @@ def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
 
 @_command(
     "branch",
-    click.option("--pattern", help="Component pattern, e.g. 2,2 (all patterns when omitted)."),
-    click.option("--stats", **_STATS, help="Exchange statistics for --pattern."),
+    _option("--pattern", str, "Component pattern, e.g. 2,2 (all patterns when omitted)."),
+    _option("--stats", help="Exchange statistics for --pattern.", **_STATS),
 )
 def branch_cmd(n: int, pattern: str | None, stats: str):
     """Multiplicity of each symmetrized component line inside every irrep."""
@@ -431,15 +783,15 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
 
 @_command(
     "degeneracy-table",
-    click.option(
+    _option(
         "--by",
-        type=click.Choice(["lambda", "shell"]),
+        _Choice(("lambda", "shell")),
+        "Count states per hyperangular subspace or per whole shell.",
         default="lambda",
         show_default=True,
-        help="Count states per hyperangular subspace or per whole shell.",
     ),
-    click.option("--max-lambda", type=_NON_NEGATIVE, help="Largest lambda column (--by lambda)."),
-    click.option("--max-energy", type=_NON_NEGATIVE, help="Largest shell column X (--by shell)."),
+    _option("--max-lambda", _non_negative, "Largest lambda column (--by lambda)."),
+    _option("--max-energy", _non_negative, "Largest shell column X (--by shell)."),
 )
 def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
@@ -465,7 +817,7 @@ def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: in
 
 @_command(
     "spin-decompose",
-    click.option("--k", type=int, required=True, help="Number of spin components."),
+    _option("--k", _integer, "Number of spin components.", required=True),
 )
 def spin_decompose_cmd(n: int, k: int):
     """Permutation content of the k-component spin space."""
@@ -486,9 +838,7 @@ def spin_decompose_cmd(n: int, k: int):
 @_command(
     "spectrum",
     _STATE,
-    click.option(
-        "--max-energy", type=_NON_NEGATIVE, required=True, help="Largest excitation listed."
-    ),
+    _option("--max-energy", _non_negative, "Largest excitation listed.", required=True),
 )
 def spectrum_cmd(n: int, state: str, max_energy: int):
     """Both exact-limit spectra of the symmetry class containing STATE."""
@@ -521,14 +871,12 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
 @_command(
     "map",
     _STATE,
-    click.option(
-        "--tau", type=int, default=0, show_default=True, help="Copy index at the source level."
-    ),
-    click.option("--component", help="Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
-    click.option(
+    _option("--tau", _integer, "Copy index at the source level.", default=0, show_default=True),
+    _option("--component", str, "Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
+    _option(
         "--ceiling",
-        type=_NON_NEGATIVE,
-        help="Extra excitation searched above the source (default 4n); "
+        _non_negative,
+        "Extra excitation searched above the source (default 4n); "
         "exit 2 when no image lies within it.",
     ),
 )
@@ -574,15 +922,15 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
 
 @_command(
     "ground-state",
-    click.option("--pattern", required=True, help="Component pattern, e.g. 2,2."),
-    click.option("--stats", **_STATS, help="Exchange statistics."),
-    click.option(
+    _option("--pattern", str, "Component pattern, e.g. 2,2.", required=True),
+    _option("--stats", help="Exchange statistics.", **_STATS),
+    _option(
         "--regime",
-        type=click.Choice(["g0", "ginf"]),
+        _Choice(("g0", "ginf")),
+        "Exact limit to search, up to 4n quanta; exit 2 when no level "
+        "there admits the pattern.",
         default="g0",
         show_default=True,
-        help="Exact limit to search, up to 4n quanta; exit 2 when no level "
-        "there admits the pattern.",
     ),
 )
 def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
@@ -615,14 +963,14 @@ def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
 
 @_command(
     "sector-basis",
-    click.option("--irrep", required=True, help="Parity-labelled irrep, e.g. '2^2+'."),
-    click.option(
+    _option("--irrep", str, "Parity-labelled irrep, e.g. '2^2+'.", required=True),
+    _option(
         "--lambda-parity",
-        type=click.Choice(["even", "odd"]),
+        _Choice(("even", "odd")),
+        "Hyperangular parity of the seed level.",
         required=True,
-        help="Hyperangular parity of the seed level.",
     ),
-    click.option("--component", help="Project further onto a subgroup line, e.g. 1^2x1^2."),
+    _option("--component", str, "Project further onto a subgroup line, e.g. 1^2x1^2."),
     _verify(
         "Re-check orthogonality and invariance; for n <= 5 also rebuild the "
         "basis by subgroup sums and compare; exit 3 on a failure."
@@ -660,9 +1008,7 @@ def sector_basis_cmd(
 
         verify_sector_basis(n, lambda_parity, pi, vectors, pattern)
         if n > CHAIN_N_LIMIT:
-            click.echo(
-                f"verify: subgroup-sum rebuild skipped (guard n <= {CHAIN_N_LIMIT})", err=True
-            )
+            _warn(f"verify: subgroup-sum rebuild skipped (guard n <= {CHAIN_N_LIMIT})")
         elif subgroup_chain_basis(n, lambda_parity, p, pi, pattern) != vectors:
             raise ConsistencyError(f"subgroup sums give another basis for {_irrep_text(p, pi)}")
     headers = ["sector", *[f"v{i + 1}" for i in range(len(vectors))]]

@@ -18,6 +18,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
+#: Largest n for which character tables are generated, and so the largest
+#: particle number the command line accepts.  Everything stays exact for
+#: larger n, but nothing in this package needs it.
+TABLE_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class Partition:

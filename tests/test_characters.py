@@ -1,15 +1,18 @@
 import pytest
+from dataclasses import replace
 from math import factorial
 
 from symtrap.characters import (
     ClassFunction,
     NotACharacterError,
+    _validate_orthogonality,
     character_table_sn,
     character_table_snz2,
     kostka,
     reduce_class_function,
     sn_character,
 )
+from symtrap.errors import ConsistencyError
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 
 from reference_data import S3Z2_CHARACTERS, S4Z2_CHARACTERS
@@ -67,6 +70,32 @@ class TestSnCharacters:
         table = character_table_sn(n)
         assert len(table.irreps) == len(table.classes)
         assert table.values[0] == (1,) * len(table.classes)
+
+    @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
+    @pytest.mark.parametrize("row,column", [(0, 0), (1, 2), (-1, -1)])
+    def test_a_changed_entry_fails_validation(self, build, row, column):
+        table = build(5)
+        values = [list(r) for r in table.values]
+        values[row][column] += 1
+        with pytest.raises(ConsistencyError, match=table.group):
+            _validate_orthogonality(replace(table, values=tuple(map(tuple, values))))
+
+    @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
+    def test_a_repeated_row_fails_validation(self, build):
+        """Every row keeps its norm, so only an off-diagonal pair shows the fault."""
+        table = build(5)
+        values = (table.values[0], *table.values[:-1])
+        with pytest.raises(ConsistencyError, match=table.group):
+            _validate_orthogonality(replace(table, values=values))
+
+    @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
+    @pytest.mark.parametrize("index", [0, 3, -1])
+    def test_a_changed_class_size_fails_validation(self, build, index):
+        table = build(5)
+        sizes = list(table.class_sizes)
+        sizes[index] += 1
+        with pytest.raises(ConsistencyError, match=table.group):
+            _validate_orthogonality(replace(table, class_sizes=tuple(sizes)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run
 
-from symtrap.cli import main
+from symtrap.cli import COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def run(*args):
-    return CliRunner().invoke(main, args)
 
 
 def run_ok(*args) -> str:
@@ -268,9 +264,9 @@ COMMAND_PARAMS = {
 
 
 def test_command_shapes():
-    assert sorted(main.commands) == sorted(COMMAND_PARAMS)
+    assert sorted(COMMANDS) == sorted(COMMAND_PARAMS)
     for name, params in COMMAND_PARAMS.items():
-        assert [p.name for p in main.commands[name].params] == params
+        assert [option.dest for option in COMMANDS[name].options] == params
 
 
 class TestSectorBasisVerify:

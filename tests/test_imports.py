@@ -5,10 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run
 
 import symtrap
-from symtrap.cli import main
+from symtrap.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,8 +66,8 @@ class TestPackageExports:
     def test_regime_choices_are_the_mapping_regimes(self):
         from symtrap.mapping import G_ZERO, REGIMES
 
-        (regime,) = [p for p in main.commands["ground-state"].params if p.name == "regime"]
-        assert tuple(regime.type.choices) == REGIMES
+        (regime,) = [o for o in COMMANDS["ground-state"].options if o.dest == "regime"]
+        assert tuple(regime.convert) == REGIMES
         assert regime.default == G_ZERO
 
 
@@ -90,13 +90,38 @@ COMMAND_CALLS = [
 
 
 def test_every_command_is_called():
-    assert sorted(call[0] for call in COMMAND_CALLS) == sorted(main.commands)
+    assert sorted(call[0] for call in COMMAND_CALLS) == sorted(COMMANDS)
+
+
+def traced_child(*args):
+    """Run ``python -m symtrap.cli ARGS`` under ``-X importtime``; return the
+    result with the import report taken out of its stderr, and the modules
+    the run imported."""
+    result = child("-X", "importtime", "-m", "symtrap.cli", *args)
+    lines = result.stderr.splitlines(keepends=True)
+    report = [line for line in lines if line.startswith("import time:")]
+    result.stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return result, {line.rsplit("|", 1)[-1].strip() for line in report[1:]}
 
 
 @pytest.mark.parametrize("args", COMMAND_CALLS, ids=[call[0] for call in COMMAND_CALLS])
 def test_fresh_process_matches_runner(args):
     """A fresh interpreter imports each layer itself, so a missing import fails here."""
-    expected = CliRunner().invoke(main, args)
+    expected = run(*args)
     assert expected.exit_code == 0, expected.output
-    result = child("-m", "symtrap.cli", *args)
+    result, imported = traced_child(*args)
     assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, expected.stderr)
+    assert "click" not in imported
+
+
+def test_free_limit_reduction_loads_no_character_tables():
+    result, imported = traced_child("reduce-lambda", "--n", "4", "--max-lambda", "4")
+    assert result.returncode == 0, result.stderr
+    assert {"symtrap.oscillator", "symtrap.partitions"} <= imported
+    assert "symtrap.characters" not in imported
+
+
+def test_particle_bound_is_one_object():
+    from symtrap import characters, partitions
+
+    assert characters.TABLE_LIMIT is partitions.TABLE_LIMIT
