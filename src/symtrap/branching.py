@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .characters import kostka
 from .errors import ConsistencyError
@@ -117,13 +118,8 @@ def cumulative_shell_degeneracy(n: int, x: int, pattern: ComponentPattern) -> in
 
 def _hook_content_count(shape: tuple[int, ...], k: int) -> int:
     """Semistandard tableaux of ``shape`` with entries in 1..k."""
-    conj = Partition(shape).conjugate().parts
-    numerator = 1
-    denominator = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            numerator *= k + j - i
-            denominator *= row - j + conj[j] - i - 1
+    numerator = prod(k + j - i for i, row in enumerate(shape) for j in range(row))
+    denominator = prod(Partition(shape).hook_lengths())
     count, rem = divmod(numerator, denominator)
     if rem:
         raise ArithmeticError(f"hook content count is not integral for {shape}, k={k}")

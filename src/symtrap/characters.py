@@ -2,7 +2,7 @@
 
 Characters are generated by the Murnaghan-Nakayama rim-hook recursion, so
 every entry is an exact integer.  Tables are built once per group order,
-validated against both orthogonality relations, cached, and never mutated
+validated against the orthogonality relations, cached, and never mutated
 afterwards; concurrent readers need no locking.
 """
 
@@ -100,18 +100,21 @@ def _check_table_n(n: int) -> None:
 
 
 def _validate_orthogonality(table: CharacterTable) -> None:
-    """Both orthogonality relations, on each unordered pair (the forms are symmetric)."""
+    """Squareness and the row relation, on each unordered pair (the form is symmetric).
+
+    For a square table the row relation X W X^T = |G| I, with W the class
+    sizes, makes X invertible and gives the column relation
+    X^T X = |G| W^-1 exactly, so only a missing or extra row needs its own
+    check.
+    """
     rows, sizes, order = table.values, table.class_sizes, table.order
+    if len(rows) != len(sizes) or any(len(row) != len(sizes) for row in rows):
+        raise ConsistencyError(f"character table of {table.group} is not square")
     for i, row in enumerate(rows):
         weighted = tuple(map(mul, sizes, row))
         for j in range(i, len(rows)):
             if sum(map(mul, weighted, rows[j])) != (order if i == j else 0):
                 raise ConsistencyError(f"row orthogonality fails for {table.group}")
-    columns = tuple(zip(*rows))
-    for a, column in enumerate(columns):
-        for b in range(a, len(columns)):
-            if sum(map(mul, column, columns[b])) != (order // sizes[a] if a == b else 0):
-                raise ConsistencyError(f"column orthogonality fails for {table.group}")
 
 
 @lru_cache(maxsize=None)
@@ -142,9 +145,7 @@ def character_table_snz2(n: int) -> CharacterTable:
     classes = tuple((c, 0) for c in base.classes) + tuple((c, 1) for c in base.classes)
     irreps = tuple((p, 1) for p in base.irreps) + tuple((p, -1) for p in base.irreps)
     values = tuple(
-        base.values[base.irrep_index(p)]
-        + tuple(parity * v for v in base.values[base.irrep_index(p)])
-        for p, parity in irreps
+        row + tuple(parity * v for v in row) for parity in (1, -1) for row in base.values
     )
     table = CharacterTable(
         group=f"S{n}xZ2",

@@ -37,7 +37,7 @@ from .characters import (
     sn_character,
 )
 from .errors import ConsistencyError
-from .linalg import dot, matrix_rank, select_independent
+from .linalg import dot, gram_schmidt
 from .partitions import (
     MultiplicityVector,
     Partition,
@@ -52,7 +52,7 @@ from .snippet import (
     SnippetIrrepLabel,
     _cycle_type,
     _inversion_sign,
-    _orthogonal,
+    _by_first_sector,
     _standard_chains,
     all_sectors,
     snippet_reduction,
@@ -296,7 +296,7 @@ def explicit_isotypic_rank(n: int, lambda_parity: str, p: Partition, pi: int) ->
     """Rank of the explicitly summed projector onto the ``(p, pi)`` isotypic."""
     if not 2 <= n <= SHELL_N_LIMIT:
         raise ValueError(f"projector rank guard: 2 <= n <= {SHELL_N_LIMIT}")
-    return matrix_rank(_isotypic_columns(n, lambda_parity, p, pi))
+    return len(gram_schmidt(_isotypic_columns(n, lambda_parity, p, pi)))
 
 
 def verify_shell_homomorphism(n: int, x: int, pairs: int = 20, seed: int = 0) -> None:
@@ -447,7 +447,7 @@ def subgroup_chain_basis(
     if mult == 0:
         return []
     dim = irrep_dimension(p)
-    span = select_independent(_isotypic_columns(n, lambda_parity, p, pi), limit=mult * dim)
+    span = gram_schmidt(_isotypic_columns(n, lambda_parity, p, pi), limit=mult * dim)
     if len(span) != mult * dim:
         raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
     sign = _inversion_sign(n, lambda_parity)
@@ -461,13 +461,13 @@ def subgroup_chain_basis(
     # No limit below: the kept count is the rank, an independent check of
     # the multiplicities the production route stops at.
     if component is not None:
-        basis = select_independent(projected([_young_projector(n, component, sign)]))
-        return [SectorVector(n, v, dot(v, v)) for v in _orthogonal(basis)]
+        basis = gram_schmidt(projected([_young_projector(n, component, sign)]))
+        return [SectorVector(n, v, dot(v, v)) for v in _by_first_sector(basis)]
     out = []
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
         projectors = [_subgroup_projector(n, shape, sign) for shape in chain[1:-1]]
-        basis = select_independent(projected(projectors))
-        for tau, v in enumerate(_orthogonal(basis)):
+        basis = gram_schmidt(projected(projectors))
+        for tau, v in enumerate(_by_first_sector(basis)):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
     return out

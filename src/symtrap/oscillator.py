@@ -94,20 +94,16 @@ def _series(n: int, first: int, length: int) -> tuple[tuple[int, ...], ...]:
     """
     out = []
     for shape in partitions_of(n):
-        parts = shape.parts
-        conj = shape.conjugate().parts
         coeffs = [0] * length
-        b = sum(i * v for i, v in enumerate(parts))
+        b = sum(i * v for i, v in enumerate(shape.parts))
         if b < length:
             coeffs[b] = 1
         for i in range(1, first):
             for k in range(length - 1, i - 1, -1):
                 coeffs[k] -= coeffs[k - i]
-        for r, row in enumerate(parts):
-            for c in range(row):
-                hook = row - c + conj[c] - r - 1
-                for k in range(hook, length):
-                    coeffs[k] += coeffs[k - hook]
+        for hook in shape.hook_lengths():
+            for k in range(hook, length):
+                coeffs[k] += coeffs[k - hook]
         out.append(tuple(coeffs))
     return tuple(out)
 

@@ -55,6 +55,13 @@ class Partition:
         width = self.parts[0]
         return Partition(tuple(sum(1 for v in self.parts if v > j) for j in range(width)))
 
+    def hook_lengths(self) -> tuple[int, ...]:
+        """Hook length of every box, row by row."""
+        conj = self.conjugate().parts
+        return tuple(
+            row - j + conj[j] - i - 1 for i, row in enumerate(self.parts) for j in range(row)
+        )
+
     def compact(self) -> str:
         """Exponent notation without brackets, e.g. ``21^2`` for (2, 1, 1).
 
@@ -144,12 +151,7 @@ def partitions_into_max_parts(n: int, max_parts: int) -> tuple[tuple[int, ...], 
 
 def irrep_dimension(p: Partition) -> int:
     """Number of standard Young tableaux of shape ``p`` (hook lengths)."""
-    conj = p.conjugate().parts
-    hooks = prod(
-        p.parts[i] - j + conj[j] - i - 1
-        for i in range(len(p.parts))
-        for j in range(p.parts[i])
-    )
+    hooks = prod(p.hook_lengths())
     dim, rem = divmod(factorial(p.n), hooks)
     if rem:
         raise ArithmeticError(f"hook product {hooks} does not divide {p.n}!")

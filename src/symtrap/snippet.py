@@ -12,7 +12,9 @@ Characters are evaluated combinatorially per conjugacy class.  Each basis
 block is one group-algebra element applied to the candidates
 ``e_q + pi*s*e_{rev q}``; only its column at the identity sector is built,
 on per-n index tables of the transpositions (the only S_n action here),
-and every candidate is read off that column by right reindexing.  Full
+and every candidate is read off that column by right reindexing.  The
+block is the first candidates with a nonzero Gram-Schmidt residual,
+orthogonalized by that same pass.  Full
 matrices, tuple relabelling and subgroup sums live only in the oracle
 module, with the invariance check of these bases and their rebuild by
 subgroup sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
@@ -29,7 +31,7 @@ from operator import add, itemgetter, sub
 from .branching import BOSE, ComponentPattern, branch_multiplicity
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
-from .linalg import dot, gram_schmidt, select_independent
+from .linalg import dot, gram_schmidt
 from .partitions import MultiplicityVector, Partition, class_size
 
 Sector = tuple[int, ...]
@@ -243,10 +245,11 @@ def snippet_projection_basis(
     symmetrized line, as needed for multi-component states: the isotypic
     projector's character column times the signed Young-subgroup sum.
 
-    Each block keeps the first independent candidates in sector order.  A
-    sector skipped by the greedy pass over the projected isotypic columns
-    maps into the span of earlier kept ones, so the same sectors are kept.
-    A zero multiplicity yields an empty list.
+    Each block is the first candidates in sector order with a nonzero
+    Gram-Schmidt residual, orthogonalized by that same pass.  A sector
+    whose residual vanishes maps into the span of earlier kept ones, so the
+    projected isotypic columns would keep the same sectors.  A zero
+    multiplicity yields an empty list.
     """
     _check_parity(lambda_parity)
     if pi not in (1, -1):
@@ -308,8 +311,10 @@ def _young_factors(pattern: ComponentPattern, jm):
 
 
 def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
-    """The first ``limit`` independent candidates ``R_q w + sign * R_{rev q} w``
-    in sector order, orthogonalized; ``R_{rev q} w`` is ``R_q w`` reversed."""
+    """Gram-Schmidt over the candidates ``R_q w + sign * R_{rev q} w`` in
+    sector order, stopping at the ``limit``-th nonzero residual; the results
+    are ordered by first nonzero sector.  ``R_{rev q} w`` is ``R_q w``
+    reversed."""
     flip = _index_tables(n)[1]
     step = add if sign > 0 else sub
 
@@ -318,14 +323,12 @@ def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
             u = _right_reindex(n, q, w)
             yield list(map(step, u, flip(u)))
 
-    basis = select_independent(candidates(), limit=limit)
+    basis = gram_schmidt(candidates(), limit=limit)
     if len(basis) != limit:
         raise ConsistencyError(f"{what} has unexpected rank")
-    return _orthogonal(basis)
+    return _by_first_sector(basis)
 
 
-def _orthogonal(basis) -> list[tuple[int, ...]]:
-    """Primitive Gram-Schmidt of ``basis``, ordered by first nonzero sector."""
-    vectors = gram_schmidt(basis)
-    vectors.sort(key=lambda v: next(i for i, a in enumerate(v) if a))
-    return vectors
+def _by_first_sector(vectors) -> list[tuple[int, ...]]:
+    """``vectors`` sorted by the index of their first nonzero sector."""
+    return sorted(vectors, key=lambda v: next(i for i, a in enumerate(v) if a))

@@ -90,6 +90,28 @@ class TestSnCharacters:
 
     @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
     @pytest.mark.parametrize("index", [0, 3, -1])
+    def test_a_dropped_row_fails_validation(self, build, index):
+        """The remaining rows are still orthonormal, so only squareness shows the fault."""
+        table = build(5)
+        values = list(table.values)
+        del values[index]
+        with pytest.raises(ConsistencyError, match=table.group):
+            _validate_orthogonality(replace(table, values=tuple(values)))
+
+    @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_column_relation_holds(self, build, n):
+        """sum_i chi_i(a) chi_i(b) = |G| / |a| if a == b else 0, which the
+        row relation implies for a square table and the build no longer checks."""
+        table = build(n)
+        columns = list(zip(*table.values))
+        for a, column in enumerate(columns):
+            for b, other in enumerate(columns):
+                expected = table.order // table.class_sizes[a] if a == b else 0
+                assert sum(x * y for x, y in zip(column, other)) == expected
+
+    @pytest.mark.parametrize("build", [character_table_sn, character_table_snz2], ids=["sn", "snz2"])
+    @pytest.mark.parametrize("index", [0, 3, -1])
     def test_a_changed_class_size_fails_validation(self, build, index):
         table = build(5)
         sizes = list(table.class_sizes)

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from symtrap.linalg import dot, gram_schmidt, matrix_rank, primitive, select_independent
+from symtrap.linalg import dot, gram_schmidt, primitive
 
 #: Deterministic draws and no example database, so every run checks the same cases.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -70,16 +70,15 @@ def reference_gram_schmidt(rows):
 class TestAgainstRationalReference:
     @PROPERTY
     @given(matrices())
-    def test_select_independent_keeps_the_same_rows(self, rows):
-        expected = [rows[i] for i in reference_kept(rows)]
-        assert select_independent(rows) == expected
+    def test_gram_schmidt_limit_keeps_the_same_rows(self, rows):
+        expected = reference_gram_schmidt(rows)
         for limit in range(1, len(expected) + 1):
-            assert select_independent(iter(rows), limit=limit) == expected[:limit]
+            assert gram_schmidt(iter(rows), limit=limit) == expected[:limit]
 
     @PROPERTY
     @given(matrices())
-    def test_matrix_rank(self, rows):
-        assert matrix_rank(rows) == len(reference_kept(rows))
+    def test_gram_schmidt_rank(self, rows):
+        assert len(gram_schmidt(rows)) == len(reference_kept(rows))
 
     @PROPERTY
     @given(matrices())
@@ -90,6 +89,18 @@ class TestAgainstRationalReference:
             assert next(x for x in a if x) > 0
             for b in ortho[i + 1 :]:
                 assert dot(a, b) == 0
+
+
+def test_limit_stops_drawing_after_the_last_kept_vector():
+    drawn = []
+
+    def rows():
+        for row in [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]:
+            drawn.append(row)
+            yield row
+
+    assert gram_schmidt(rows(), limit=2) == [(1, 0, 0), (0, 1, 0)]
+    assert drawn == [(1, 0, 0), (2, 0, 0), (0, 1, 0)]
 
 
 def test_primitive():

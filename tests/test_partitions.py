@@ -142,6 +142,10 @@ class TestDimensions:
     def test_two_by_two(self):
         assert irrep_dimension(Partition((2, 2))) == 2
 
+    def test_hook_lengths_row_by_row(self):
+        assert Partition((3, 2, 1)).hook_lengths() == (5, 3, 1, 3, 1, 1)
+        assert Partition((4,)).hook_lengths() == (4, 3, 2, 1)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_enumeration(self, n):
         for p in partitions_of(n):
