@@ -11,37 +11,34 @@ character inner product lives in ``oracle`` as the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from .characters import kostka
 from .errors import ConsistencyError
 from .oscillator import lambda_reduction, shell_reduction
-from .partitions import MultiplicityVector, Partition, partitions_of
+from .partitions import MultiplicityVector, Partition, Record, partitions_of
 
 BOSE = "bose"
 FERMI = "fermi"
 
 
-@dataclass(frozen=True)
-class ComponentPattern:
+class ComponentPattern(Record):
     """Occupation numbers of the spin components plus exchange statistics.
 
     Patterns are canonicalized to non-increasing order; ``(1, 3)`` and
     ``(3, 1)`` describe the same physics.
     """
 
-    counts: tuple[int, ...]
-    statistics: str = FERMI
+    __slots__ = _fields = ("counts", "statistics")
 
-    def __post_init__(self) -> None:
-        counts = tuple(sorted((int(c) for c in self.counts), reverse=True))
-        object.__setattr__(self, "counts", counts)
+    def __init__(self, counts: tuple[int, ...], statistics: str = FERMI) -> None:
+        counts = tuple(sorted((int(c) for c in counts), reverse=True))
         if not counts or any(c <= 0 for c in counts):
-            raise ValueError(f"component counts must be positive: {self.counts}")
-        if self.statistics not in (BOSE, FERMI):
+            raise ValueError(f"component counts must be positive: {counts}")
+        if statistics not in (BOSE, FERMI):
             raise ValueError(f"statistics must be {BOSE!r} or {FERMI!r}")
+        self._assign(counts, statistics)
 
     @property
     def n(self) -> int:

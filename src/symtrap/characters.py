@@ -8,7 +8,6 @@ afterwards; concurrent readers need no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -18,6 +17,7 @@ from .partitions import (
     TABLE_LIMIT,
     MultiplicityVector,
     Partition,
+    Record,
     class_size,
     partitions_of,
 )
@@ -61,8 +61,7 @@ def sn_character(shape: Partition, cycle_type: Partition) -> int:
     return _mn(shape.parts, cycle_type.parts)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(Record):
     """Integer character table with a fixed class and irrep ordering.
 
     For plain S_n the classes are cycle types and the irreps partitions.
@@ -71,12 +70,18 @@ class CharacterTable:
     +1 or -1; the inverted half of a row is the pure half times the parity.
     """
 
-    group: str
-    order: int
-    classes: tuple
-    class_sizes: tuple[int, ...]
-    irreps: tuple
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("group", "order", "classes", "class_sizes", "irreps", "values")
+
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        classes: tuple,
+        class_sizes: tuple[int, ...],
+        irreps: tuple,
+        values: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self._assign(group, order, classes, class_sizes, irreps, values)
 
     def class_index(self, cls) -> int:
         return self.classes.index(cls)
@@ -85,13 +90,13 @@ class CharacterTable:
         return self.irreps.index(irrep)
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """An integer value per conjugacy class, aligned with a table's classes."""
 
-    group: str
-    classes: tuple
-    values: tuple[int, ...]
+    __slots__ = _fields = ("group", "classes", "values")
+
+    def __init__(self, group: str, classes: tuple, values: tuple[int, ...]) -> None:
+        self._assign(group, classes, values)
 
 
 def _check_table_n(n: int) -> None:

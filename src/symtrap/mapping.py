@@ -16,8 +16,6 @@ parity-labelled irrep content at one grand angular momentum, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .branching import ComponentPattern, branch_row
@@ -27,7 +25,7 @@ from .oscillator import (
     antisymmetric_multiplicity,
     lambda_reduction,
 )
-from .partitions import MultiplicityVector, Partition, partitions_of
+from .partitions import MultiplicityVector, Partition, Record, partitions_of
 from .snippet import snippet_reduction
 
 G_ZERO = "g0"
@@ -40,19 +38,17 @@ def _check_regime(regime: str) -> None:
         raise ValueError(f"regime must be one of {REGIMES}")
 
 
-@dataclass(frozen=True)
-class GNLabel:
+class GNLabel(Record):
     """The conserved irrep triple: ``nu_r``, relative parity, S_n irrep."""
 
-    nu_r: int
-    pi: int
-    p: Partition
+    __slots__ = _fields = ("nu_r", "pi", "p")
 
-    def __post_init__(self) -> None:
-        if self.nu_r < 0:
+    def __init__(self, nu_r: int, pi: int, p: Partition) -> None:
+        if nu_r < 0:
             raise ValueError("nu_r must be non-negative")
-        if self.pi not in (1, -1):
+        if pi not in (1, -1):
             raise ValueError("pi must be +1 or -1")
+        self._assign(nu_r, pi, p)
 
     @property
     def total_parity(self) -> int:
@@ -64,23 +60,26 @@ class GNLabel:
         return f"(nu_R={self.nu_r}, pi={sign}, [{self.p.compact()}])"
 
 
-@dataclass(frozen=True)
-class StateLabel:
+class StateLabel(Record):
     """Full spectroscopic label of one level in either exact limit."""
 
-    hyper: HypercylindricalLabel
-    p: Partition
-    tau: int = 0
-    pi: int | None = None
-    component: str | None = None
-    regime: str = G_ZERO
+    __slots__ = _fields = ("hyper", "p", "tau", "pi", "component", "regime")
 
-    def __post_init__(self) -> None:
-        _check_regime(self.regime)
-        if self.tau < 0:
+    def __init__(
+        self,
+        hyper: HypercylindricalLabel,
+        p: Partition,
+        tau: int = 0,
+        pi: int | None = None,
+        component: str | None = None,
+        regime: str = G_ZERO,
+    ) -> None:
+        _check_regime(regime)
+        if tau < 0:
             raise ValueError("tau must be non-negative")
-        if self.regime == G_INF and self.pi not in (1, -1):
+        if regime == G_INF and pi not in (1, -1):
             raise ValueError("hard-core labels need an explicit parity sign")
+        self._assign(hyper, p, tau, pi, component, regime)
 
     @property
     def n(self) -> int:
@@ -95,7 +94,8 @@ class StateLabel:
         return GNLabel(self.hyper.nu_r, self.relative_parity, self.p)
 
     @property
-    def energy(self) -> Fraction:
+    def energy(self):
+        """Level energy in trap units, an exact ``Fraction``."""
         return self.hyper.energy(self.n)
 
     def __str__(self) -> str:
@@ -107,27 +107,46 @@ class StateLabel:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    energy: Fraction
-    hyper: HypercylindricalLabel
-    multiplicity: int
+class SpectrumEntry(Record):
+    """One level of a triple's spectrum: its exact ``Fraction`` energy, its
+    hypercylindrical label and how many copies of the triple it holds."""
+
+    __slots__ = _fields = ("energy", "hyper", "multiplicity")
+
+    def __init__(self, energy, hyper: HypercylindricalLabel, multiplicity: int) -> None:
+        self._assign(energy, hyper, multiplicity)
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(Record):
     """Image of a free-limit level in the hard-core limit."""
 
-    source: StateLabel
-    target_hyper: HypercylindricalLabel
-    target_p: Partition
-    target_pi: int
-    target_dimension: int
-    resolved: bool
-    convention_ordered: bool
+    __slots__ = _fields = (
+        "source",
+        "target_hyper",
+        "target_p",
+        "target_pi",
+        "target_dimension",
+        "resolved",
+        "convention_ordered",
+    )
+
+    def __init__(
+        self,
+        source: StateLabel,
+        target_hyper: HypercylindricalLabel,
+        target_p: Partition,
+        target_pi: int,
+        target_dimension: int,
+        resolved: bool,
+        convention_ordered: bool,
+    ) -> None:
+        self._assign(
+            source, target_hyper, target_p, target_pi, target_dimension, resolved, convention_ordered
+        )
 
     @property
-    def target_energy(self) -> Fraction:
+    def target_energy(self):
+        """Energy of the image level in trap units, an exact ``Fraction``."""
         return self.target_hyper.energy(self.target_p.n)
 
 

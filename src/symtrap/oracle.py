@@ -15,7 +15,6 @@ and behind the CLI ``--verify`` flag, never in production.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as iter_product
@@ -41,6 +40,7 @@ from .linalg import dot, gram_schmidt
 from .partitions import (
     MultiplicityVector,
     Partition,
+    Record,
     class_sign,
     class_size,
     irrep_dimension,
@@ -78,12 +78,13 @@ def _sector_index(n: int) -> dict:
     return {p: i for i, p in enumerate(all_sectors(n))}
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Record):
     """A signed permutation matrix, stored as image index and sign per column."""
 
-    images: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = _fields = ("images", "signs")
+
+    def __init__(self, images: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        self._assign(images, signs)
 
     def __matmul__(self, other: "SignedPerm") -> "SignedPerm":
         images = tuple(self.images[j] for j in other.images)
@@ -113,16 +114,21 @@ class SignedPerm:
         return [tuple(r) for r in rows]
 
 
-@dataclass(frozen=True)
-class ExplicitRep:
+class ExplicitRep(Record):
     """An explicit matrix representation with its per-class traces."""
 
-    group: str
-    dimension: int
-    basis: tuple
-    generators: tuple[tuple[str, SignedPerm], ...]
-    classes: tuple
-    traces: tuple[int, ...]
+    __slots__ = _fields = ("group", "dimension", "basis", "generators", "classes", "traces")
+
+    def __init__(
+        self,
+        group: str,
+        dimension: int,
+        basis: tuple,
+        generators: tuple[tuple[str, SignedPerm], ...],
+        classes: tuple,
+        traces: tuple[int, ...],
+    ) -> None:
+        self._assign(group, dimension, basis, generators, classes, traces)
 
 
 @lru_cache(maxsize=None)

@@ -11,26 +11,42 @@ subtraction recursion over shells, lives in ``oracle`` as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import ge, gt, le, lt
 
 from .errors import ConsistencyError
-from .partitions import MultiplicityVector, Partition, partitions_of
+from .partitions import MultiplicityVector, Partition, Record, partitions_of
 
 
-@dataclass(frozen=True, order=True)
-class HypercylindricalLabel:
-    """Centre-of-mass, hyperradial and hyperangular excitation numbers."""
+def _by_fields(compare):
+    """An ordering method comparing the field tuples of two same-class records."""
 
-    nu_r: int
-    nu_rho: int
-    lam: int
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self._values(), other._values())
+        return NotImplemented
 
-    def __post_init__(self) -> None:
-        if min(self.nu_r, self.nu_rho, self.lam) < 0:
+    return method
+
+
+class HypercylindricalLabel(Record):
+    """Centre-of-mass, hyperradial and hyperangular excitation numbers.
+
+    Labels sort as their ``(nu_r, nu_rho, lam)`` tuples.
+    """
+
+    __slots__ = _fields = ("nu_r", "nu_rho", "lam")
+
+    def __init__(self, nu_r: int, nu_rho: int, lam: int) -> None:
+        if min(nu_r, nu_rho, lam) < 0:
             raise ValueError("quantum numbers must be non-negative")
+        self._assign(nu_r, nu_rho, lam)
+
+    __lt__ = _by_fields(lt)
+    __le__ = _by_fields(le)
+    __gt__ = _by_fields(gt)
+    __ge__ = _by_fields(ge)
 
     @property
     def excitation(self) -> int:
@@ -42,8 +58,10 @@ class HypercylindricalLabel:
         """Relative parity, the centre-of-mass contribution factored out."""
         return -1 if self.lam % 2 else 1
 
-    def energy(self, n: int) -> Fraction:
-        """Level energy in trap units, zero point included."""
+    def energy(self, n: int):
+        """Level energy in trap units, zero point included, as an exact ``Fraction``."""
+        from fractions import Fraction
+
         return Fraction(2 * self.excitation + n, 2)
 
     def __str__(self) -> str:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
+from operator import attrgetter
 
 #: Largest n for which character tables are generated, and so the largest
 #: particle number the command line accepts.  Everything stays exact for
@@ -24,15 +24,63 @@ from math import factorial, prod
 TABLE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the immutable value records of this package.
+
+    A subclass names its fields, in constructor order, in ``_fields`` and
+    in ``__slots__``; its ``__init__`` checks and normalizes the arguments
+    and stores them with :meth:`_assign`.  Equality (within one class only),
+    hashing, ``repr`` and pickling all read the tuple of fields, and setting
+    or deleting an attribute raises ``AttributeError``.  Nothing is generated
+    at class creation, so defining a record costs nothing at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
+
+    def _assign(self, *values) -> None:
+        """Store the fields, in ``_fields`` order; only ``__init__`` calls this."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Partition(Record):
     """A partition of a positive integer, stored as non-increasing parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(v) for v in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(int(v) for v in parts)
+        self._assign(parts)
         if not parts:
             raise ValueError("a partition needs at least one part")
         if any(v <= 0 for v in parts):
@@ -171,26 +219,25 @@ def class_sign(cycle_type: CycleType) -> int:
     return -1 if (cycle_type.n - len(cycle_type.parts)) % 2 else 1
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(Record):
     """Integer multiplicities attached to an ordered family of irrep keys.
 
     Keys are either partitions or ``(partition, parity)`` pairs; the order
     is fixed by whoever builds the vector and is preserved by arithmetic.
     """
 
-    keys: tuple
-    counts: tuple[int, ...]
-    #: Slot of each key (its first occurrence), for constant-time lookup.
-    _slots: dict = field(init=False, repr=False, compare=False)
+    _fields = ("keys", "counts")
+    #: ``_slots`` maps each key to its slot (first occurrence), for
+    #: constant-time lookup; it is not a field.
+    __slots__ = (*_fields, "_slots")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.keys) != len(self.counts):
+    def __init__(self, keys: tuple, counts: tuple[int, ...]) -> None:
+        keys, counts = tuple(keys), tuple(int(c) for c in counts)
+        self._assign(keys, counts)
+        if len(keys) != len(counts):
             raise ValueError("keys and counts must have equal length")
         slots: dict = {}
-        for i, key in enumerate(self.keys):
+        for i, key in enumerate(keys):
             slots.setdefault(key, i)
         object.__setattr__(self, "_slots", slots)
 

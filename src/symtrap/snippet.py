@@ -22,7 +22,6 @@ subgroup sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -32,7 +31,7 @@ from .branching import BOSE, ComponentPattern, branch_multiplicity
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
 from .linalg import dot, gram_schmidt
-from .partitions import MultiplicityVector, Partition, class_size
+from .partitions import MultiplicityVector, Partition, Record, class_size
 
 Sector = tuple[int, ...]
 
@@ -110,32 +109,36 @@ def snippet_reduction(n: int, lambda_parity: str) -> MultiplicityVector:
     return reduce_class_function(sector_rep_characters(n, lambda_parity), character_table_snz2(n))
 
 
-@dataclass(frozen=True)
-class SnippetIrrepLabel:
+class SnippetIrrepLabel(Record):
     """Position of a projected vector: irrep, parity, copy and component index."""
 
-    p: Partition
-    pi: int
-    tau: int
-    j: int
+    __slots__ = _fields = ("p", "pi", "tau", "j")
+
+    def __init__(self, p: Partition, pi: int, tau: int, j: int) -> None:
+        self._assign(p, pi, tau, j)
 
     def __str__(self) -> str:
         sign = "+" if self.pi > 0 else "-"
         return f"[{self.p.compact()}]{sign} tau={self.tau} j={self.j}"
 
 
-@dataclass(frozen=True)
-class SectorVector:
+class SectorVector(Record):
     """Exact amplitudes over the n! sectors, in lexicographic sector order.
 
     Amplitudes are primitive integers; the squared norm is tracked
     separately so no square roots ever appear.
     """
 
-    n: int
-    amps: tuple[int, ...]
-    norm_sq: int
-    label: SnippetIrrepLabel | None = None
+    __slots__ = _fields = ("n", "amps", "norm_sq", "label")
+
+    def __init__(
+        self,
+        n: int,
+        amps: tuple[int, ...],
+        norm_sq: int,
+        label: SnippetIrrepLabel | None = None,
+    ) -> None:
+        self._assign(n, amps, norm_sq, label)
 
     def items(self):
         return zip(all_sectors(self.n), self.amps)

@@ -106,12 +106,19 @@ def traced_child(*args):
 
 @pytest.mark.parametrize("args", COMMAND_CALLS, ids=[call[0] for call in COMMAND_CALLS])
 def test_fresh_process_matches_runner(args):
-    """A fresh interpreter imports each layer itself, so a missing import fails here."""
+    """A fresh interpreter imports each layer itself, so a missing import fails here.
+
+    The records import no class machinery, and only exact energies and the
+    ``--verify`` cross-checks need ``fractions``.
+    """
     expected = run(*args)
     assert expected.exit_code == 0, expected.output
     result, imported = traced_child(*args)
     assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, expected.stderr)
     assert "click" not in imported
+    assert not {"dataclasses", "inspect"} & imported
+    if args[0] not in ("spectrum", "map") and "--verify" not in args:
+        assert "fractions" not in imported
 
 
 def test_free_limit_reduction_loads_no_character_tables():

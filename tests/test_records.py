@@ -1,0 +1,169 @@
+"""The value records: equality, hashing, repr, immutability and pickling."""
+
+import copy
+import pickle
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from symtrap.branching import BOSE, ComponentPattern
+from symtrap.characters import CharacterTable, ClassFunction
+from symtrap.mapping import G_INF, GNLabel, MapResult, SpectrumEntry, StateLabel
+from symtrap.oracle import ExplicitRep, SignedPerm
+from symtrap.oscillator import HypercylindricalLabel
+from symtrap.partitions import MultiplicityVector, Partition, Record, partitions_of
+from symtrap.snippet import SectorVector, SnippetIrrepLabel
+
+P21 = Partition((2, 1))
+S2_CLASSES = (Partition((1, 1)), Partition((2,)))
+HYPER = HypercylindricalLabel(0, 1, 2)
+STATE = StateLabel(HYPER, P21, 1, -1, "[1^2]x[1]", G_INF)
+
+#: One instance builder per record class, the field names in constructor
+#: order, and the repr when it is short enough to spell out (otherwise the
+#: ``Name(field=value, ...)`` form is checked field by field).
+RECORDS = [
+    pytest.param(lambda: Partition([2, 1]), ("parts",), "Partition(parts=(2, 1))", id="Partition"),
+    pytest.param(
+        lambda: MultiplicityVector(partitions_of(3), [1, 2, 1]),
+        ("keys", "counts"),
+        f"MultiplicityVector(keys={partitions_of(3)!r}, counts=(1, 2, 1))",
+        id="MultiplicityVector",
+    ),
+    pytest.param(
+        lambda: CharacterTable("S2", 2, S2_CLASSES, (1, 1), S2_CLASSES[::-1], ((1, 1), (1, -1))),
+        ("group", "order", "classes", "class_sizes", "irreps", "values"),
+        None,
+        id="CharacterTable",
+    ),
+    pytest.param(
+        lambda: ClassFunction("S2", S2_CLASSES, (2, 0)),
+        ("group", "classes", "values"),
+        None,
+        id="ClassFunction",
+    ),
+    pytest.param(
+        lambda: HypercylindricalLabel(1, 2, 3),
+        ("nu_r", "nu_rho", "lam"),
+        "HypercylindricalLabel(nu_r=1, nu_rho=2, lam=3)",
+        id="HypercylindricalLabel",
+    ),
+    pytest.param(
+        lambda: ComponentPattern((1, 2), BOSE),
+        ("counts", "statistics"),
+        "ComponentPattern(counts=(2, 1), statistics='bose')",
+        id="ComponentPattern",
+    ),
+    pytest.param(lambda: GNLabel(1, -1, P21), ("nu_r", "pi", "p"), None, id="GNLabel"),
+    pytest.param(
+        lambda: StateLabel(HYPER, P21, 1, -1, "[1^2]x[1]", G_INF),
+        ("hyper", "p", "tau", "pi", "component", "regime"),
+        None,
+        id="StateLabel",
+    ),
+    pytest.param(
+        lambda: SpectrumEntry(Fraction(9, 2), HYPER, 2),
+        ("energy", "hyper", "multiplicity"),
+        "SpectrumEntry(energy=Fraction(9, 2), hyper=HypercylindricalLabel(nu_r=0, nu_rho=1, lam=2),"
+        " multiplicity=2)",
+        id="SpectrumEntry",
+    ),
+    pytest.param(
+        lambda: MapResult(STATE, HYPER, P21, -1, 2, False, True),
+        (
+            "source",
+            "target_hyper",
+            "target_p",
+            "target_pi",
+            "target_dimension",
+            "resolved",
+            "convention_ordered",
+        ),
+        None,
+        id="MapResult",
+    ),
+    pytest.param(
+        lambda: SnippetIrrepLabel(P21, 1, 0, 1),
+        ("p", "pi", "tau", "j"),
+        None,
+        id="SnippetIrrepLabel",
+    ),
+    pytest.param(
+        lambda: SectorVector(2, (1, -1), 2, SnippetIrrepLabel(Partition((1, 1)), 1, 0, 0)),
+        ("n", "amps", "norm_sq", "label"),
+        None,
+        id="SectorVector",
+    ),
+    pytest.param(
+        lambda: SignedPerm((1, 0), (1, -1)),
+        ("images", "signs"),
+        "SignedPerm(images=(1, 0), signs=(1, -1))",
+        id="SignedPerm",
+    ),
+    pytest.param(
+        lambda: ExplicitRep(
+            "S2", 2, ((1, 2), (2, 1)), (("s1", SignedPerm((1, 0), (1, 1))),), S2_CLASSES, (2, 0)
+        ),
+        ("group", "dimension", "basis", "generators", "classes", "traces"),
+        None,
+        id="ExplicitRep",
+    ),
+]
+
+
+def test_every_record_class_is_sampled():
+    sampled = {param.values[0]().__class__ for param in RECORDS}
+    assert sampled == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("build,fields,shown", RECORDS)
+def test_record_semantics(build, fields, shown):
+    a, b = build(), build()
+    values = tuple(getattr(a, name) for name in fields)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(values)
+
+    cls = type(a)
+    twin = type(cls.__name__, (cls,), {"__slots__": ()})(*values)
+    assert a != twin and twin != a
+    assert a != values and values != a
+
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(a) == f"{cls.__name__}({body})"
+    if shown is not None:
+        assert repr(a) == shown
+
+    for name in (*fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    assert cls.__doc__
+
+
+@pytest.mark.parametrize("build,fields,shown", RECORDS)
+def test_pickle_and_copy_round_trip(build, fields, shown):
+    original = build()
+    for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
+        assert twin == original
+        assert repr(twin) == repr(original)
+
+
+def test_hypercylindrical_labels_sort_as_field_tuples():
+    triples = list(product(range(3), repeat=3))
+    labels = [HypercylindricalLabel(*t) for t in reversed(triples)]
+    assert [(h.nu_r, h.nu_rho, h.lam) for h in sorted(labels)] == triples
+    for x, y in product(triples[::4], repeat=2):
+        a, b = HypercylindricalLabel(*x), HypercylindricalLabel(*y)
+        assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+    with pytest.raises(TypeError):
+        HypercylindricalLabel(0, 0, 0) < (1, 0, 0)  # noqa: B015
+
+
+def test_an_unpickled_vector_still_looks_up():
+    """``MultiplicityVector._slots`` is not pickled but rebuilt on construction."""
+    vector = pickle.loads(pickle.dumps(MultiplicityVector(partitions_of(3), (1, 2, 1))))
+    assert vector[P21] == 2
