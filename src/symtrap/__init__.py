@@ -62,54 +62,7 @@ _MODULE_OF = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOSE",
-    "FERMI",
-    "G_INF",
-    "G_ZERO",
-    "CharacterTable",
-    "ClassFunction",
-    "ComponentPattern",
-    "ConsistencyError",
-    "CycleType",
-    "GNLabel",
-    "HypercylindricalLabel",
-    "MapResult",
-    "MultiplicityVector",
-    "NotACharacterError",
-    "Partition",
-    "SearchExhaustedError",
-    "SectorVector",
-    "SnippetIrrepLabel",
-    "StateLabel",
-    "adiabatic_map",
-    "all_sectors",
-    "branch_multiplicity",
-    "branch_row",
-    "character_table_sn",
-    "character_table_snz2",
-    "class_sign",
-    "class_size",
-    "component_degeneracy",
-    "cumulative_shell_degeneracy",
-    "enumerate_levels",
-    "ground_state",
-    "hyperangular_dimension",
-    "irrep_dimension",
-    "kostka",
-    "lambda_reduction",
-    "level_content",
-    "partitions_of",
-    "reduce_class_function",
-    "sector_rep_characters",
-    "shell_dimension",
-    "shell_reduction",
-    "sn_character",
-    "snippet_projection_basis",
-    "snippet_reduction",
-    "spectrum_by_irrep",
-    "spin_decomposition",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -19,6 +19,7 @@ from .partitions import (
     Partition,
     Record,
     class_size,
+    parity_irreps,
     partitions_of,
 )
 
@@ -64,24 +65,15 @@ def sn_character(shape: Partition, cycle_type: Partition) -> int:
 class CharacterTable(Record):
     """Integer character table with a fixed class and irrep ordering.
 
-    For plain S_n the classes are cycle types and the irreps partitions.
-    For S_n x Z2 both are doubled: classes become ``(cycle type, inverted)``
-    with ``inverted`` 0 or 1, and irreps ``(partition, parity)`` with parity
-    +1 or -1; the inverted half of a row is the pure half times the parity.
+    ``values`` holds one row per irrep, one integer per class, and
+    ``class_sizes`` one size per class.  For plain S_n the classes are cycle
+    types and the irreps partitions.  For S_n x Z2 both are doubled: classes
+    become ``(cycle type, inverted)`` with ``inverted`` 0 or 1, and irreps
+    ``(partition, parity)`` with parity +1 or -1, in ``parity_irreps`` order;
+    the inverted half of a row is the pure half times the parity.
     """
 
     __slots__ = _fields = ("group", "order", "classes", "class_sizes", "irreps", "values")
-
-    def __init__(
-        self,
-        group: str,
-        order: int,
-        classes: tuple,
-        class_sizes: tuple[int, ...],
-        irreps: tuple,
-        values: tuple[tuple[int, ...], ...],
-    ) -> None:
-        self._assign(group, order, classes, class_sizes, irreps, values)
 
     def class_index(self, cls) -> int:
         return self.classes.index(cls)
@@ -94,9 +86,6 @@ class ClassFunction(Record):
     """An integer value per conjugacy class, aligned with a table's classes."""
 
     __slots__ = _fields = ("group", "classes", "values")
-
-    def __init__(self, group: str, classes: tuple, values: tuple[int, ...]) -> None:
-        self._assign(group, classes, values)
 
 
 def _check_table_n(n: int) -> None:
@@ -147,17 +136,15 @@ def character_table_sn(n: int) -> CharacterTable:
 def character_table_snz2(n: int) -> CharacterTable:
     """The character table of S_n x Z2 obtained by doubling the S_n table."""
     base = character_table_sn(n)
-    classes = tuple((c, 0) for c in base.classes) + tuple((c, 1) for c in base.classes)
-    irreps = tuple((p, 1) for p in base.irreps) + tuple((p, -1) for p in base.irreps)
-    values = tuple(
-        row + tuple(parity * v for v in row) for parity in (1, -1) for row in base.values
-    )
+    classes = tuple((c, inverted) for inverted in (0, 1) for c in base.classes)
+    rows = dict(zip(base.irreps, base.values))
+    values = tuple(rows[p] + tuple(pi * v for v in rows[p]) for p, pi in parity_irreps(n))
     table = CharacterTable(
         group=f"S{n}xZ2",
         order=2 * factorial(n),
         classes=classes,
         class_sizes=base.class_sizes + base.class_sizes,
-        irreps=irreps,
+        irreps=parity_irreps(n),
         values=values,
     )
     _validate_orthogonality(table)

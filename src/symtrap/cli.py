@@ -139,20 +139,13 @@ def _parse_component_tag(n: int, text: str) -> ComponentPattern:
     counts: list[int] = []
     statistics = None
     for block in text.replace("[", "").replace("]", "").split("x"):
-        block = block.strip()
-        if not block:
+        base, caret, exp = block.strip().partition("^")
+        size = exp if caret else base
+        if not size.isdigit() or (caret and base != "1"):
             raise ValueError(f"cannot parse component tag {text!r}")
-        if "^" in block:
-            base, _, exp = block.partition("^")
-            if base != "1":
-                raise ValueError(f"cannot parse component block {block!r}")
-            counts.append(int(exp))
-            if int(exp) > 1:
-                statistics = _merge_stats(statistics, FERMI, text)
-        else:
-            counts.append(int(block))
-            if int(block) > 1:
-                statistics = _merge_stats(statistics, BOSE, text)
+        counts.append(int(size))
+        if int(size) > 1:
+            statistics = _merge_stats(statistics, FERMI if caret else BOSE, text)
     counts.extend([1] * (n - sum(counts)))
     if sum(counts) != n:
         raise ValueError(f"component tag {text!r} involves more than {n} particles")
@@ -231,6 +224,7 @@ class _Option(NamedTuple):
     """``flag`` stores ``convert(text)`` as ``dest``; ``convert`` is None for a flag.
 
     A converter raises ``ValueError`` with the message a usage error shows.
+    Help shows the ``default`` of every option that takes a value.
     """
 
     flag: str
@@ -238,7 +232,6 @@ class _Option(NamedTuple):
     convert: Callable[[str], object] | None
     required: bool
     default: object
-    show_default: bool
     help: str
 
     def help_row(self) -> tuple[str, str]:
@@ -248,7 +241,7 @@ class _Option(NamedTuple):
         elif self.convert is not None:
             term += f" {_METAVARS[self.convert]}"
         extras = []
-        if self.show_default and self.default is not None:
+        if self.default is not None and self.convert is not None:
             extras.append(f"default: {self.default}")
         if self.convert is _non_negative:
             extras.append("x>=0")
@@ -258,9 +251,9 @@ class _Option(NamedTuple):
 
 
 def _option(flag: str, convert, help: str, *, dest: str | None = None, required: bool = False,
-            default=None, show_default: bool = False) -> _Option:
+            default=None) -> _Option:
     dest = dest or flag[2:].replace("-", "_")
-    return _Option(flag, dest, convert, required, default, show_default, help)
+    return _Option(flag, dest, convert, required, default, help)
 
 
 class _Command(NamedTuple):
@@ -280,7 +273,6 @@ _FORMAT_OPTION = _option(
     "Output format.",
     dest="fmt",
     default="text",
-    show_default=True,
 )
 _TOP_LEVEL = "Exact symmetry tables, spectra and adiabatic maps for trapped atoms."
 _TOP_LEVEL_PIECES = "[OPTIONS] COMMAND [ARGS]..."
@@ -583,7 +575,7 @@ def _verify(text: str) -> _Option:
     return _option("--verify", None, text, default=False)
 
 
-_STATS = dict(convert=_Choice(("bose", "fermi")), default="fermi", show_default=True)
+_STATS = dict(convert=_Choice(("bose", "fermi")), default="fermi")
 _STATE = _option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", required=True)
 
 
@@ -594,7 +586,6 @@ _STATE = _option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", 
         _Choice(("sn", "snz2")),
         "Plain permutation group or its parity double.",
         default="snz2",
-        show_default=True,
     ),
 )
 def chartable_cmd(n: int, group: str):
@@ -788,7 +779,6 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
         _Choice(("lambda", "shell")),
         "Count states per hyperangular subspace or per whole shell.",
         default="lambda",
-        show_default=True,
     ),
     _option("--max-lambda", _non_negative, "Largest lambda column (--by lambda)."),
     _option("--max-energy", _non_negative, "Largest shell column X (--by shell)."),
@@ -871,7 +861,7 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
 @_command(
     "map",
     _STATE,
-    _option("--tau", _integer, "Copy index at the source level.", default=0, show_default=True),
+    _option("--tau", _integer, "Copy index at the source level.", default=0),
     _option("--component", str, "Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
     _option(
         "--ceiling",
@@ -885,6 +875,11 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
     from .mapping import G_ZERO, StateLabel, adiabatic_map
 
     hyper, p = _parse_state(n, state)
+    if component:
+        from .branching import branch_multiplicity
+
+        if not branch_multiplicity(p, _parse_component_tag(n, component)):
+            raise ValueError(f"irrep {p} holds no {component} component line")
     source = StateLabel(hyper, p, tau=tau, component=component, regime=G_ZERO)
     result = adiabatic_map(n, source, extra_energy=ceiling)
     target = result.target_hyper
@@ -930,7 +925,6 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
         "Exact limit to search, up to 4n quanta; exit 2 when no level "
         "there admits the pattern.",
         default="g0",
-        show_default=True,
     ),
 )
 def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):

@@ -25,7 +25,7 @@ from .oscillator import (
     antisymmetric_multiplicity,
     lambda_reduction,
 )
-from .partitions import MultiplicityVector, Partition, Record, partitions_of
+from .partitions import MultiplicityVector, Partition, Record, parity_irreps, partitions_of
 from .snippet import snippet_reduction
 
 G_ZERO = "g0"
@@ -109,16 +109,15 @@ class StateLabel(Record):
 
 class SpectrumEntry(Record):
     """One level of a triple's spectrum: its exact ``Fraction`` energy, its
-    hypercylindrical label and how many copies of the triple it holds."""
+    ``HypercylindricalLabel`` and how many copies of the triple it holds."""
 
     __slots__ = _fields = ("energy", "hyper", "multiplicity")
 
-    def __init__(self, energy, hyper: HypercylindricalLabel, multiplicity: int) -> None:
-        self._assign(energy, hyper, multiplicity)
-
 
 class MapResult(Record):
-    """Image of a free-limit level in the hard-core limit."""
+    """Image of the free-limit ``StateLabel`` ``source`` in the hard-core limit:
+    the level ``target_hyper``, holding ``target_dimension`` copies of the
+    irrep ``target_p`` at relative parity ``target_pi`` (+1 or -1)."""
 
     __slots__ = _fields = (
         "source",
@@ -130,30 +129,10 @@ class MapResult(Record):
         "convention_ordered",
     )
 
-    def __init__(
-        self,
-        source: StateLabel,
-        target_hyper: HypercylindricalLabel,
-        target_p: Partition,
-        target_pi: int,
-        target_dimension: int,
-        resolved: bool,
-        convention_ordered: bool,
-    ) -> None:
-        self._assign(
-            source, target_hyper, target_p, target_pi, target_dimension, resolved, convention_ordered
-        )
-
     @property
     def target_energy(self):
         """Energy of the image level in trap units, an exact ``Fraction``."""
         return self.target_hyper.energy(self.target_p.n)
-
-
-@lru_cache(maxsize=None)
-def _parity_keys(n: int) -> tuple:
-    """The S_n x Z2 irreps ``(p, pi)``: every partition at +1, then at -1."""
-    return tuple((p, pi) for pi in (1, -1) for p in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +142,7 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     At g=0 this is the hyperangular reduction, every copy carrying the
     parity of ``lam``; at g=inf it is the sector reduction of that parity
     once per antisymmetric seed (all zero without a seed).  Both limits
-    share the keys :func:`_parity_keys`, the S_n x Z2 irrep order; the g=0
+    share the keys ``parity_irreps(n)``, the S_n x Z2 irrep order; the g=0
     side never builds that table.
     """
     _check_regime(regime)
@@ -171,7 +150,7 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     if regime == G_ZERO:
         counts = lambda_reduction(n, lam).counts
         zeros = (0,) * len(counts)
-        return MultiplicityVector(_parity_keys(n), counts + zeros if even else zeros + counts)
+        return MultiplicityVector(parity_irreps(n), counts + zeros if even else zeros + counts)
     seeds = antisymmetric_multiplicity(n, lam)
     if not seeds:
         return level_content(n, G_ZERO, lam).scaled(0)
@@ -213,7 +192,7 @@ def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[Spec
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    slot = _parity_keys(n).index((mu.p, mu.pi))
+    slot = parity_irreps(n).index((mu.p, mu.pi))
     entries = []
     for lam, nu_rho, content in _relative_levels(n, regime, e_max - mu.nu_r):
         mult = content.counts[slot]

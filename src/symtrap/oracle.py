@@ -52,7 +52,6 @@ from .snippet import (
     SnippetIrrepLabel,
     _cycle_type,
     _inversion_sign,
-    _by_first_sector,
     _standard_chains,
     all_sectors,
     snippet_reduction,
@@ -79,12 +78,10 @@ def _sector_index(n: int) -> dict:
 
 
 class SignedPerm(Record):
-    """A signed permutation matrix, stored as image index and sign per column."""
+    """A signed permutation matrix: per column, its image index in ``images``
+    and its sign (+1 or -1) in ``signs``."""
 
     __slots__ = _fields = ("images", "signs")
-
-    def __init__(self, images: tuple[int, ...], signs: tuple[int, ...]) -> None:
-        self._assign(images, signs)
 
     def __matmul__(self, other: "SignedPerm") -> "SignedPerm":
         images = tuple(self.images[j] for j in other.images)
@@ -115,20 +112,10 @@ class SignedPerm(Record):
 
 
 class ExplicitRep(Record):
-    """An explicit matrix representation with its per-class traces."""
+    """An explicit matrix representation: ``(name, SignedPerm)`` generators
+    and the trace on each of ``classes``."""
 
     __slots__ = _fields = ("group", "dimension", "basis", "generators", "classes", "traces")
-
-    def __init__(
-        self,
-        group: str,
-        dimension: int,
-        basis: tuple,
-        generators: tuple[tuple[str, SignedPerm], ...],
-        classes: tuple,
-        traces: tuple[int, ...],
-    ) -> None:
-        self._assign(group, dimension, basis, generators, classes, traces)
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +220,7 @@ def explicit_shell_rep(n: int, x: int) -> tuple[ExplicitRep, MultiplicityVector]
         (f"s{i}", _shell_action(_adjacent(n, i), basis, index)) for i in range(1, n)
     )
     rep = ExplicitRep(table.group, len(basis), basis, generators, table.classes, traces)
-    reduction = reduce_class_function(
-        ClassFunction(table.group, table.classes, traces), table
-    )
-    return rep, reduction
+    return rep, reduce_class_function(ClassFunction(rep.group, rep.classes, rep.traces), table)
 
 
 def _adjacent(n: int, i: int) -> tuple[int, ...]:
@@ -277,10 +261,7 @@ def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, Multip
     rep = ExplicitRep(
         table.group, factorial(n), all_sectors(n), generators, table.classes, traces
     )
-    reduction = reduce_class_function(
-        ClassFunction(table.group, table.classes, traces), table
-    )
-    return rep, reduction
+    return rep, reduce_class_function(ClassFunction(rep.group, rep.classes, rep.traces), table)
 
 
 def _isotypic_columns(n: int, lambda_parity: str, p: Partition, pi: int):
@@ -359,13 +340,14 @@ def verify_sector_basis(
 ) -> None:
     """Check a ``snippet_projection_basis`` result with explicit signed permutations.
 
-    The vectors must be pairwise orthogonal with the stored squared norms.
-    A chain-path basis must span a space that the adjacent transpositions
-    and inversion map into itself: the image ``g v`` lies in the span
+    The vectors must be pairwise orthogonal with the stored squared norms,
+    and inversion must act on every vector as ``pi``, on both paths.  A
+    chain-path basis must also span a space that the adjacent
+    transpositions map into itself: the image ``g v`` lies in the span
     exactly when sum_b (b . g v)^2 / |b|^2 equals |v|^2 (Bessel equality
     for an orthogonal basis).  Component vectors are not S_n-invariant;
-    instead inversion must act as ``pi`` and every adjacent transposition
-    inside one component block as the pattern's sign (+1 Bose, -1 Fermi).
+    instead every adjacent transposition inside one component block must
+    act as the pattern's sign (+1 Bose, -1 Fermi).
     """
     for i, a in enumerate(vectors):
         for b in vectors[i + 1 :]:
@@ -374,26 +356,31 @@ def verify_sector_basis(
         if dot(a.amps, a.amps) != a.norm_sq:
             raise ConsistencyError("sector vector norm bookkeeping is wrong")
     sign = _inversion_sign(n, lambda_parity)
-    inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
+    eigen = [(_sector_action(n, tuple(range(1, n + 1)), 1, sign), pi)]
     if component is None:
         actions = [_sector_action(n, _adjacent(n, i), 0, sign) for i in range(1, n)]
         for v in vectors:
-            for g in actions + [inversion]:
+            for g in actions:
                 image = g.apply(v.amps)
                 if sum(Fraction(dot(b.amps, image) ** 2, b.norm_sq) for b in vectors) != v.norm_sq:
-                    raise ConsistencyError("sector basis is not invariant under S_n x Z2")
-        return
-    exchange = 1 if component.statistics == BOSE else -1
-    eigen = [(inversion, pi)]
-    start = 1
-    for count in component.counts:
-        for i in range(start, start + count - 1):
-            eigen.append((_sector_action(n, _adjacent(n, i), 0, sign), exchange))
-        start += count
+                    raise ConsistencyError("sector basis is not invariant under S_n")
+    else:
+        exchange = 1 if component.statistics == BOSE else -1
+        start = 1
+        for count in component.counts:
+            for i in range(start, start + count - 1):
+                eigen.append((_sector_action(n, _adjacent(n, i), 0, sign), exchange))
+            start += count
+    what = f"inversion ({pi:+d})" + (f" and {component}" if component else "")
     for v in vectors:
         for g, value in eigen:
             if g.apply(v.amps) != [value * a for a in v.amps]:
-                raise ConsistencyError(f"component vector is not an eigenvector of {component}")
+                raise ConsistencyError(f"sector vector is not an eigenvector of {what}")
+
+
+def _by_first_sector(vectors) -> list[tuple[int, ...]]:
+    """``vectors`` sorted by the index of their first nonzero sector."""
+    return sorted(vectors, key=lambda v: next(i for i, a in enumerate(v) if a))
 
 
 def _weighted_sum(terms, vec) -> list:

@@ -28,11 +28,13 @@ class Record:
     """Base of the immutable value records of this package.
 
     A subclass names its fields, in constructor order, in ``_fields`` and
-    in ``__slots__``; its ``__init__`` checks and normalizes the arguments
-    and stores them with :meth:`_assign`.  Equality (within one class only),
-    hashing, ``repr`` and pickling all read the tuple of fields, and setting
-    or deleting an attribute raises ``AttributeError``.  Nothing is generated
-    at class creation, so defining a record costs nothing at import.
+    in ``__slots__``; ``__init__`` binds positional, then keyword arguments
+    to them.  A subclass that normalizes, checks or has defaults stores its
+    fields with :meth:`_assign` from its own ``__init__``.  Equality (within
+    one class only), hashing, ``repr`` and pickling all read the tuple of
+    fields, and setting or deleting an attribute raises ``AttributeError``.
+    Nothing is generated at class creation, so defining a record costs
+    nothing at import.
     """
 
     __slots__ = ()
@@ -46,8 +48,20 @@ class Record:
         else:
             cls._values = lambda self: get(self)
 
+    def __init__(self, *values, **named) -> None:
+        fields, name = self._fields, self.__class__.__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields but {len(values)} were given")
+        try:
+            values += tuple(named.pop(field) for field in fields[len(values) :])
+        except KeyError as missing:
+            raise TypeError(f"{name} is missing field {missing}") from None
+        if named:
+            raise TypeError(f"{name} got unexpected or repeated fields {', '.join(named)}")
+        self._assign(*values)
+
     def _assign(self, *values) -> None:
-        """Store the fields, in ``_fields`` order; only ``__init__`` calls this."""
+        """Store the fields, in ``_fields`` order; only an ``__init__`` calls this."""
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -197,6 +211,14 @@ def partitions_into_max_parts(n: int, max_parts: int) -> tuple[tuple[int, ...], 
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def parity_irreps(n: int) -> tuple[tuple[Partition, int], ...]:
+    """The irreps ``(p, pi)`` of S_n x Z2: every partition at +1, then every
+    partition at -1, the one order of every parity-labelled table and vector."""
+    return tuple((p, pi) for pi in (1, -1) for p in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
 def irrep_dimension(p: Partition) -> int:
     """Number of standard Young tableaux of shape ``p`` (hook lengths)."""
     hooks = prod(p.hook_lengths())

@@ -110,12 +110,11 @@ def snippet_reduction(n: int, lambda_parity: str) -> MultiplicityVector:
 
 
 class SnippetIrrepLabel(Record):
-    """Position of a projected vector: irrep, parity, copy and component index."""
+    """Position of a projected vector: the irrep ``p``, its parity ``pi``
+    (+1 or -1), the copy ``tau`` (from 0) and the chain component ``j``
+    (from 1)."""
 
     __slots__ = _fields = ("p", "pi", "tau", "j")
-
-    def __init__(self, p: Partition, pi: int, tau: int, j: int) -> None:
-        self._assign(p, pi, tau, j)
 
     def __str__(self) -> str:
         sign = "+" if self.pi > 0 else "-"
@@ -315,9 +314,13 @@ def _young_factors(pattern: ComponentPattern, jm):
 
 def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
     """Gram-Schmidt over the candidates ``R_q w + sign * R_{rev q} w`` in
-    sector order, stopping at the ``limit``-th nonzero residual; the results
-    are ordered by first nonzero sector.  ``R_{rev q} w`` is ``R_q w``
-    reversed."""
+    sector order, stopping at the ``limit``-th nonzero residual.
+    ``R_{rev q} w`` is ``R_q w`` reversed.
+
+    The results come out ordered by first nonzero sector.  Every candidate
+    is a column of one self-adjoint element that squares to a multiple of
+    itself, so ``<c_r, v> = C v[r]`` for every ``v`` in the block; a
+    residual, orthogonal to every earlier candidate, starts at its own."""
     flip = _index_tables(n)[1]
     step = add if sign > 0 else sub
 
@@ -329,9 +332,4 @@ def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
     basis = gram_schmidt(candidates(), limit=limit)
     if len(basis) != limit:
         raise ConsistencyError(f"{what} has unexpected rank")
-    return _by_first_sector(basis)
-
-
-def _by_first_sector(vectors) -> list[tuple[int, ...]]:
-    """``vectors`` sorted by the index of their first nonzero sector."""
-    return sorted(vectors, key=lambda v: next(i for i, a in enumerate(v) if a))
+    return basis

@@ -182,6 +182,24 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert not result.stdout
 
+    @pytest.mark.parametrize(
+        "tag,reason",
+        [
+            ("1^3", "irrep [3] holds no 1^3 component line"),
+            ("zzz", "cannot parse component tag 'zzz'"),
+        ],
+        ids=["absent-line", "unparsable"],
+    )
+    def test_map_component_must_be_a_line_of_the_source(self, tag, reason):
+        result = run("map", "--n", "3", "--state", "0,0,3,3", "--component", tag, "--format", "json")
+        assert result.exit_code == 2
+        assert not result.stdout
+        assert result.stderr == f"error: {reason}\n"
+
+    def test_map_component_tag_is_echoed_as_given(self):
+        output = run_ok("map", "--n", "3", "--state", "0,0,3,3", "--component", "[2]x[1]")
+        assert "|0,0,3; [3], tau=0; [2]x[1]>" in output
+
     def test_output_into_missing_directory_exits_two(self, tmp_path):
         target = tmp_path / "missing" / "table.txt"
         result = run("chartable", "--n", "3", "--output", str(target))

@@ -180,6 +180,17 @@ class TestVerifySectorBasis:
         with pytest.raises(ConsistencyError, match="eigenvector"):
             verify_sector_basis(4, "even", 1, vectors, patterns_for(4, BOSE)[2])
 
+    @pytest.mark.parametrize(
+        "n,parts,parity",
+        [(3, (2, 1), "even"), (4, (3, 1), "odd"), (5, (3, 1, 1), "even"), (6, (4, 2), "even")],
+    )
+    def test_rejects_a_chain_basis_of_the_wrong_parity(self, n, parts, parity):
+        vectors = snippet_projection_basis(n, parity, Partition(parts), 1)
+        assert vectors and vectors[0].label is not None
+        verify_sector_basis(n, parity, 1, vectors)
+        with pytest.raises(ConsistencyError, match=r"eigenvector of inversion \(-1\)"):
+            verify_sector_basis(n, parity, -1, vectors)
+
     def test_rejects_overlap_and_wrong_norm(self):
         a = SectorVector(2, (1, 1), 2)
         with pytest.raises(ConsistencyError, match="orthogonal"):

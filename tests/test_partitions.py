@@ -160,6 +160,14 @@ class TestDimensions:
         for p in partitions_of(n):
             assert irrep_dimension(p) == irrep_dimension(p.conjugate())
 
+    def test_memoized(self):
+        """``MultiplicityVector.total_dimension`` asks for every key's
+        dimension at the end of every reduction row."""
+        assert irrep_dimension(Partition((3, 2, 1))) == 16
+        hits = irrep_dimension.cache_info().hits
+        assert irrep_dimension(Partition((3, 2, 1))) == 16
+        assert irrep_dimension.cache_info().hits == hits + 1
+
 
 class TestClassSizes:
     def test_identity_class(self):

@@ -1,4 +1,4 @@
-"""The value records: equality, hashing, repr, immutability and pickling."""
+"""The value records: construction, equality, hashing, repr, immutability and pickling."""
 
 import copy
 import pickle
@@ -8,11 +8,19 @@ from itertools import product
 import pytest
 
 from symtrap.branching import BOSE, ComponentPattern
-from symtrap.characters import CharacterTable, ClassFunction
-from symtrap.mapping import G_INF, GNLabel, MapResult, SpectrumEntry, StateLabel
+from symtrap.characters import CharacterTable, ClassFunction, character_table_snz2
+from symtrap.mapping import (
+    G_INF,
+    G_ZERO,
+    GNLabel,
+    MapResult,
+    SpectrumEntry,
+    StateLabel,
+    level_content,
+)
 from symtrap.oracle import ExplicitRep, SignedPerm
 from symtrap.oscillator import HypercylindricalLabel
-from symtrap.partitions import MultiplicityVector, Partition, Record, partitions_of
+from symtrap.partitions import MultiplicityVector, Partition, Record, parity_irreps, partitions_of
 from symtrap.snippet import SectorVector, SnippetIrrepLabel
 
 P21 = Partition((2, 1))
@@ -150,6 +158,44 @@ def test_pickle_and_copy_round_trip(build, fields, shown):
     for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
         assert twin == original
         assert repr(twin) == repr(original)
+
+
+@pytest.mark.parametrize("build,fields,shown", RECORDS)
+def test_keyword_construction_matches_positional(build, fields, shown):
+    a = build()
+    named = {name: getattr(a, name) for name in fields}
+    b = type(a)(**named)
+    assert b == a and repr(b) == repr(a)
+    first, *rest = fields
+    b = type(a)(named[first], **{name: named[name] for name in rest})
+    assert b == a
+
+
+@pytest.mark.parametrize("build,fields,shown", RECORDS)
+def test_missing_extra_or_unknown_field_is_a_type_error(build, fields, shown):
+    a = build()
+    cls, values = type(a), tuple(getattr(a, name) for name in fields)
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in zip(fields[1:], values[1:])})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, unknown=values[0])
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_one_parity_irrep_order(n):
+    """The S_n x Z2 table and both limits' level contents share ``parity_irreps``."""
+    assert parity_irreps(n) is parity_irreps(n)
+    assert parity_irreps(n) == tuple((p, pi) for pi in (1, -1) for p in partitions_of(n))
+    assert character_table_snz2(n).irreps == parity_irreps(n)
+    seeded = n * (n - 1) // 2
+    for lam in (0, 1, seeded, seeded + 1):
+        assert level_content(n, G_ZERO, lam).keys == parity_irreps(n)
+        assert level_content(n, G_INF, lam).keys == parity_irreps(n)
+    assert any(level_content(n, G_INF, seeded).counts)
 
 
 def test_hypercylindrical_labels_sort_as_field_tuples():

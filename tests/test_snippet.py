@@ -4,7 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from symtrap.branching import BOSE, FERMI, ComponentPattern, branch_multiplicity
+from symtrap.branching import (
+    BOSE,
+    FERMI,
+    ComponentPattern,
+    branch_multiplicity,
+    distinguishable_pattern,
+    patterns_for,
+)
 from symtrap.characters import character_table_snz2
 from symtrap.linalg import dot
 from symtrap.mapping import G_INF, enumerate_levels
@@ -296,6 +303,67 @@ class TestProjectionBasis:
         pattern = ComponentPattern((2, 2), FERMI)
         with pytest.raises(ConsistencyError, match="component projection of .* unexpected rank"):
             snippet_projection_basis(4, "even", Partition((2, 2)), 1, component=pattern)
+
+
+def _first_nonzero(v):
+    return next(i for i, a in enumerate(v) if a)
+
+
+def _enlarging(candidates, basis):
+    """Index of each candidate outside the span of the ones before it, read
+    off the orthogonal ``basis`` of that span by the Bessel equality."""
+    kept = []
+    for i, c in enumerate(candidates):
+        if len(kept) == len(basis):
+            break
+        earlier = basis[: len(kept)]
+        if sum(Fraction(dot(b, c) ** 2, dot(b, b)) for b in earlier) != dot(c, c):
+            kept.append(i)
+    return kept
+
+
+class TestBlockOrder:
+    """A block comes out of Gram-Schmidt already in sector order: each kept
+    vector's first nonzero entry is at the sector whose candidate produced it."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """``(producing sectors, first nonzero sectors)`` of every block built."""
+        from symtrap import snippet
+
+        real, seen = snippet.gram_schmidt, []
+
+        def recording(vectors, limit=None):
+            drawn = []
+            basis = real((drawn.append(v) or v for v in vectors), limit=limit)
+            seen.append((_enlarging(drawn, basis), [_first_nonzero(v) for v in basis]))
+            return basis
+
+        monkeypatch.setattr(snippet, "gram_schmidt", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_small_block(self, blocks, n):
+        patterns = [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    for pattern in [None, *patterns]:
+                        snippet_projection_basis(n, parity, p, pi, component=pattern)
+        assert blocks
+        for producers, firsts in blocks:
+            assert firsts == producers
+
+    def test_largest_six_particle_block(self, blocks):
+        """[321]+ even: the 16 chain blocks of 8 vectors, and the component
+        blocks of up to 32 (the 64- and 128-vector ones would add about 12 s)."""
+        p = Partition((3, 2, 1))
+        patterns = [*patterns_for(6, BOSE), *patterns_for(6, FERMI)]
+        for pattern in [None, *(c for c in patterns if branch_multiplicity(p, c) <= 4)]:
+            snippet_projection_basis(6, "even", p, 1, component=pattern)
+        assert len(blocks) == 16 + 8
+        for producers, firsts in blocks:
+            assert firsts == producers
 
 
 class TestRightReindex:
