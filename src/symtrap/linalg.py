@@ -24,7 +24,7 @@ def dot(u, v):
 def primitive(vec) -> tuple[int, ...]:
     """Scale an integer vector to coprime entries with positive leading entry."""
     g = gcd(*vec)
-    if next((a for a in vec if a), 0) < 0:
+    if next(filter(None, vec), 0) < 0:
         g = -g
     if g in (0, 1):
         return tuple(vec)

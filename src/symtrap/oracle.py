@@ -8,17 +8,18 @@ subtraction recursion over shells, and the subgroup branching by a
 character inner product over the Young subgroup.  The same signed
 permutations check that a sector basis is invariant under the group
 (``verify_sector_basis``) and rebuild it by subgroup character sums
-(``subgroup_chain_basis``).  They are orders of magnitude slower than the
-production paths and guarded by hard limits; they run from the test suite
-and behind the CLI ``--verify`` flag, never in production.
+(``subgroup_chain_basis``).  The oracle builds its own actions, by
+relabelling sectors, and shares no action code with ``snippet``.  Its sums
+run over whole groups, so it is guarded by hard limits; it runs from the
+test suite and behind the CLI ``--verify`` flag, never in production.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product as iter_product
-from math import factorial, prod
+from itertools import permutations, product as iter_product, repeat
+from math import factorial, lcm, prod
+from operator import add, itemgetter, mul
 
 # ``perfbench/traced_cli.py`` imports ``symtrap.cli`` and this module, then
 # wraps the functions of every layer it finds in ``sys.modules``, mapping
@@ -73,8 +74,10 @@ def _apply(c: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sector_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(all_sectors(n))}
+def _sector_codes(n: int):
+    """The sectors as byte strings, the same reversed, and the index of each."""
+    codes = [bytes(q) for q in all_sectors(n)]
+    return codes, [q[::-1] for q in codes], {q: i for i, q in enumerate(codes)}
 
 
 class SignedPerm(Record):
@@ -90,10 +93,8 @@ class SignedPerm(Record):
 
     def apply(self, vec) -> list:
         """The matrix times the column vector ``vec``."""
-        out = [0] * len(vec)
-        for amp, row, s in zip(vec, self.images, self.signs):
-            out[row] += s * amp
-        return out
+        gather, signs = _gather(self)
+        return list(map(mul, signs, gather(vec)))
 
     def trace(self) -> int:
         return sum(s for i, (j, s) in enumerate(zip(self.images, self.signs)) if i == j)
@@ -109,6 +110,17 @@ class SignedPerm(Record):
         for col, (row, s) in enumerate(zip(self.images, self.signs)):
             rows[row][col] = s
         return [tuple(r) for r in rows]
+
+
+@lru_cache(maxsize=None)
+def _gather(m: SignedPerm):
+    """Row ``r`` of ``m`` times a vector is ``sign * vec[col]`` for the one
+    column ``col`` that ``m`` sends to ``r``: the getter of those columns,
+    in row order, and their signs."""
+    cols = sorted(range(len(m.images)), key=m.images.__getitem__)
+    # An itemgetter of one index returns the item, not a tuple.
+    gather = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(None))
+    return gather, tuple(m.signs[col] for col in cols)
 
 
 class ExplicitRep(Record):
@@ -231,13 +243,12 @@ def _adjacent(n: int, i: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _sector_action(n: int, c: tuple[int, ...], inverted: int, sign: int) -> SignedPerm:
-    index = _sector_index(n)
-    images = []
-    for q in all_sectors(n):
-        target = q[::-1] if inverted else q
-        images.append(index[_apply(c, target)])
-    signs = (sign if inverted else 1,) * len(images)
-    return SignedPerm(tuple(images), signs)
+    """Sector ``q`` goes to ``c`` relabelling ``q`` (reversed first when
+    ``inverted``); the relabelling is one byte translation per sector."""
+    codes, reversed_codes, index = _sector_codes(n)
+    table = bytes((0, *c, *range(n + 1, 256)))
+    images = tuple([index[q.translate(table)] for q in (reversed_codes if inverted else codes)])
+    return SignedPerm(images, (sign if inverted else 1,) * len(images))
 
 
 def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, MultiplicityVector]:
@@ -269,14 +280,14 @@ def _isotypic_columns(n: int, lambda_parity: str, p: Partition, pi: int):
     the explicitly summed projector onto the ``(p, pi)`` isotypic."""
     sign = _inversion_sign(n, lambda_parity)
     inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
-    terms = [
-        (sn_character(p, _cycle_type(c)), _sector_action(n, c, 0, sign)) for c in all_sectors(n)
-    ]
-    for q in range(factorial(n)):
-        col = [0] * factorial(n)
-        for chi, g in terms:
-            col[g.images[q]] += chi
-        yield [a + pi * b for a, b in zip(col, inversion.apply(col))]
+    sectors = all_sectors(n)
+    chi = {c: sn_character(p, _cycle_type(c)) for c in sectors}
+    # U(c) e_q = e_{c q}, so entry t of column q is chi_p(t q^-1): t read
+    # at the positions q^-1.
+    for q in sectors:
+        inverse = sorted(range(n), key=q.__getitem__)
+        col = list(map(chi.__getitem__, map(itemgetter(*inverse), sectors)))
+        yield list(map(add, col, map(mul, repeat(pi), inversion.apply(col))))
 
 
 def explicit_isotypic_rank(n: int, lambda_parity: str, p: Partition, pi: int) -> int:
@@ -355,14 +366,19 @@ def verify_sector_basis(
                 raise ConsistencyError("sector basis vectors are not orthogonal")
         if dot(a.amps, a.amps) != a.norm_sq:
             raise ConsistencyError("sector vector norm bookkeeping is wrong")
+        if a.norm_sq <= 0:
+            raise ConsistencyError("sector basis holds a zero vector")
     sign = _inversion_sign(n, lambda_parity)
     eigen = [(_sector_action(n, tuple(range(1, n + 1)), 1, sign), pi)]
     if component is None:
         actions = [_sector_action(n, _adjacent(n, i), 0, sign) for i in range(1, n)]
+        # Bessel times L, the lcm of the squared norms: every term is an integer.
+        scale = lcm(*(b.norm_sq for b in vectors))
+        weighted = [(scale // b.norm_sq, b.amps) for b in vectors]
         for v in vectors:
             for g in actions:
                 image = g.apply(v.amps)
-                if sum(Fraction(dot(b.amps, image) ** 2, b.norm_sq) for b in vectors) != v.norm_sq:
+                if sum(w * dot(b, image) ** 2 for w, b in weighted) != scale * v.norm_sq:
                     raise ConsistencyError("sector basis is not invariant under S_n")
     else:
         exchange = 1 if component.statistics == BOSE else -1
@@ -388,7 +404,7 @@ def _weighted_sum(terms, vec) -> list:
     out = [0] * len(vec)
     for weight, g in terms:
         if weight:
-            out = [a + weight * b for a, b in zip(out, g.apply(vec))]
+            out = list(map(add, out, map(mul, repeat(weight), g.apply(vec))))
     return out
 
 
@@ -444,22 +460,25 @@ def subgroup_chain_basis(
     if len(span) != mult * dim:
         raise ConsistencyError(f"isotypic block of {p} has unexpected rank")
     sign = _inversion_sign(n, lambda_parity)
-
-    def projected(projectors):
-        for v in span:
-            for terms in projectors:
-                v = _weighted_sum(terms, v)
-            yield v
-
     # No limit below: the kept count is the rank, an independent check of
     # the multiplicities the production route stops at.
     if component is not None:
-        basis = gram_schmidt(projected([_young_projector(n, component, sign)]))
+        young = _young_projector(n, component, sign)
+        basis = gram_schmidt([_weighted_sum(young, v) for v in span])
         return [SectorVector(n, v, dot(v, v)) for v in _by_first_sector(basis)]
+    # The span projected along each chain prefix, made once for all the
+    # tableaux that share the prefix.
+    along = {(): span}
+
+    def along_chain(shapes):
+        if shapes not in along:
+            terms = _subgroup_projector(n, shapes[-1], sign)
+            along[shapes] = [_weighted_sum(terms, v) for v in along_chain(shapes[:-1])]
+        return along[shapes]
+
     out = []
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
-        projectors = [_subgroup_projector(n, shape, sign) for shape in chain[1:-1]]
-        basis = gram_schmidt(projected(projectors))
+        basis = gram_schmidt(along_chain(chain[1:-1]))
         for tau, v in enumerate(_by_first_sector(basis)):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))

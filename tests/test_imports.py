@@ -108,8 +108,8 @@ def traced_child(*args):
 def test_fresh_process_matches_runner(args):
     """A fresh interpreter imports each layer itself, so a missing import fails here.
 
-    The records import no class machinery, and only exact energies and the
-    ``--verify`` cross-checks need ``fractions``.
+    The records import no class machinery, and only exact energies need
+    ``fractions``: the ``--verify`` cross-checks stay in integers.
     """
     expected = run(*args)
     assert expected.exit_code == 0, expected.output
@@ -117,7 +117,7 @@ def test_fresh_process_matches_runner(args):
     assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, expected.stderr)
     assert "click" not in imported
     assert not {"dataclasses", "inspect"} & imported
-    if args[0] not in ("spectrum", "map") and "--verify" not in args:
+    if args[0] not in ("spectrum", "map"):
         assert "fractions" not in imported
 
 

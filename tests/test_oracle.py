@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from math import comb, factorial
 
 from symtrap.branching import BOSE, FERMI, distinguishable_pattern, patterns_for
+from symtrap.characters import sn_character
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
     CHAIN_N_LIMIT,
@@ -9,6 +12,9 @@ from symtrap.oracle import (
     SHELL_N_LIMIT,
     SHELL_X_LIMIT,
     SignedPerm,
+    _apply,
+    _isotypic_columns,
+    _sector_action,
     explicit_isotypic_rank,
     explicit_sector_rep,
     explicit_shell_rep,
@@ -21,6 +27,9 @@ from symtrap.oscillator import shell_reduction
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
     SectorVector,
+    _cycle_type,
+    _inversion_sign,
+    all_sectors,
     sector_rep_characters,
     snippet_projection_basis,
     snippet_reduction,
@@ -50,6 +59,20 @@ class TestSignedPerm:
         vec = [5, 7, 11]
         expected = [sum(a * b for a, b in zip(row, vec)) for row in m.dense_rows()]
         assert m.apply(vec) == expected == [-7, -11, 5]
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_apply_matches_dense_rows_at_random(self, size):
+        rng = random.Random(size)
+        seen = set()
+        for _ in range(20):
+            images = tuple(rng.sample(range(size), size))
+            signs = tuple(rng.choice((1, -1)) for _ in range(size))
+            seen.update(signs)
+            m = SignedPerm(images, signs)
+            vec = [rng.randint(-9, 9) for _ in range(size)]
+            expected = [sum(a * b for a, b in zip(row, vec)) for row in m.dense_rows()]
+            assert m.apply(vec) == expected
+        assert seen == {1, -1}
 
 
 class TestShellOracle:
@@ -134,6 +157,50 @@ class TestSectorOracle:
             explicit_sector_rep(7, "even")
 
 
+def _scatter(m, vec):
+    """``m`` times ``vec``, one column at a time: the definition ``apply`` gathers."""
+    out = [0] * len(vec)
+    for amp, row, s in zip(vec, m.images, m.signs):
+        out[row] += s * amp
+    return out
+
+
+class TestSectorActionDefinitions:
+    """The fast sector actions against the definitions they replace."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_actions_relabel_sectors(self, n):
+        sectors = all_sectors(n)
+        index = {q: i for i, q in enumerate(sectors)}
+        for c in sectors:
+            for inverted in (0, 1):
+                relabelled = tuple(index[_apply(c, q[::-1] if inverted else q)] for q in sectors)
+                for sign in (1, -1):
+                    action = _sector_action(n, c, inverted, sign)
+                    assert action.images == relabelled
+                    assert action.signs == (sign if inverted else 1,) * len(sectors)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_isotypic_columns_are_the_explicit_sums(self, n, parity):
+        sign = _inversion_sign(n, parity)
+        sectors = all_sectors(n)
+        inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
+        actions = [_sector_action(n, c, 0, sign) for c in sectors]
+        for p in partitions_of(n):
+            chis = [sn_character(p, _cycle_type(c)) for c in sectors]
+            for pi in (1, -1):
+                columns = list(_isotypic_columns(n, parity, p, pi))
+                assert len(columns) == len(sectors)
+                for q, column in enumerate(columns):
+                    unit = [int(t == q) for t in range(len(sectors))]
+                    start = [a + pi * b for a, b in zip(unit, _scatter(inversion, unit))]
+                    expected = [0] * len(sectors)
+                    for chi, g in zip(chis, actions):
+                        expected = [a + chi * b for a, b in zip(expected, _scatter(g, start))]
+                    assert column == expected
+
+
 class TestProjectorRanks:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_small_systems_full_sweep(self, n):
@@ -190,6 +257,21 @@ class TestVerifySectorBasis:
         verify_sector_basis(n, parity, 1, vectors)
         with pytest.raises(ConsistencyError, match=r"eigenvector of inversion \(-1\)"):
             verify_sector_basis(n, parity, -1, vectors)
+
+    def test_rejects_a_zero_vector_on_both_paths(self):
+        zero = SectorVector(2, (0, 0), 0)
+        (bose,) = patterns_for(2, BOSE)
+        for component in (None, bose):
+            with pytest.raises(ConsistencyError, match="zero vector"):
+                verify_sector_basis(2, "even", 1, [zero], component)
+
+    def test_integer_bessel_rejects_a_dropped_vector_among_unequal_norms(self):
+        vectors = snippet_projection_basis(5, "even", Partition((3, 2)), 1)
+        assert len({v.norm_sq for v in vectors}) > 1
+        verify_sector_basis(5, "even", 1, vectors)
+        for k in range(len(vectors)):
+            with pytest.raises(ConsistencyError, match="invariant"):
+                verify_sector_basis(5, "even", 1, vectors[:k] + vectors[k + 1 :])
 
     def test_rejects_overlap_and_wrong_norm(self):
         a = SectorVector(2, (1, 1), 2)
