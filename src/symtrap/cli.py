@@ -832,10 +832,16 @@ def spin_decompose_cmd(n: int, k: int):
 )
 def spectrum_cmd(n: int, state: str, max_energy: int):
     """Both exact-limit spectra of the symmetry class containing STATE."""
-    from .mapping import G_INF, G_ZERO, GNLabel, spectrum_by_irrep
+    from .mapping import G_INF, G_ZERO, GNLabel, level_content, spectrum_by_irrep
 
     hyper, p = _parse_state(n, state)
     mu = GNLabel(hyper.nu_r, hyper.parity, p)
+    if not level_content(n, G_ZERO, hyper.lam)[(p, mu.pi)]:
+        raise ValueError(f"irrep {p} does not occur at lam={hyper.lam}")
+    if max_energy < hyper.excitation:
+        raise ValueError(
+            f"--max-energy {max_energy} lies below the state's excitation {hyper.excitation}"
+        )
     rows = []
     json_rows = []
     for regime, tag in ((G_ZERO, "g=0"), (G_INF, "g=inf")):

@@ -11,7 +11,8 @@ result is flagged, since no physical input resolves such ties.
 Both limits are read by one route: :func:`level_content` gives the
 parity-labelled irrep content at one grand angular momentum, and
 :func:`enumerate_levels` walks the levels in (excitation, ``lam``,
-``nu_rho``) order.  Spectra, the map and ground states all consume them.
+``nu_rho``) order.  Ground states consume them; spectra and the map read
+one triple's levels in that order from the lazy walk :func:`_triple_levels`.
 """
 
 from __future__ import annotations
@@ -157,16 +158,6 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     return snippet_reduction(n, "even" if even else "odd").scaled(seeds)
 
 
-def _relative_levels(n: int, regime: str, budget: int):
-    """``(lam, nu_rho, content)`` with ``lam + 2 nu_rho <= budget``, ``lam``
-    then ``nu_rho`` ascending; hyperangular spaces with empty content are skipped."""
-    for lam in range(budget + 1):
-        content = level_content(n, regime, lam)
-        if any(content.counts):
-            for nu_rho in range((budget - lam) // 2 + 1):
-                yield lam, nu_rho, content
-
-
 def enumerate_levels(n: int, regime: str, e_max: int):
     """Every level of one exact limit with excitation at most ``e_max``.
 
@@ -179,37 +170,50 @@ def enumerate_levels(n: int, regime: str, e_max: int):
     if e_max < 0:
         raise ValueError(f"e_max must be non-negative, got {e_max}")
     for x in range(e_max + 1):
-        for lam, nu_rho, content in _relative_levels(n, regime, x):
-            yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content
+        for lam in range(x + 1):
+            content = level_content(n, regime, lam)
+            if any(content.counts):
+                for nu_rho in range((x - lam) // 2 + 1):
+                    yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content
+
+
+def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
+    """The levels carrying ``mu`` up to excitation ``e_max``, lazily: one list
+    of ``(label, multiplicity)`` per excitation, in :func:`enumerate_levels`
+    order.  With ``nu_R`` fixed, the excitation and ``lam`` fix ``nu_rho``."""
+    slot = parity_irreps(n).index((mu.p, mu.pi))
+    for rest in range(e_max - mu.nu_r + 1):
+        shell = []
+        for lam in range(rest % 2, rest + 1, 2):
+            mult = level_content(n, regime, lam).counts[slot]
+            if mult:
+                shell.append((HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam), mult))
+        yield shell
 
 
 def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:
     """All levels carrying the triple ``mu`` with excitation at most ``e_max``.
 
-    Entries are sorted by energy; equal energies are ordered ``lam``
+    Entries are ordered by energy; equal energies are ordered ``lam``
     ascending then ``nu_rho`` ascending.
     """
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    slot = parity_irreps(n).index((mu.p, mu.pi))
-    entries = []
-    for lam, nu_rho, content in _relative_levels(n, regime, e_max - mu.nu_r):
-        mult = content.counts[slot]
-        if mult:
-            hyper = HypercylindricalLabel(mu.nu_r, nu_rho, lam)
-            entries.append(SpectrumEntry(hyper.energy(n), hyper, mult))
-    entries.sort(key=lambda e: (e.energy, e.hyper.lam, e.hyper.nu_rho))
-    return entries
+    return [
+        SpectrumEntry(hyper.energy(n), hyper, mult)
+        for shell in _triple_levels(n, regime, mu, e_max)
+        for hyper, mult in shell
+    ]
 
 
 def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -> MapResult:
     """Hard-core image of a free-limit level under the no-crossing rule.
 
     The source's rank inside its triple's free spectrum picks the level at
-    the same cumulative rank in the hard-core spectrum.  The search stops
-    ``extra_energy`` quanta above the source (default ``4 n``); running out
-    raises :class:`SearchExhaustedError`.
+    the same cumulative rank in the hard-core spectrum, walked up to that
+    level but at most ``extra_energy`` quanta above the source (default
+    ``4 n``); running out raises :class:`SearchExhaustedError`.
     """
     if source.regime != G_ZERO:
         raise ValueError("sources of the adiabatic map live in the free limit")
@@ -222,33 +226,27 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     if not 0 <= source.tau < source_mult:
         raise ValueError(f"tau={source.tau} out of range for multiplicity {source_mult}")
 
-    below = spectrum_by_irrep(n, G_ZERO, mu, source.hyper.excitation)
-    rank = 0
-    for entry in below:
-        if entry.hyper == source.hyper:
-            rank += source.tau
-            break
-        rank += entry.multiplicity
-    else:
-        raise ValueError(f"level {source.hyper} not found in its own spectrum")
-    source_ties = sum(1 for e in below if e.energy == source.energy)
+    shells = list(_triple_levels(n, G_ZERO, mu, source.hyper.excitation))
+    below = [level for shell in shells for level in shell]
+    position = [hyper for hyper, _ in below].index(source.hyper)
+    rank = sum(mult for _, mult in below[:position]) + source.tau
+    source_ties = len(shells[-1])
 
     ceiling = source.hyper.excitation + (4 * n if extra_energy is None else extra_energy)
-    images = spectrum_by_irrep(n, G_INF, mu, ceiling)
     cumulative = 0
-    for entry in images:
-        cumulative += entry.multiplicity
-        if cumulative > rank:
-            target_ties = sum(1 for e in images if e.energy == entry.energy)
-            return MapResult(
-                source=source,
-                target_hyper=entry.hyper,
-                target_p=mu.p,
-                target_pi=mu.pi,
-                target_dimension=entry.multiplicity,
-                resolved=entry.multiplicity == 1,
-                convention_ordered=source_ties > 1 or target_ties > 1,
-            )
+    for shell in _triple_levels(n, G_INF, mu, ceiling):
+        for hyper, mult in shell:
+            cumulative += mult
+            if cumulative > rank:
+                return MapResult(
+                    source=source,
+                    target_hyper=hyper,
+                    target_p=mu.p,
+                    target_pi=mu.pi,
+                    target_dimension=mult,
+                    resolved=mult == 1,
+                    convention_ordered=source_ties > 1 or len(shell) > 1,
+                )
     raise SearchExhaustedError(
         f"no hard-core level carrying {mu} within {ceiling} quanta"
     )

@@ -196,6 +196,21 @@ class TestExitCodes:
         assert not result.stdout
         assert result.stderr == f"error: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "state,max_energy,reason",
+        [
+            ("0,0,1,21", "0", "--max-energy 0 lies below the state's excitation 1"),
+            ("5,0,1,21", "3", "--max-energy 3 lies below the state's excitation 6"),
+            ("0,0,0,21", "0", "irrep [21] does not occur at lam=0"),
+        ],
+        ids=["below-state", "below-centre-of-mass", "not-a-level"],
+    )
+    def test_spectrum_refuses_a_state_it_cannot_list(self, state, max_energy, reason):
+        result = run("spectrum", "--n", "3", "--state", state, "--max-energy", max_energy)
+        assert result.exit_code == 2
+        assert not result.stdout
+        assert result.stderr == f"error: {reason}\n"
+
     def test_map_component_tag_is_echoed_as_given(self):
         output = run_ok("map", "--n", "3", "--state", "0,0,3,3", "--component", "[2]x[1]")
         assert "|0,0,3; [3], tau=0; [2]x[1]>" in output

@@ -2,18 +2,21 @@ import pytest
 from fractions import Fraction
 
 from symtrap.branching import BOSE, FERMI, ComponentPattern
+from symtrap import mapping
 from symtrap.mapping import (
     G_INF,
     G_ZERO,
+    REGIMES,
     GNLabel,
     SearchExhaustedError,
     StateLabel,
     adiabatic_map,
+    enumerate_levels,
     ground_state,
     spectrum_by_irrep,
 )
 from symtrap.oscillator import HypercylindricalLabel, antisymmetric_multiplicity
-from symtrap.partitions import Partition
+from symtrap.partitions import Partition, parity_irreps
 
 
 H = HypercylindricalLabel
@@ -77,7 +80,45 @@ class TestSpectrumByIrrep:
         assert all(e.hyper.lam % 2 == 0 for e in entries)
 
 
+class TestOneLevelOrder:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_spectrum_is_the_filtered_level_walk(self, n, regime):
+        # past n(n-1)/2, the first hard-core level, so both sides list levels
+        e_max = n * (n - 1) // 2 + 4
+        levels = list(enumerate_levels(n, regime, e_max))
+        listed = 0
+        for nu_r in (0, 1, 2):
+            for p, pi in parity_irreps(n):
+                entries = spectrum_by_irrep(n, regime, GNLabel(nu_r, pi, p), e_max)
+                expected = [
+                    (hyper, content[(p, pi)])
+                    for hyper, content in levels
+                    if hyper.nu_r == nu_r and content[(p, pi)]
+                ]
+                assert [(e.hyper, e.multiplicity) for e in entries] == expected
+                keys = [(e.energy, e.hyper.lam, e.hyper.nu_rho) for e in entries]
+                assert keys == sorted(keys)
+                listed += len(entries)
+        assert listed
+
+
 class TestAdiabaticMap:
+    def test_hard_core_search_stops_at_the_image(self, monkeypatch):
+        source = StateLabel(H(0, 0, 1), P((2, 1)))
+        expected = adiabatic_map(3, source)
+        requested = []
+        content = mapping.level_content
+
+        def recorder(n, regime, lam):
+            requested.append((regime, lam))
+            return content(n, regime, lam)
+
+        monkeypatch.setattr(mapping, "level_content", recorder)
+        assert adiabatic_map(3, source, extra_energy=200) == expected
+        assert expected.target_hyper.excitation == 3
+        assert max(lam for regime, lam in requested if regime == G_INF) <= 3
+
     def test_three_particle_mixed_ground(self):
         result = adiabatic_map(3, StateLabel(H(0, 0, 1), P((2, 1)), component="[1^2]"))
         assert (result.target_hyper.nu_r, result.target_hyper.nu_rho, result.target_hyper.lam) == (0, 0, 3)
