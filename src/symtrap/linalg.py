@@ -13,8 +13,9 @@ track squared norms separately.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import floordiv, mul
 
 
 def dot(u, v):
@@ -28,7 +29,7 @@ def primitive(vec) -> tuple[int, ...]:
         g = -g
     if g in (0, 1):
         return tuple(vec)
-    return tuple(a // g for a in vec)
+    return tuple(map(floordiv, vec, repeat(g)))
 
 
 def gram_schmidt(vectors, limit: int | None = None) -> list[tuple[int, ...]]:

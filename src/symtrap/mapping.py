@@ -182,13 +182,17 @@ def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
     of ``(label, multiplicity)`` per excitation, in :func:`enumerate_levels`
     order.  With ``nu_R`` fixed, the excitation and ``lam`` fix ``nu_rho``."""
     slot = parity_irreps(n).index((mu.p, mu.pi))
+    # The nonzero ``(lam, multiplicity)`` pairs of each ``lam`` parity seen
+    # so far: each ``lam`` is looked up once, when the walk first reaches it.
+    seen = ([], [])
     for rest in range(e_max - mu.nu_r + 1):
-        shell = []
-        for lam in range(rest % 2, rest + 1, 2):
-            mult = level_content(n, regime, lam).counts[slot]
-            if mult:
-                shell.append((HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam), mult))
-        yield shell
+        found = level_content(n, regime, rest).counts[slot]
+        if found:
+            seen[rest % 2].append((rest, found))
+        yield [
+            (HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam), mult)
+            for lam, mult in seen[rest % 2]
+        ]
 
 
 def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:

@@ -5,20 +5,22 @@ the production code deliberately avoids, take traces, and decompose them
 with the character tables; the shell and hyperangular reductions are also
 recounted combinatorially, by Kostka counts over excitation multisets and a
 subtraction recursion over shells, and the subgroup branching by a
-character inner product over the Young subgroup.  The same signed
-permutations check that a sector basis is invariant under the group
-(``verify_sector_basis``) and rebuild it by subgroup character sums
-(``subgroup_chain_basis``).  The oracle builds its own actions, by
-relabelling sectors, and shares no action code with ``snippet``.  Its sums
-run over whole groups, so it is guarded by hard limits; it runs from the
-test suite and behind the CLI ``--verify`` flag, never in production.
+character inner product over the Young subgroup.  A sector basis is
+certified by ``verify_sector_basis`` from the Jucys-Murphy elements, sums
+of the oracle's transposition actions, and the order of first sectors, in
+O(N n^2 n!) for N vectors; ``subgroup_chain_basis`` rebuilds it by
+subgroup character sums over whole groups, as the tests' reference.  The
+oracle builds its own actions, by relabelling sectors, and shares no
+action code with ``snippet``.  Its whole-group sums are guarded by hard
+limits; it runs from the test suite and behind the CLI ``--verify`` flag,
+never in production.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product as iter_product, repeat
-from math import factorial, lcm, prod
+from math import factorial, gcd, prod
 from operator import add, itemgetter, mul
 
 # ``perfbench/traced_cli.py`` imports ``symtrap.cli`` and this module, then
@@ -342,56 +344,193 @@ def verify_sector_homomorphism(
             raise ConsistencyError(f"sector inversion is not central for n={n}")
 
 
+@lru_cache(maxsize=None)
+def _jucys_murphy(n: int) -> dict[int, tuple]:
+    """``jm[k]`` holds the getters of ``U((i k))``, ``i < k``, whose results
+    sum to ``X_k v``.  A transposition is an involution, so the sectors it
+    sends each sector to are also the ones it gathers from.  Only the
+    adjacent ``s = (k-1 k)`` are relabelled; ``(i k) = s (i k-1) s`` is
+    composed from index tuples."""
+    swaps: list[tuple[int, ...]] = []
+    jm = {}
+    for k in range(2, n + 1):
+        s = _sector_action(n, _adjacent(n, k - 1), 0, 1).images
+        gather = itemgetter(*s)
+        swaps = [itemgetter(*gather(t))(s) for t in swaps] + [s]
+        jm[k] = tuple(itemgetter(*t) for t in swaps)
+    return jm
+
+
+def _x(moves, vec) -> list:
+    """``X_k vec`` for the getters ``moves`` of ``X_k``."""
+    image = moves[0](vec)
+    for move in moves[1:]:
+        image = map(add, image, move(vec))
+    return list(image)
+
+
+def _contents(chain: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """``(k, c_k)`` for k = 2..n: the content (column minus row) of the box
+    holding ``k`` in the standard tableau that ``chain`` grows."""
+    n = len(chain)
+    out = []
+    for k in range(2, n + 1):
+        larger, smaller = chain[n - k], (*chain[n - k + 1], 0)
+        row = next(i for i, (a, b) in enumerate(zip(larger, smaller)) if a != b)
+        out.append((k, larger[row] - 1 - row))
+    return out
+
+
+def _content_sums(p: Partition) -> tuple[int, int]:
+    """The sums of the contents of the boxes of ``p`` and of their squares:
+    the scalars by which the central ``sum_k X_k`` and ``sum_k X_k^2`` act
+    on the ``p`` isotypic (Jucys 1974; Murphy 1981)."""
+    contents = [col - row for row, length in enumerate(p.parts) for col in range(length)]
+    return sum(contents), sum(c * c for c in contents)
+
+
+def _sector_multiplicity(n: int, sign: int, p: Partition, pi: int) -> int:
+    """Multiplicity of ``(p, pi)`` among the sectors, from the oracle's own
+    trace ``t`` of the reversal composed with inversion: the sector
+    character vanishes elsewhere except at the identity, so it is
+    ``(n! f_p + pi |R| chi_p(w0) t) / (2 n!)`` for the reversal class R."""
+    reversal = _cycle_type(tuple(range(n, 0, -1)))
+    t = _sector_action(n, _class_representative(reversal), 1, sign).trace()
+    total = factorial(n) * irrep_dimension(p)
+    total += pi * class_size(reversal) * sn_character(p, reversal) * t
+    mult, rem = divmod(total, 2 * factorial(n))
+    if rem or mult < 0:
+        raise ConsistencyError(f"sector multiplicity of {p} is not integral")
+    return mult
+
+
+def _check_canonical(line, irrep: str) -> None:
+    """The one orthogonal basis of the line's span that the elimination
+    gives: first nonzero sectors strictly increase, so every vector is zero
+    at each earlier one's first sector, and every vector is primitive with
+    a positive leading entry."""
+    last = -1
+    for v in line:
+        first = v.amps.index(next(filter(None, v.amps)))
+        if first <= last:
+            raise ConsistencyError(
+                f"subgroup sums give another basis for {irrep}: first sectors do not increase"
+            )
+        if v.amps[first] < 0 or gcd(*v.amps) != 1:
+            raise ConsistencyError(
+                f"subgroup sums give another basis for {irrep}: "
+                "a vector is not primitive with a positive leading entry"
+            )
+        last = first
+
+
 def verify_sector_basis(
     n: int,
     lambda_parity: str,
+    p: Partition,
     pi: int,
     vectors,
     component: ComponentPattern | None = None,
 ) -> None:
-    """Check a ``snippet_projection_basis`` result with explicit signed permutations.
+    """Certify that ``vectors`` is the ``snippet_projection_basis`` of ``(p, pi)``.
 
-    The vectors must be pairwise orthogonal with the stored squared norms,
-    and inversion must act on every vector as ``pi``, on both paths.  A
-    chain-path basis must also span a space that the adjacent
-    transpositions map into itself: the image ``g v`` lies in the span
-    exactly when sum_b (b . g v)^2 / |b|^2 equals |v|^2 (Bessel equality
-    for an orthogonal basis).  Component vectors are not S_n-invariant;
-    instead every adjacent transposition inside one component block must
-    act as the pattern's sign (+1 Bose, -1 Fermi).
+    Every action is the oracle's own sector relabelling, with the
+    Jucys-Murphy elements ``X_k = sum_{i<k} U((i k))``.  The vectors must be
+    pairwise orthogonal, nonzero and carry their squared norms.  Without
+    ``component`` each must be labelled ``(p, pi, tau, j)`` and satisfy
+    ``X_k v = c_k v`` for k = 2..n, ``c_k`` the content of the box holding
+    k in the ``j``-th standard tableau (in ``_standard_chains`` order); with
+    it, ``sum_k X_k`` and ``sum_k X_k^2``, which are central, must act as
+    the sums of the contents and of their squares over the boxes of ``p``
+    (these two sums separate every partition for n <= 8), and every
+    adjacent transposition inside one pattern block as the pattern's sign.
+    Inversion must act as ``pi``.  The multiplicity ``m`` is the oracle's
+    own (``_sector_multiplicity``): a chain basis holds the labels
+    ``tau = 0..m-1`` times ``j = 1..f_p`` in ``(tau, j)`` order, a component
+    basis ``m`` times the pattern's branching multiplicity vectors.
+
+    So each chain line ``j`` (or the whole component list) is an orthogonal
+    basis of one m-dimensional space W, and a basis of W whose first
+    nonzero sectors strictly increase is unique up to scale; primitive
+    amplitudes with a positive leading entry fix the scale
+    (``_check_canonical``).  The elimination in ``snippet._block`` yields
+    exactly that basis, and so does ``subgroup_chain_basis``: this accepts
+    the bytes the rebuild would compare, and nothing else, in
+    O(N n^2 n!) for N vectors, plus the orthogonality within each line.
     """
     for i, a in enumerate(vectors):
         for b in vectors[i + 1 :]:
+            # Two chain lines are orthogonal once their Jucys-Murphy check
+            # below passes: each X_k is symmetric, and two tableaux of one
+            # shape differ in some content.
+            if component is None and a.label and b.label and a.label.j != b.label.j:
+                continue
             if dot(a.amps, b.amps) != 0:
                 raise ConsistencyError("sector basis vectors are not orthogonal")
         if dot(a.amps, a.amps) != a.norm_sq:
             raise ConsistencyError("sector vector norm bookkeeping is wrong")
         if a.norm_sq <= 0:
             raise ConsistencyError("sector basis holds a zero vector")
+    irrep = f"{p}{'+' if pi > 0 else '-'}"
     sign = _inversion_sign(n, lambda_parity)
+    mult = _sector_multiplicity(n, sign, p, pi)
+    dim = irrep_dimension(p)
+    jm = _jucys_murphy(n)
     eigen = [(_sector_action(n, tuple(range(1, n + 1)), 1, sign), pi)]
     if component is None:
-        actions = [_sector_action(n, _adjacent(n, i), 0, sign) for i in range(1, n)]
-        # Bessel times L, the lcm of the squared norms: every term is an integer.
-        scale = lcm(*(b.norm_sq for b in vectors))
-        weighted = [(scale // b.norm_sq, b.amps) for b in vectors]
+        contents = [_contents(chain) for chain in _standard_chains(p.parts)]
         for v in vectors:
-            for g in actions:
-                image = g.apply(v.amps)
-                if sum(w * dot(b, image) ** 2 for w, b in weighted) != scale * v.norm_sq:
-                    raise ConsistencyError("sector basis is not invariant under S_n")
+            label = v.label
+            if label is None or label.p != p or not 1 <= label.j <= dim:
+                raise ConsistencyError(
+                    f"sector basis is not invariant under S_n: a vector carries no {p} label"
+                )
+            for k, c in contents[label.j - 1]:
+                if _x(jm[k], v.amps) != [c * a for a in v.amps]:
+                    raise ConsistencyError(
+                        f"sector basis is not invariant under S_n: "
+                        f"X_{k} does not act on {label} as its content {c}"
+                    )
     else:
+        sums = _content_sums(p)
+        for v in vectors:
+            ones = squares = [0] * len(v.amps)
+            for moves in jm.values():
+                image = _x(moves, v.amps)
+                ones = list(map(add, ones, image))
+                squares = list(map(add, squares, _x(moves, image)))
+            if [ones, squares] != [[s * a for a in v.amps] for s in sums]:
+                raise ConsistencyError(f"sector vector is not in the {p} isotypic block")
         exchange = 1 if component.statistics == BOSE else -1
         start = 1
-        for count in component.counts:
-            for i in range(start, start + count - 1):
+        for size in component.counts:
+            for i in range(start, start + size - 1):
                 eigen.append((_sector_action(n, _adjacent(n, i), 0, sign), exchange))
-            start += count
+            start += size
     what = f"inversion ({pi:+d})" + (f" and {component}" if component else "")
     for v in vectors:
         for g, value in eigen:
             if g.apply(v.amps) != [value * a for a in v.amps]:
                 raise ConsistencyError(f"sector vector is not an eigenvector of {what}")
+    if component is not None:
+        expected = mult * branch_multiplicity_by_characters(p, component)
+        if len(vectors) != expected:
+            raise ConsistencyError(
+                f"sector basis has {len(vectors)} vectors, the {irrep} line of "
+                f"{component} holds {expected}"
+            )
+        _check_canonical(vectors, irrep)
+        return
+    labels = [SnippetIrrepLabel(p, pi, tau, j) for tau in range(mult) for j in range(1, dim + 1)]
+    if len(vectors) != len(labels) or set(labels) != {v.label for v in vectors}:
+        raise ConsistencyError(
+            f"sector basis is not invariant under S_n: {len(vectors)} vectors for "
+            f"multiplicity {mult} and dimension {dim} of {irrep}"
+        )
+    if [v.label for v in vectors] != labels:
+        raise ConsistencyError(f"subgroup sums give another basis for {irrep}: labels out of order")
+    for j in range(dim):
+        _check_canonical(vectors[j::dim], irrep)
 
 
 def _by_first_sector(vectors) -> list[tuple[int, ...]]:

@@ -16,8 +16,8 @@ and every candidate is read off that column by right reindexing.  The
 block is the first candidates with a nonzero Gram-Schmidt residual,
 orthogonalized by that same pass.  Full
 matrices, tuple relabelling and subgroup sums live only in the oracle
-module, with the invariance check of these bases and their rebuild by
-subgroup sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
+module, with the certificate of these bases and their rebuild by subgroup
+sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,14 @@ from .branching import BOSE, ComponentPattern, branch_multiplicity
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
 from .linalg import dot, gram_schmidt
-from .partitions import MultiplicityVector, Partition, Record, class_size
+from .partitions import (
+    MultiplicityVector,
+    Partition,
+    Record,
+    class_size,
+    irrep_dimension,
+    parity_irreps,
+)
 
 Sector = tuple[int, ...]
 
@@ -103,16 +110,31 @@ def sector_rep_characters(n: int, lambda_parity: str) -> ClassFunction:
 
 @lru_cache(maxsize=None)
 def snippet_reduction(n: int, lambda_parity: str) -> MultiplicityVector:
-    """Multiplicity of each parity-labelled irrep in one n!-fold sector space."""
-    from .characters import reduce_class_function
+    """Multiplicity of each parity-labelled irrep in one n!-fold sector space.
 
-    return reduce_class_function(sector_rep_characters(n, lambda_parity), character_table_snz2(n))
+    Only two classes carry a nonzero sector character (see
+    :func:`sector_rep_characters`), so the inner product with ``(p, pi)``
+    collapses to ``(f_p + pi * s * chi_p(w0)) / 2``: ``f_p`` the dimension,
+    ``s`` the inversion sign and ``w0`` the reversal.  No table is built.
+    """
+    sign = _inversion_sign(n, lambda_parity)
+    reversal = reversal_cycle_type(n)
+    keys = parity_irreps(n)
+    counts = []
+    for p, pi in keys:
+        count, odd = divmod(irrep_dimension(p) + pi * sign * sn_character(p, reversal), 2)
+        if odd or count < 0:
+            raise ConsistencyError(f"sector reduction of {p} is not integral")
+        counts.append(count)
+    return MultiplicityVector(keys, tuple(counts))
 
 
 class SnippetIrrepLabel(Record):
     """Position of a projected vector: the irrep ``p``, its parity ``pi``
-    (+1 or -1), the copy ``tau`` (from 0) and the chain component ``j``
-    (from 1)."""
+    (+1 or -1), the rank ``tau`` (from 0) of the vector's first sector
+    within its line, and the chain component ``j`` (from 1), the line of
+    the ``j``-th standard tableau.  The vectors sharing one ``tau`` do not
+    yet span an irreducible copy."""
 
     __slots__ = _fields = ("p", "pi", "tau", "j")
 
@@ -242,7 +264,7 @@ def snippet_projection_basis(
     order) is the joint eigenspace of the Jucys-Murphy elements X_2..X_n
     with that tableau's contents, cut out by the filter ``prod (X_k - c)``.
     The result is ``mult * dim`` mutually orthogonal primitive integer
-    vectors labelled by copy ``tau`` and component ``j``.  With
+    vectors labelled by ``tau`` (first-sector rank in the line) and ``j``.  With
     ``component`` the block is instead intersected with the pattern's
     symmetrized line, as needed for multi-component states: the isotypic
     projector's character column times the signed Young-subgroup sum.

@@ -347,6 +347,22 @@ class TestSectorBasisVerify:
         assert result.exit_code == 3
         assert "subgroup sums give another basis for [2^2]+" in result.stderr
 
+    def test_negated_six_particle_vector_exits_three(self, monkeypatch):
+        """A sign flip keeps the span invariant; the leading entry gives it away."""
+        from symtrap import snippet
+        from symtrap.snippet import SectorVector, snippet_projection_basis
+
+        def negated(*args, **kwargs):
+            (v,) = snippet_projection_basis(*args, **kwargs)
+            return [SectorVector(v.n, tuple(-a for a in v.amps), v.norm_sq, v.label)]
+
+        monkeypatch.setattr(snippet, "snippet_projection_basis", negated)
+        args = ["sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd"]
+        result = run(*args, "--verify")
+        assert result.exit_code == 3
+        assert "subgroup sums give another basis for [6]+" in result.stderr
+        assert run(*args).exit_code == 0
+
     def test_component_rank_guard_exits_three(self, monkeypatch):
         from symtrap import snippet
         from symtrap.partitions import MultiplicityVector
@@ -364,7 +380,7 @@ class TestSectorBasisVerify:
         assert "component projection of [2^2] has unexpected rank" in result.stderr
         assert not result.stdout
 
-    def test_subgroup_route_states_its_guard(self):
+    def test_six_particle_basis_is_certified(self):
         result = run("sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd", "--verify")
         assert result.exit_code == 0
-        assert "subgroup-sum rebuild skipped (guard n <= 5)" in result.stderr
+        assert not result.stderr

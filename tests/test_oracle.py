@@ -3,7 +3,7 @@ import random
 import pytest
 from math import comb, factorial
 
-from symtrap.branching import BOSE, FERMI, distinguishable_pattern, patterns_for
+from symtrap.branching import BOSE, FERMI, ComponentPattern, distinguishable_pattern, patterns_for
 from symtrap.characters import sn_character
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
@@ -13,8 +13,10 @@ from symtrap.oracle import (
     SHELL_X_LIMIT,
     SignedPerm,
     _apply,
+    _content_sums,
     _isotypic_columns,
     _sector_action,
+    _sector_multiplicity,
     explicit_isotypic_rank,
     explicit_sector_rep,
     explicit_shell_rep,
@@ -23,10 +25,12 @@ from symtrap.oracle import (
     verify_sector_homomorphism,
     verify_shell_homomorphism,
 )
+from symtrap.linalg import dot, primitive
 from symtrap.oscillator import shell_reduction
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
     SectorVector,
+    SnippetIrrepLabel,
     _cycle_type,
     _inversion_sign,
     all_sectors,
@@ -219,6 +223,56 @@ class TestProjectorRanks:
             assert rank == reduction[(p, pi)] * irrep_dimension(p)
 
 
+def _forty_two():
+    """The n = 6 ``[42]+ even`` chain basis: multiplicity 3, dimension 9."""
+    return snippet_projection_basis(6, "even", Partition((4, 2)), 1)
+
+
+def _relabel(vectors, labels):
+    return [SectorVector(v.n, v.amps, v.norm_sq, label) for v, label in zip(vectors, labels)]
+
+
+def _swapped_j(vectors):
+    """Lines j = 1 and j = 2 trade the labels of their first vectors."""
+    labels = [v.label for v in vectors]
+    labels[0], labels[1] = labels[1], labels[0]
+    return _relabel(vectors, labels)
+
+
+def _swapped_tau(vectors):
+    """Copies 0 and 1 of line j = 1 (positions 0 and 9) trade places, labels kept."""
+    out = list(vectors)
+    out[0], out[9] = _relabel([vectors[9], vectors[0]], [vectors[0].label, vectors[9].label])
+    return out
+
+
+def _rotated_line(vectors):
+    """Copies 0 and 1 of line j = 1 replaced by another orthogonal basis of their span."""
+    a, b = vectors[0].amps, vectors[9].amps
+    na, nb = vectors[0].norm_sq, vectors[9].norm_sq
+    first = primitive([nb * x + na * y for x, y in zip(a, b)])
+    second = primitive([x - y for x, y in zip(a, b)])
+    out = list(vectors)
+    for pos, amps in ((0, first), (9, second)):
+        out[pos] = SectorVector(6, amps, dot(amps, amps), vectors[pos].label)
+    return out
+
+
+def _negated(vectors):
+    v = vectors[3]
+    return [*vectors[:3], SectorVector(6, tuple(-a for a in v.amps), v.norm_sq, v.label), *vectors[4:]]
+
+
+def _other_irrep(vectors):
+    """The conjugate block ``[2^21^2]+ even`` (six copies) labelled as copies of ``[42]``."""
+    other = snippet_projection_basis(6, "even", Partition((2, 2, 1, 1)), 1)
+    p = vectors[0].label.p
+    return _relabel(other, [SnippetIrrepLabel(p, 1, v.label.tau, v.label.j) for v in other])
+
+
+CORRUPTIONS = [_swapped_j, _swapped_tau, _rotated_line, _negated, _other_irrep]
+
+
 class TestVerifySectorBasis:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_basis_passes_on_both_paths(self, n):
@@ -228,24 +282,24 @@ class TestVerifySectorBasis:
                 for pi in (1, -1):
                     for pattern in [None, *patterns]:
                         vectors = snippet_projection_basis(n, parity, p, pi, component=pattern)
-                        verify_sector_basis(n, parity, pi, vectors, pattern)
+                        verify_sector_basis(n, parity, p, pi, vectors, pattern)
 
     def test_rejects_a_vector_outside_the_block(self):
         vectors = snippet_projection_basis(3, "even", Partition((2, 1)), 1)
         stray = SectorVector(3, (1, 0, 0, 0, 0, 0), 1)
         for bad in ([stray], vectors[:1]):
             with pytest.raises(ConsistencyError, match="invariant"):
-                verify_sector_basis(3, "even", 1, bad)
+                verify_sector_basis(3, "even", Partition((2, 1)), 1, bad)
 
     def test_rejects_a_wrong_component_sign(self):
         pattern = patterns_for(4, FERMI)[2]
         vectors = snippet_projection_basis(4, "even", Partition((2, 2)), 1, component=pattern)
         assert vectors
-        verify_sector_basis(4, "even", 1, vectors, pattern)
+        verify_sector_basis(4, "even", Partition((2, 2)), 1, vectors, pattern)
         with pytest.raises(ConsistencyError, match="eigenvector"):
-            verify_sector_basis(4, "even", -1, vectors, pattern)
+            verify_sector_basis(4, "even", Partition((2, 2)), -1, vectors, pattern)
         with pytest.raises(ConsistencyError, match="eigenvector"):
-            verify_sector_basis(4, "even", 1, vectors, patterns_for(4, BOSE)[2])
+            verify_sector_basis(4, "even", Partition((2, 2)), 1, vectors, patterns_for(4, BOSE)[2])
 
     @pytest.mark.parametrize(
         "n,parts,parity",
@@ -254,31 +308,62 @@ class TestVerifySectorBasis:
     def test_rejects_a_chain_basis_of_the_wrong_parity(self, n, parts, parity):
         vectors = snippet_projection_basis(n, parity, Partition(parts), 1)
         assert vectors and vectors[0].label is not None
-        verify_sector_basis(n, parity, 1, vectors)
+        verify_sector_basis(n, parity, Partition(parts), 1, vectors)
         with pytest.raises(ConsistencyError, match=r"eigenvector of inversion \(-1\)"):
-            verify_sector_basis(n, parity, -1, vectors)
+            verify_sector_basis(n, parity, Partition(parts), -1, vectors)
 
     def test_rejects_a_zero_vector_on_both_paths(self):
         zero = SectorVector(2, (0, 0), 0)
         (bose,) = patterns_for(2, BOSE)
         for component in (None, bose):
             with pytest.raises(ConsistencyError, match="zero vector"):
-                verify_sector_basis(2, "even", 1, [zero], component)
+                verify_sector_basis(2, "even", Partition((2,)), 1, [zero], component)
 
     def test_integer_bessel_rejects_a_dropped_vector_among_unequal_norms(self):
         vectors = snippet_projection_basis(5, "even", Partition((3, 2)), 1)
         assert len({v.norm_sq for v in vectors}) > 1
-        verify_sector_basis(5, "even", 1, vectors)
+        verify_sector_basis(5, "even", Partition((3, 2)), 1, vectors)
         for k in range(len(vectors)):
             with pytest.raises(ConsistencyError, match="invariant"):
-                verify_sector_basis(5, "even", 1, vectors[:k] + vectors[k + 1 :])
+                verify_sector_basis(5, "even", Partition((3, 2)), 1, vectors[:k] + vectors[k + 1 :])
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+    def test_rejects_a_corrupted_six_particle_basis(self, corrupt):
+        vectors = _forty_two()
+        verify_sector_basis(6, "even", Partition((4, 2)), 1, vectors)
+        bad = corrupt(vectors)
+        assert bad != vectors
+        with pytest.raises(ConsistencyError):
+            verify_sector_basis(6, "even", Partition((4, 2)), 1, bad)
+
+    def test_rejects_a_component_basis_missing_a_vector(self):
+        p, pattern = Partition((4, 2)), ComponentPattern((2, 2, 1, 1), FERMI)
+        vectors = snippet_projection_basis(6, "even", p, 1, component=pattern)
+        assert len(vectors) == 3
+        verify_sector_basis(6, "even", p, 1, vectors, pattern)
+        for k in range(3):
+            with pytest.raises(ConsistencyError, match="holds 3"):
+                verify_sector_basis(6, "even", p, 1, vectors[:k] + vectors[k + 1 :], pattern)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_content_sums_separate_the_partitions(self, n):
+        sums = [_content_sums(p) for p in partitions_of(n)]
+        assert len(set(sums)) == len(sums)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_own_multiplicity_matches_the_reduction(self, n):
+        for parity in ("even", "odd"):
+            sign = _inversion_sign(n, parity)
+            reduction = snippet_reduction(n, parity)
+            for p, pi in reduction.keys:
+                assert _sector_multiplicity(n, sign, p, pi) == reduction[(p, pi)]
 
     def test_rejects_overlap_and_wrong_norm(self):
         a = SectorVector(2, (1, 1), 2)
         with pytest.raises(ConsistencyError, match="orthogonal"):
-            verify_sector_basis(2, "even", 1, [a, SectorVector(2, (1, 0), 1)])
+            verify_sector_basis(2, "even", Partition((2,)), 1, [a, SectorVector(2, (1, 0), 1)])
         with pytest.raises(ConsistencyError, match="norm"):
-            verify_sector_basis(2, "even", 1, [SectorVector(2, (1, 1), 3)])
+            verify_sector_basis(2, "even", Partition((2,)), 1, [SectorVector(2, (1, 1), 3)])
 
 
 def _all_patterns(n):
@@ -295,6 +380,7 @@ class TestSubgroupChainBasis:
                 for pi in (1, -1):
                     expected = subgroup_chain_basis(n, parity, p, pi)
                     assert snippet_projection_basis(n, parity, p, pi) == expected
+                    verify_sector_basis(n, parity, p, pi, expected)
 
     @pytest.mark.parametrize(
         "n,pattern",
@@ -307,6 +393,7 @@ class TestSubgroupChainBasis:
                 for pi in (1, -1):
                     expected = subgroup_chain_basis(n, parity, p, pi, pattern)
                     assert snippet_projection_basis(n, parity, p, pi, pattern) == expected
+                    verify_sector_basis(n, parity, p, pi, expected, pattern)
 
     def test_guard(self):
         with pytest.raises(ValueError):

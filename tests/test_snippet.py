@@ -12,7 +12,7 @@ from symtrap.branching import (
     distinguishable_pattern,
     patterns_for,
 )
-from symtrap.characters import character_table_snz2
+from symtrap.characters import character_table_snz2, reduce_class_function
 from symtrap.linalg import dot
 from symtrap.mapping import G_INF, enumerate_levels
 from symtrap.errors import ConsistencyError
@@ -117,6 +117,12 @@ class TestSnippetReduction:
         for (parts, pi), (e, o) in table.items():
             key = (Partition(parts), pi)
             assert (even[key], odd[key]) == (e, o)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_is_the_character_reduction(self, n):
+        for parity in ("even", "odd"):
+            reduced = reduce_class_function(sector_rep_characters(n, parity), character_table_snz2(n))
+            assert snippet_reduction(n, parity) == reduced
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_fills_sector_space(self, n):
@@ -287,7 +293,7 @@ class TestProjectionBasis:
         assert expected > 0
         vectors = snippet_projection_basis(6, parity, p, pi, component=pattern)
         assert len(vectors) == expected
-        verify_sector_basis(6, parity, pi, vectors, pattern)
+        verify_sector_basis(6, parity, p, pi, vectors, pattern)
 
     def test_component_rank_guard(self, monkeypatch):
         """One copy more than the sector space holds cannot be found."""
