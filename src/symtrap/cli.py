@@ -465,8 +465,9 @@ def _program_name() -> str:
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
-    """Run one command line (``sys.argv[1:]`` by default) and exit with its code:
-    0 success, 2 invalid input, 3 failed internal consistency check."""
+    """The in-process entry: run one command line (``sys.argv[1:]`` by
+    default) and exit with its code: 0 success, 2 invalid input, 3 failed
+    internal consistency check.  It leaves the garbage collector alone."""
     args = sys.argv[1:] if args is None else list(args)
     try:
         code = _dispatch(prog_name or _program_name(), args)
@@ -477,6 +478,23 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         _write(sys.stderr, "\nAborted!\n")
         code = 1
     sys.exit(code)
+
+
+def entry() -> None:
+    """The process entry (``python -m symtrap.cli`` and the ``symtrap``
+    script): :func:`main`, then ``gc.freeze()``.
+
+    The collections at interpreter shutdown then skip every object alive
+    once the answer is written, memo caches included, instead of walking
+    them all for nothing.  ``atexit`` handlers still run, and the exit
+    code is :func:`main`'s.
+    """
+    import gc
+
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 # --- help screens -------------------------------------------------------------
@@ -986,7 +1004,7 @@ def sector_basis_cmd(
     times n! sectors) is refused with exit 2; every n=6 block fits.
     """
     from .partitions import Partition, irrep_dimension
-    from .snippet import snippet_projection_basis, snippet_reduction
+    from .snippet import all_sectors, snippet_projection_basis, snippet_reduction
 
     text = irrep.strip()
     if text.endswith("+"):
@@ -1009,11 +1027,8 @@ def sector_basis_cmd(
 
         verify_sector_basis(n, lambda_parity, p, pi, vectors, pattern)
     headers = ["sector", *[f"v{i + 1}" for i in range(len(vectors))]]
-    rows = []
-    if vectors:
-        for idx, sector in enumerate(vectors[0].items()):
-            ordering = "".join(str(d) for d in sector[0])
-            rows.append([ordering, *[v.amps[idx] for v in vectors]])
+    columns = zip(*(v.amps for v in vectors))
+    rows = [["".join(map(str, q)), *amps] for q, amps in zip(all_sectors(n), columns)]
     labels = [str(v.label) if v.label else f"component line {i + 1}" for i, v in enumerate(vectors)]
     body = {
         "irrep": list(p.parts),
@@ -1040,4 +1055,4 @@ def sector_basis_cmd(
 
 
 if __name__ == "__main__":
-    main()
+    entry()

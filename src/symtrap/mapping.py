@@ -178,9 +178,11 @@ def enumerate_levels(n: int, regime: str, e_max: int):
 
 
 def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
-    """The levels carrying ``mu`` up to excitation ``e_max``, lazily: one list
-    of ``(label, multiplicity)`` per excitation, in :func:`enumerate_levels`
-    order.  With ``nu_R`` fixed, the excitation and ``lam`` fix ``nu_rho``."""
+    """The levels carrying ``mu`` up to excitation ``e_max``, lazily: for each
+    excitation ``nu_R + rest``, ``rest = 0, 1, ...``, one tuple of
+    ``(lam, multiplicity)`` pairs, ``lam`` ascending, in
+    :func:`enumerate_levels` order.  With ``nu_R`` fixed, ``rest`` and
+    ``lam`` fix the level (:func:`_level`)."""
     slot = parity_irreps(n).index((mu.p, mu.pi))
     # The nonzero ``(lam, multiplicity)`` pairs of each ``lam`` parity seen
     # so far: each ``lam`` is looked up once, when the walk first reaches it.
@@ -189,10 +191,12 @@ def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
         found = level_content(n, regime, rest).counts[slot]
         if found:
             seen[rest % 2].append((rest, found))
-        yield [
-            (HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam), mult)
-            for lam, mult in seen[rest % 2]
-        ]
+        yield tuple(seen[rest % 2])
+
+
+def _level(mu: GNLabel, rest: int, lam: int) -> HypercylindricalLabel:
+    """The level of ``mu``'s walk at excitation ``nu_R + rest`` and ``lam``."""
+    return HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam)
 
 
 def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:
@@ -204,11 +208,12 @@ def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[Spec
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    return [
-        SpectrumEntry(hyper.energy(n), hyper, mult)
-        for shell in _triple_levels(n, regime, mu, e_max)
-        for hyper, mult in shell
-    ]
+    entries = []
+    for rest, shell in enumerate(_triple_levels(n, regime, mu, e_max)):
+        for lam, mult in shell:
+            hyper = _level(mu, rest, lam)
+            entries.append(SpectrumEntry(hyper.energy(n), hyper, mult))
+    return entries
 
 
 def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -> MapResult:
@@ -230,21 +235,21 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     if not 0 <= source.tau < source_mult:
         raise ValueError(f"tau={source.tau} out of range for multiplicity {source_mult}")
 
-    shells = list(_triple_levels(n, G_ZERO, mu, source.hyper.excitation))
-    below = [level for shell in shells for level in shell]
-    position = [hyper for hyper, _ in below].index(source.hyper)
-    rank = sum(mult for _, mult in below[:position]) + source.tau
-    source_ties = len(shells[-1])
+    *below, shell = _triple_levels(n, G_ZERO, mu, source.hyper.excitation)
+    position = [lam for lam, _ in shell].index(source.hyper.lam)
+    rank = sum(mult for lower in below for _, mult in lower)
+    rank += sum(mult for _, mult in shell[:position]) + source.tau
+    source_ties = len(shell)
 
     ceiling = source.hyper.excitation + (4 * n if extra_energy is None else extra_energy)
     cumulative = 0
-    for shell in _triple_levels(n, G_INF, mu, ceiling):
-        for hyper, mult in shell:
+    for rest, shell in enumerate(_triple_levels(n, G_INF, mu, ceiling)):
+        for lam, mult in shell:
             cumulative += mult
             if cumulative > rank:
                 return MapResult(
                     source=source,
-                    target_hyper=hyper,
+                    target_hyper=_level(mu, rest, lam),
                     target_p=mu.p,
                     target_pi=mu.pi,
                     target_dimension=mult,

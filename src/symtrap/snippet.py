@@ -179,12 +179,16 @@ def _index_tables(n: int):
     sectors = [bytes(q) for q in all_sectors(n)]
     index = {q: j for j, q in enumerate(sectors)}
     identity = sectors[0]
-
-    def transposition(i: int, k: int):
-        swap = bytes.maketrans(bytes((i, k)), bytes((k, i)))
-        return itemgetter(*(index[q.translate(swap)] for q in sectors))
-
-    jm = {k: tuple(transposition(i, k) for i in range(1, k)) for k in range(2, n + 1)}
+    # Only the adjacent s = (k-1 k) are relabelled; (i k) = s (i k-1) s
+    # reads idx[j] = s[t[s[j]]] off the index tuples.
+    jm = {}
+    row: list[tuple[int, ...]] = []
+    for k in range(2, n + 1):
+        swap = bytes.maketrans(bytes((k - 1, k)), bytes((k, k - 1)))
+        s = tuple(index[q.translate(swap)] for q in sectors)
+        gather = itemgetter(*s)
+        row = [itemgetter(*gather(t))(s) for t in row] + [s]
+        jm[k] = tuple(itemgetter(*t) for t in row)
     reversal = itemgetter(*(index[q[::-1]] for q in sectors))
     inverse = itemgetter(*(index[identity.translate(bytes.maketrans(q, identity))] for q in sectors))
     return jm, reversal, inverse

@@ -384,3 +384,51 @@ class TestSectorBasisVerify:
         result = run("sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd", "--verify")
         assert result.exit_code == 0
         assert not result.stderr
+
+
+class TestProcessEntry:
+    """``entry()``, the process entry, freezes the heap once the answer is
+    written; ``main()``, the in-process entry, leaves the collector alone."""
+
+    #: Registers an exit hook that reports the collector's frozen count,
+    #: then runs the CLI as ``python -m symtrap.cli`` does.
+    PROBE = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen at exit: {gc.get_freeze_count() > 0}\\n'))\n"
+        "runpy.run_module('symtrap.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+    def probe(self, *args):
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-c", self.PROBE, *args],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+
+    def test_module_run_freezes_after_the_answer(self):
+        args = ["sector-basis", "--n", "6", "--irrep", "21^4+", "--lambda-parity", "even", "--format", "json"]
+        result = self.probe(*args)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b"frozen at exit: True\n"
+        expected = run_ok(*args).encode("utf-8")
+        assert len(expected) == 172_218
+        assert result.stdout == expected
+
+    def test_module_run_usage_error_still_exits_two(self):
+        result = self.probe("sector-basis", "--n", "6")
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"Usage: ")
+        assert result.stderr.endswith(b"\nfrozen at exit: True\n")
+        assert not result.stdout
+
+    def test_main_leaves_the_collector_alone(self):
+        import gc
+
+        before = gc.get_freeze_count()
+        run_ok("chartable", "--n", "3")
+        assert run("sector-basis", "--n", "6").exit_code == 2
+        assert gc.get_freeze_count() == before
