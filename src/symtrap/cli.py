@@ -102,16 +102,23 @@ def _warn(message: str) -> None:
     _write(sys.stderr, f"{message}\n")
 
 
+def _counts(tokens: list[str], grammar: str) -> tuple[int, ...]:
+    """``tokens`` as integers; a token that is not one names the option's ``grammar``."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(grammar) from None
+
+
 def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
     from .oscillator import HypercylindricalLabel
     from .partitions import Partition
 
+    grammar = "state must be 'nu_R,nu_rho,lambda,partition', e.g. 0,0,1,21"
     tokens = text.split(",")
     if len(tokens) < 4:
-        raise ValueError(
-            "state must be 'nu_R,nu_rho,lambda,partition', e.g. 0,0,1,21"
-        )
-    hyper = HypercylindricalLabel(int(tokens[0]), int(tokens[1]), int(tokens[2]))
+        raise ValueError(grammar)
+    hyper = HypercylindricalLabel(*_counts(tokens[:3], grammar))
     p = Partition.parse(",".join(tokens[3:]) if len(tokens) > 4 else tokens[3])
     if p.n != n:
         raise ValueError(f"partition {p} does not label an irrep of S_{n}")
@@ -121,7 +128,7 @@ def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
 def _parse_pattern(n: int, pattern: str, stats: str) -> ComponentPattern:
     from .branching import ComponentPattern
 
-    counts = tuple(int(tok) for tok in pattern.split(","))
+    counts = _counts(pattern.split(","), "pattern must be counts 'k1,k2,...', e.g. 2,2")
     built = ComponentPattern(counts, stats)
     if built.n != n:
         raise ValueError(f"pattern {built} does not describe {n} particles")
@@ -635,14 +642,18 @@ def chartable_cmd(n: int, group: str):
     return f"character table {table.group}", ["irrep", *class_names], rows, body
 
 
-def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str, title: str):
-    """One row of ``reduce(n, k)`` per ``k`` up to ``top``; ``check`` re-derives the rows."""
+def _reduction_table(n: int, top: int, verify: bool, reduce, removed, column: str, title: str):
+    """One row of ``reduce(n, k)`` per ``k`` up to ``top``; ``verify`` recounts every row."""
     from .partitions import partitions_of
 
     shapes = partitions_of(n)
     rows = [[k, *reduce(n, k).counts] for k in range(top + 1)]
     if verify:
-        check(n, rows)
+        from .oracle import cycle_index_rows
+
+        for (k, *counts), expected in zip(rows, cycle_index_rows(n, top, removed)):
+            if tuple(counts) != expected.counts:
+                raise ConsistencyError(f"cycle index disagrees at n={n}, {column.lower()}={k}")
     body = {
         "irreps": [list(p.parts) for p in shapes],
         "rows": [{column.lower(): row[0], "counts": row[1:]} for row in rows],
@@ -653,39 +664,21 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, check, column: str,
 @_command(
     "reduce-shell",
     _option("--max-energy", _non_negative, "Largest shell excitation X.", required=True),
-    _verify(
-        "Cross-check each shell against explicit permutation matrices for n <= 5 "
-        "and X <= 8 (the rest is reported as skipped); exit 3 on a mismatch."
-    ),
+    _verify("Recount every shell by characters, from the cycle index; exit 3 on a mismatch."),
 )
 def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
     """Irrep content of every oscillator shell up to X = MAX_ENERGY."""
     from .oscillator import shell_reduction
 
-    return _reduction_table(
-        n, max_energy, verify, shell_reduction, _verify_shells, "X", "shell reduction"
-    )
-
-
-def _verify_shells(n: int, rows: list[list[int]]) -> None:
-    from .oracle import SHELL_N_LIMIT, SHELL_X_LIMIT, explicit_shell_rep
-
-    if n > SHELL_N_LIMIT:
-        _warn(f"verify: skipped (guard n <= {SHELL_N_LIMIT})")
-        return
-    for x, *counts in rows[: SHELL_X_LIMIT + 1]:
-        if explicit_shell_rep(n, x)[1].counts != tuple(counts):
-            raise ConsistencyError(f"shell oracle disagrees at n={n}, x={x}")
-    if len(rows) > SHELL_X_LIMIT + 1:
-        _warn(f"verify: shells above X={SHELL_X_LIMIT} skipped (guard)")
+    return _reduction_table(n, max_energy, verify, shell_reduction, (), "X", "shell reduction")
 
 
 @_command(
     "reduce-lambda",
     _option("--max-lambda", _non_negative, "Largest grand angular momentum.", required=True),
     _verify(
-        "Recount each row by Kostka counts and shell subtraction for lambda <= 24 "
-        "(later rows are reported as skipped); exit 3 on a mismatch."
+        "Recount every row by characters, from the cycle index with the centre of "
+        "mass and the hyperradius removed; exit 3 on a mismatch."
     ),
 )
 def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool):
@@ -693,25 +686,15 @@ def reduce_lambda_cmd(n: int, max_lambda: int, verify: bool):
     from .oscillator import lambda_reduction
 
     return _reduction_table(
-        n, max_lambda, verify, lambda_reduction, _verify_lambdas, "lambda", "lambda reduction"
+        n, max_lambda, verify, lambda_reduction, (1, 2), "lambda", "lambda reduction"
     )
-
-
-def _verify_lambdas(n: int, rows: list[list[int]]) -> None:
-    from .oracle import LAMBDA_LIMIT, subtraction_lambda_reduction
-
-    for lam, *counts in rows[: LAMBDA_LIMIT + 1]:
-        if tuple(counts) != subtraction_lambda_reduction(n, lam).counts:
-            raise ConsistencyError(f"lambda oracle disagrees at n={n}, lambda={lam}")
-    if len(rows) > LAMBDA_LIMIT + 1:
-        _warn(f"verify: lambda rows above {LAMBDA_LIMIT} skipped (guard)")
 
 
 @_command(
     "reduce-snippet",
     _verify(
-        "Cross-check characters and reduction against explicit sector matrices "
-        "for n <= 6 (skipped above); exit 3 on a mismatch."
+        "Recount characters and reduction from the sectors each class fixes; "
+        "exit 3 on a mismatch."
     ),
 )
 def reduce_snippet_cmd(n: int, verify: bool):
@@ -721,7 +704,15 @@ def reduce_snippet_cmd(n: int, verify: bool):
     even = snippet_reduction(n, "even")
     odd = snippet_reduction(n, "odd")
     if verify:
-        _verify_sectors(n)
+        from .oracle import explicit_sector_rep
+        from .snippet import sector_rep_characters
+
+        for parity, printed in (("even", even), ("odd", odd)):
+            rep, oracle_reduction = explicit_sector_rep(n, parity)
+            if rep.traces != sector_rep_characters(n, parity).values:
+                raise ConsistencyError(f"sector characters disagree for n={n}, {parity}")
+            if oracle_reduction.counts != printed.counts:
+                raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
     rows = [
         [_irrep_text(p, pi), even[(p, pi)], odd[(p, pi)]]
         for (p, pi) in even.keys
@@ -733,21 +724,6 @@ def reduce_snippet_cmd(n: int, verify: bool):
         ],
     }
     return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, body
-
-
-def _verify_sectors(n: int) -> None:
-    from .oracle import SECTOR_N_LIMIT, explicit_sector_rep
-    from .snippet import sector_rep_characters, snippet_reduction
-
-    if n > SECTOR_N_LIMIT:
-        _warn(f"verify: skipped (guard n <= {SECTOR_N_LIMIT})")
-        return
-    for parity in ("even", "odd"):
-        rep, oracle_reduction = explicit_sector_rep(n, parity)
-        if rep.traces != sector_rep_characters(n, parity).values:
-            raise ConsistencyError(f"sector characters disagree for n={n}, {parity}")
-        if oracle_reduction.counts != snippet_reduction(n, parity).counts:
-            raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
 
 
 def _all_patterns(n: int) -> list[ComponentPattern]:

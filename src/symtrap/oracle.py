@@ -1,19 +1,19 @@
 """Brute-force routes, used only for cross-checking.
 
 These builders materialize the actual (signed) permutation matrices that
-the production code deliberately avoids, take traces, and decompose them
-with the character tables; the shell and hyperangular reductions are also
-recounted combinatorially, by Kostka counts over excitation multisets and a
-subtraction recursion over shells, and the subgroup branching by a
-character inner product over the Young subgroup.  A sector basis is
-certified by ``verify_sector_basis`` from the Jucys-Murphy elements, sums
-of the oracle's transposition actions, and the order of first sectors, in
+the production code deliberately avoids, count their fixed points, and
+decompose the traces with the character tables.  Shell and hyperangular
+contents are recounted from Polya's cycle index (``cycle_index_rows``) and
+by Kostka counts with a subtraction over shells; subgroup branching by a
+character inner product over the Young subgroup.  ``verify_sector_basis``
+certifies a sector basis from the Jucys-Murphy elements, sums of the
+oracle's transposition actions, and the order of first sectors, in
 O(N n^2 n!) for N vectors; ``subgroup_chain_basis`` rebuilds it by
 subgroup character sums over whole groups, as the tests' reference.  The
-oracle builds its own actions, by relabelling sectors, and shares no
-action code with ``snippet``.  Its whole-group sums are guarded by hard
-limits; it runs from the test suite and behind the CLI ``--verify`` flag,
-never in production.
+oracle builds its own actions, by relabelling sectors, and shares no action
+code with ``snippet``.  Only its explicit shell matrices and whole-group
+sums are guarded; it runs from the tests and behind the CLI ``--verify``
+flag, never in production.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product as iter_product, repeat
 from math import factorial, gcd, prod
-from operator import add, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 
 # ``perfbench/traced_cli.py`` imports ``symtrap.cli`` and this module, then
 # wraps the functions of every layer it finds in ``sys.modules``, mapping
@@ -62,12 +62,8 @@ from .snippet import (
 
 SHELL_N_LIMIT = 5
 SHELL_X_LIMIT = 8
-SECTOR_N_LIMIT = 6
 #: Largest particle number whose sector bases are rebuilt by subgroup sums.
 CHAIN_N_LIMIT = 5
-#: Largest grand angular momentum recounted by the Kostka route, which
-#: enumerates every partition of every shell up to it (p(24) = 1575).
-LAMBDA_LIMIT = 24
 
 
 def _apply(c: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,6 +153,29 @@ def subtraction_lambda_reduction(n: int, lam: int) -> MultiplicityVector:
     return result
 
 
+def cycle_index_rows(n: int, top: int, removed: tuple[int, ...] = ()) -> list[MultiplicityVector]:
+    """Shells 0..``top`` by characters: a permutation of cycle type c fixes
+    ``[q^k] prod_(l in c) 1/(1 - q^l)`` degree-k monomials (Polya's cycle
+    index).  Each ``(1 - q^i)``, i in ``removed``, takes out an S_n-invariant
+    ladder; ``(1, 2)``, centre of mass and hyperradius, leaves the
+    hyperangular character.  Shares nothing with ``oscillator``'s series."""
+    table = character_table_sn(n)
+    columns = []
+    for c in table.classes:
+        coeffs = [1] + [0] * top
+        for i in removed:
+            for k in range(top, i - 1, -1):
+                coeffs[k] -= coeffs[k - i]
+        for length in c.parts:
+            for k in range(length, top + 1):
+                coeffs[k] += coeffs[k - length]
+        columns.append(coeffs)
+    return [
+        reduce_class_function(ClassFunction(table.group, table.classes, values), table)
+        for values in zip(*columns)
+    ]
+
+
 def branch_multiplicity_by_characters(p: Partition, pattern: ComponentPattern) -> int:
     """``branching.branch_multiplicity`` through the subgroup character inner product."""
     if p.n != pattern.n:
@@ -243,37 +262,41 @@ def _adjacent(n: int, i: int) -> tuple[int, ...]:
     return tuple(image)
 
 
+def _relabelled(n: int, c: tuple[int, ...], inverted: int):
+    """``c`` relabelling each sector (reversed first when ``inverted``), as codes."""
+    codes, reversed_codes, _ = _sector_codes(n)
+    table = bytes((0, *c, *range(n + 1, 256)))
+    return map(bytes.translate, reversed_codes if inverted else codes, repeat(table))
+
+
 @lru_cache(maxsize=None)
 def _sector_action(n: int, c: tuple[int, ...], inverted: int, sign: int) -> SignedPerm:
-    """Sector ``q`` goes to ``c`` relabelling ``q`` (reversed first when
-    ``inverted``); the relabelling is one byte translation per sector."""
-    codes, reversed_codes, index = _sector_codes(n)
-    table = bytes((0, *c, *range(n + 1, 256)))
-    images = tuple([index[q.translate(table)] for q in (reversed_codes if inverted else codes)])
+    """Sector ``q`` goes to ``c`` relabelling ``q`` (reversed first when ``inverted``)."""
+    index = _sector_codes(n)[2]
+    images = tuple(map(index.__getitem__, _relabelled(n, c, inverted)))
     return SignedPerm(images, (sign if inverted else 1,) * len(images))
 
 
-def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, MultiplicityVector]:
-    """Matrices of the sector representation for one seed parity.
+@lru_cache(maxsize=None)
+def _fixed_sectors(n: int, c: tuple[int, ...], inverted: int) -> int:
+    """The sectors ``_sector_action`` fixes: its trace, up to the inversion sign."""
+    return sum(map(eq, _relabelled(n, c, inverted), _sector_codes(n)[0]))
 
-    Every matrix is a signed permutation; the traces must equal the
-    combinatorial sector characters and the decomposition the production
-    snippet reduction.
-    """
-    if not 2 <= n <= SECTOR_N_LIMIT:
-        raise ValueError(f"sector oracle guard: 2 <= n <= {SECTOR_N_LIMIT}")
+
+def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, MultiplicityVector]:
+    """Signed-permutation matrices of the sector representation for one seed
+    parity.  The traces count the sectors each class fixes; they must equal
+    the sector characters, and their reduction the production one."""
     table = character_table_snz2(n)
     sign = _inversion_sign(n, lambda_parity)
     traces = tuple(
-        _sector_action(n, _class_representative(c), inverted, sign).trace()
+        (sign if inverted else 1) * _fixed_sectors(n, _class_representative(c), inverted)
         for c, inverted in table.classes
     )
     generators = tuple(
         (f"s{i}", _sector_action(n, _adjacent(n, i), 0, sign)) for i in range(1, n)
     ) + (("inversion", _sector_action(n, tuple(range(1, n + 1)), 1, sign)),)
-    rep = ExplicitRep(
-        table.group, factorial(n), all_sectors(n), generators, table.classes, traces
-    )
+    rep = ExplicitRep(table.group, factorial(n), all_sectors(n), generators, table.classes, traces)
     return rep, reduce_class_function(ClassFunction(rep.group, rep.classes, rep.traces), table)
 
 
@@ -395,7 +418,7 @@ def _sector_multiplicity(n: int, sign: int, p: Partition, pi: int) -> int:
     character vanishes elsewhere except at the identity, so it is
     ``(n! f_p + pi |R| chi_p(w0) t) / (2 n!)`` for the reversal class R."""
     reversal = _cycle_type(tuple(range(n, 0, -1)))
-    t = _sector_action(n, _class_representative(reversal), 1, sign).trace()
+    t = sign * _fixed_sectors(n, _class_representative(reversal), 1)
     total = factorial(n) * irrep_dimension(p)
     total += pi * class_size(reversal) * sn_character(p, reversal) * t
     mult, rem = divmod(total, 2 * factorial(n))

@@ -142,10 +142,19 @@ class TestBehaviour:
     def test_verify_paths(self, args):
         run_ok(*args)
 
-    def test_verify_respects_guards(self):
-        result = run("reduce-snippet", "--n", "7", "--verify")
-        assert result.exit_code == 0
-        assert "skipped" in result.stderr
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reduce-shell", "--n", "8", "--max-energy", "60"],
+            ["reduce-lambda", "--n", "8", "--max-lambda", "60"],
+            ["reduce-snippet", "--n", "8"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_verify_checks_every_row(self, args):
+        result = run(*args, "--verify")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == run(*args).stdout
 
 
 class TestExitCodes:
@@ -160,10 +169,21 @@ class TestExitCodes:
             ["sector-basis", "--n", "4", "--irrep", "2^2", "--lambda-parity", "even"],
             ["degeneracy-table", "--n", "4", "--by", "shell"],
             ["no-such-command"],
+            ["map", "--n", "3", "--state", "0,0,x,21"],
+            ["branch", "--n", "3", "--pattern", "2,x"],
+            ["branch", "--n", "3", "--pattern", "2,,1"],
         ],
     )
     def test_invalid_input_exits_two(self, args):
-        assert run(*args).exit_code == 2
+        result = run(*args)
+        assert result.exit_code == 2
+        # A malformed state or pattern is answered with its option's grammar.
+        grammar = {
+            "--state": "error: state must be 'nu_R,nu_rho,lambda,partition', e.g. 0,0,1,21\n",
+            "--pattern": "error: pattern must be counts 'k1,k2,...', e.g. 2,2\n",
+        }
+        if args[-1] in ("nonsense", "0,0,x,21", "2,x", "2,,1"):
+            assert result.stderr == grammar[args[-2]]
 
     @pytest.mark.parametrize(
         "args",
@@ -267,16 +287,37 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "consistency" in result.stderr
 
-    def test_lambda_verify_states_its_guard(self):
-        from symtrap.oracle import LAMBDA_LIMIT
+    @pytest.mark.parametrize(
+        "layer,name,wrong_at,args",
+        [
+            ("oscillator", "lambda_reduction", (8, 50), ["reduce-lambda", "--n", "8", "--max-lambda", "60"]),
+            ("oscillator", "shell_reduction", (7, 3), ["reduce-shell", "--n", "7", "--max-energy", "4"]),
+            ("snippet", "snippet_reduction", (8, "odd"), ["reduce-snippet", "--n", "8"]),
+        ],
+        ids=["lambda-50", "shell-n7", "snippet-n8"],
+    )
+    def test_mismatch_past_any_former_guard_exits_three(self, monkeypatch, layer, name, wrong_at, args):
+        """Rows at lambda > 24, shells at n > 5 and sectors at n > 6 are checked too."""
+        import importlib
 
-        def verify_to(top):
-            return run("reduce-lambda", "--n", "3", "--max-lambda", str(top), "--verify")
+        import symtrap.oracle  # noqa: F401  every layer loaded, so no importer binds the fake
+        from symtrap.partitions import MultiplicityVector
 
-        result = verify_to(LAMBDA_LIMIT + 1)
-        assert result.exit_code == 0
-        assert f"above {LAMBDA_LIMIT} skipped" in result.stderr
-        assert not verify_to(LAMBDA_LIMIT).stderr
+        module = importlib.import_module(f"symtrap.{layer}")
+        right = getattr(module, name)
+
+        def wrong_once(*key):
+            reduction = right(*key)
+            if key != wrong_at:
+                return reduction
+            return MultiplicityVector(reduction.keys, (reduction.counts[0] + 1, *reduction.counts[1:]))
+
+        monkeypatch.setattr(module, name, wrong_once)
+        assert run(*args).exit_code == 0
+        result = run(*args, "--verify")
+        assert result.exit_code == 3
+        assert not result.stdout
+        assert result.stderr.startswith("consistency failure: ")
 
 
 #: Parameter names of every command, in order, as first released; the

@@ -8,11 +8,11 @@ from symtrap.characters import sn_character
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
     CHAIN_N_LIMIT,
-    SECTOR_N_LIMIT,
     SHELL_N_LIMIT,
     SHELL_X_LIMIT,
     SignedPerm,
     _apply,
+    _class_representative,
     _content_sums,
     _isotypic_columns,
     _sector_action,
@@ -119,13 +119,20 @@ class TestShellOracle:
 
 
 class TestSectorOracle:
-    @pytest.mark.parametrize("n", range(2, SECTOR_N_LIMIT + 1))
+    @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_traces_and_decomposition(self, n, parity):
         rep, reduction = explicit_sector_rep(n, parity)
         assert rep.dimension == factorial(n)
         assert rep.traces == sector_rep_characters(n, parity).values
         assert reduction.counts == snippet_reduction(n, parity).counts
+        if n <= 5:
+            # The fixed-sector counts are the traces of the matrices.
+            sign = _inversion_sign(n, parity)
+            assert rep.traces == tuple(
+                _sector_action(n, _class_representative(c), inverted, sign).trace()
+                for c, inverted in rep.classes
+            )
 
     def test_two_sector_case(self):
         _, even = explicit_sector_rep(2, "even")
@@ -156,9 +163,10 @@ class TestSectorOracle:
         for name in ("s1", "s2", "s3"):
             assert inv @ actions[name] == actions[name] @ inv
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            explicit_sector_rep(7, "even")
+    def test_eight_particles(self):
+        rep, reduction = explicit_sector_rep(8, "odd")
+        assert rep.traces == sector_rep_characters(8, "odd").values
+        assert reduction.counts == snippet_reduction(8, "odd").counts
 
 
 def _scatter(m, vec):

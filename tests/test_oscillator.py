@@ -242,21 +242,27 @@ class TestEnumerateLevels:
 
 
 class TestSeriesRoute:
-    """The fake-degree series against the Kostka-and-subtraction oracle."""
+    """The fake-degree series against the cycle-index and Kostka-and-subtraction oracles."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shells_match_kostka_route(self, n):
-        from symtrap.oracle import kostka_shell_reduction
+        from symtrap.oracle import cycle_index_rows, kostka_shell_reduction
 
+        by_characters = cycle_index_rows(n, 60)
+        for x in range(61):
+            assert shell_reduction(n, x) == by_characters[x]
         for x in range(21):
-            assert shell_reduction(n, x) == kostka_shell_reduction(n, x)
+            assert by_characters[x] == kostka_shell_reduction(n, x)
 
     @pytest.mark.parametrize("n,top", [(3, 24), (4, 24), (5, 24), (6, 24), (7, 24), (8, 20)])
     def test_lambdas_match_subtraction_route(self, n, top):
-        from symtrap.oracle import subtraction_lambda_reduction
+        from symtrap.oracle import cycle_index_rows, subtraction_lambda_reduction
 
+        by_characters = cycle_index_rows(n, 60, (1, 2))
+        for lam in range(61):
+            assert lambda_reduction(n, lam) == by_characters[lam]
         for lam in range(top + 1):
-            assert lambda_reduction(n, lam) == subtraction_lambda_reduction(n, lam)
+            assert by_characters[lam] == subtraction_lambda_reduction(n, lam)
 
     def test_eight_particles_to_lambda_sixty(self):
         for lam in range(61):
