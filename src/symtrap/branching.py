@@ -7,6 +7,10 @@ subgroup, and the number of such lines inside an S_n irrep is a Kostka
 count.  Each pattern's counts over all irreps form one memoized row,
 which every degeneracy and ground-state search reads; the slower subgroup
 character inner product lives in ``oracle`` as the cross-check.
+
+A pattern's line is named by its tag, one partition label per component
+joined by ``x``: a row ``[k]`` for bosons, a column ``[1^k]`` for fermions.
+``ComponentPattern.subgroup_tag`` prints it and ``from_tag`` reads it back.
 """
 
 from __future__ import annotations
@@ -62,15 +66,31 @@ class ComponentPattern(Record):
 
     def subgroup_tag(self) -> str:
         """The one-dimensional subgroup irrep this pattern selects, e.g. ``[1^2]x[1^2]``."""
-        blocks = []
-        for c in self.counts:
-            if c == 1:
-                blocks.append("[1]")
-            elif self.statistics == BOSE:
-                blocks.append(f"[{c}]")
-            else:
-                blocks.append(f"[1^{c}]")
-        return "x".join(blocks)
+        rows = self.statistics == BOSE
+        return "x".join(Partition((c,) if rows else (1,) * c).label() for c in self.counts)
+
+    @classmethod
+    def from_tag(cls, text: str, n: int) -> "ComponentPattern":
+        """Inverse of :meth:`subgroup_tag`: blocks by ``Partition.parse``, a row bosonic and a
+        column fermionic, padded with singlets to ``n``; all singlets give the Bose pattern."""
+        counts, kinds = [], set()
+        for block in text.split("x"):
+            try:
+                shape = Partition.parse(block)
+            except ValueError:
+                shape = None
+            if shape is None or 1 not in (len(shape), shape.parts[0]):
+                raise ValueError(f"cannot parse component tag {text!r}")
+            counts.append(shape.n)
+            if shape.n > 1:
+                kinds.add(BOSE if len(shape) == 1 else FERMI)
+            if len(kinds) > 1:
+                raise ValueError(f"component tag {text!r} mixes symmetric and antisymmetric blocks")
+        if sum(counts) > n:
+            raise ValueError(f"component tag {text!r} involves more than {n} particles")
+        if not kinds:
+            return distinguishable_pattern(n)
+        return cls((*counts, *(1,) * (n - sum(counts))), kinds.pop())
 
     def __str__(self) -> str:
         return self.label()
@@ -154,3 +174,8 @@ def patterns_for(n: int, statistics: str) -> tuple[ComponentPattern, ...]:
 
 def distinguishable_pattern(n: int) -> ComponentPattern:
     return ComponentPattern((1,) * n, BOSE)
+
+
+def all_patterns(n: int) -> tuple[ComponentPattern, ...]:
+    """Every pattern of ``n`` particles in table order: Bose, Fermi, distinguishable."""
+    return (*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n))

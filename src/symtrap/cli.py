@@ -40,11 +40,6 @@ def _energy_cell(n: int, x: int) -> str:
     return f"{2 * x + n}/2"
 
 
-def _irrep_text(p: Partition, pi: int | None = None) -> str:
-    suffix = "" if pi is None else ("+" if pi > 0 else "-")
-    return f"{p.label()}{suffix}"
-
-
 def _render_text(headers: list[str], rows: list[list], title: str | None = None) -> str:
     table = [headers] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
@@ -133,36 +128,6 @@ def _parse_pattern(n: int, pattern: str, stats: str) -> ComponentPattern:
     if built.n != n:
         raise ValueError(f"pattern {built} does not describe {n} particles")
     return built
-
-
-def _parse_component_tag(n: int, text: str) -> ComponentPattern:
-    """Parse a subgroup irrep tag such as ``1^2x1^2`` or ``2x2``.
-
-    Symmetric blocks ``[k]`` mean bosonic exchange, antisymmetric blocks
-    ``[1^k]`` fermionic; missing particles are padded with singlets.
-    """
-    from .branching import BOSE, FERMI, ComponentPattern
-
-    counts: list[int] = []
-    statistics = None
-    for block in text.replace("[", "").replace("]", "").split("x"):
-        base, caret, exp = block.strip().partition("^")
-        size = exp if caret else base
-        if not size.isdigit() or (caret and base != "1"):
-            raise ValueError(f"cannot parse component tag {text!r}")
-        counts.append(int(size))
-        if int(size) > 1:
-            statistics = _merge_stats(statistics, FERMI if caret else BOSE, text)
-    counts.extend([1] * (n - sum(counts)))
-    if sum(counts) != n:
-        raise ValueError(f"component tag {text!r} involves more than {n} particles")
-    return ComponentPattern(tuple(counts), statistics or FERMI)
-
-
-def _merge_stats(current: str | None, new: str, text: str) -> str:
-    if current is not None and current != new:
-        raise ValueError(f"component tag {text!r} mixes symmetric and antisymmetric blocks")
-    return new
 
 
 # --- the command line ---------------------------------------------------------
@@ -627,7 +592,7 @@ def chartable_cmd(n: int, group: str):
 
         table = character_table_snz2(n)
         class_names = [("i" if inv else "") + c.label() for c, inv in table.classes]
-        irrep_names = [_irrep_text(p, pi) for p, pi in table.irreps]
+        irrep_names = [p.label(pi) for p, pi in table.irreps]
         extra_rows = [
             [f"{parity} lambda", *sector_rep_characters(n, parity).values]
             for parity in ("even", "odd")
@@ -704,19 +669,17 @@ def reduce_snippet_cmd(n: int, verify: bool):
     even = snippet_reduction(n, "even")
     odd = snippet_reduction(n, "odd")
     if verify:
-        from .oracle import explicit_sector_rep
+        from .characters import character_table_snz2, reduce_class_function
+        from .oracle import sector_traces
         from .snippet import sector_rep_characters
 
         for parity, printed in (("even", even), ("odd", odd)):
-            rep, oracle_reduction = explicit_sector_rep(n, parity)
-            if rep.traces != sector_rep_characters(n, parity).values:
+            traces = sector_traces(n, parity)
+            if traces != sector_rep_characters(n, parity):
                 raise ConsistencyError(f"sector characters disagree for n={n}, {parity}")
-            if oracle_reduction.counts != printed.counts:
+            if reduce_class_function(traces, character_table_snz2(n)).counts != printed.counts:
                 raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
-    rows = [
-        [_irrep_text(p, pi), even[(p, pi)], odd[(p, pi)]]
-        for (p, pi) in even.keys
-    ]
+    rows = [[p.label(pi), even[(p, pi)], odd[(p, pi)]] for (p, pi) in even.keys]
     body = {
         "rows": [
             {"irrep": list(p.parts), "pi": pi, "even": even[(p, pi)], "odd": odd[(p, pi)]}
@@ -724,12 +687,6 @@ def reduce_snippet_cmd(n: int, verify: bool):
         ],
     }
     return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, body
-
-
-def _all_patterns(n: int) -> list[ComponentPattern]:
-    from .branching import BOSE, FERMI, distinguishable_pattern, patterns_for
-
-    return [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
 
 
 def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
@@ -752,11 +709,11 @@ def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
 )
 def branch_cmd(n: int, pattern: str | None, stats: str):
     """Multiplicity of each symmetrized component line inside every irrep."""
-    from .branching import branch_row
+    from .branching import all_patterns, branch_row
     from .partitions import partitions_of
 
     shapes = partitions_of(n)
-    selected = [_parse_pattern(n, pattern, stats)] if pattern else _all_patterns(n)
+    selected = [_parse_pattern(n, pattern, stats)] if pattern else all_patterns(n)
     return _pattern_table(
         f"subgroup branching n={n}",
         selected,
@@ -779,20 +736,22 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
 )
 def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
-    from .branching import component_degeneracy, cumulative_shell_degeneracy
+    from .branching import all_patterns, component_degeneracy, cumulative_shell_degeneracy
 
-    if by == "lambda":
-        if max_lambda is None:
-            raise ValueError("--max-lambda is required with --by lambda")
-        top, count, column_head = max_lambda, component_degeneracy, "lambda"
-    else:
-        if max_energy is None:
-            raise ValueError("--max-energy is required with --by shell")
-        top, count, column_head = max_energy, cumulative_shell_degeneracy, "X"
+    axes = {
+        "lambda": ("--max-lambda", max_lambda, component_degeneracy, "lambda"),
+        "shell": ("--max-energy", max_energy, cumulative_shell_degeneracy, "X"),
+    }
+    flag, top, count, column_head = axes[by]
+    if top is None:
+        raise ValueError(f"{flag} is required with --by {by}")
+    for axis, (other, value, *_) in axes.items():
+        if axis != by and value is not None:
+            raise ValueError(f"{other} applies to --by {axis}")
     columns = list(range(top + 1))
     return _pattern_table(
         f"component degeneracies n={n} by {by}",
-        _all_patterns(n),
+        all_patterns(n),
         [f"{column_head}={col}" for col in columns],
         lambda pat: [count(n, col, pat) for col in columns],
         {"by": by, "columns": columns},
@@ -876,9 +835,9 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
 
     hyper, p = _parse_state(n, state)
     if component:
-        from .branching import branch_multiplicity
+        from .branching import ComponentPattern, branch_multiplicity
 
-        if not branch_multiplicity(p, _parse_component_tag(n, component)):
+        if not branch_multiplicity(p, ComponentPattern.from_tag(component, n)):
             raise ValueError(f"irrep {p} holds no {component} component line")
     source = StateLabel(hyper, p, tau=tau, component=component, regime=G_ZERO)
     result = adiabatic_map(n, source, extra_energy=ceiling)
@@ -887,7 +846,7 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
     note = " convention-ordered" if result.convention_ordered else ""
     line = (
         f"{target.nu_r},{target.nu_rho},{target.lam} "
-        f"{_irrep_text(result.target_p, result.target_pi)} "
+        f"{result.target_p.label(result.target_pi)} "
         f"dim={result.target_dimension} {status}{note}"
     )
     rows = [
@@ -979,22 +938,16 @@ def sector_basis_cmd(
     A block of more than 100,000 amplitudes (multiplicity times dimension
     times n! sectors) is refused with exit 2; every n=6 block fits.
     """
-    from .partitions import Partition, irrep_dimension
+    from .branching import ComponentPattern
+    from .partitions import irrep_dimension, parse_parity_irrep
     from .snippet import all_sectors, snippet_projection_basis, snippet_reduction
 
-    text = irrep.strip()
-    if text.endswith("+"):
-        pi = 1
-    elif text.endswith("-"):
-        pi = -1
-    else:
-        raise ValueError("irrep needs a parity suffix, e.g. '2^2+' or '21^2-'")
-    p = Partition.parse(text[:-1])
-    pattern = _parse_component_tag(n, component) if component else None
+    p, pi = parse_parity_irrep(irrep)
+    pattern = ComponentPattern.from_tag(component, n) if component else None
     size = snippet_reduction(n, lambda_parity).get((p, pi)) * irrep_dimension(p) * factorial(n)
     if size > AMPLITUDE_LIMIT:
         raise ValueError(
-            f"the {_irrep_text(p, pi)} block at n={n} has {size} amplitudes, "
+            f"the {p.label(pi)} block at n={n} has {size} amplitudes, "
             f"over the limit of {AMPLITUDE_LIMIT}"
         )
     vectors = snippet_projection_basis(n, lambda_parity, p, pi, component=pattern)
@@ -1021,7 +974,7 @@ def sector_basis_cmd(
         ],
         "rows": rows,
     }
-    title = f"sector basis {_irrep_text(p, pi)} ({lambda_parity} lambda)"
+    title = f"sector basis {p.label(pi)} ({lambda_parity} lambda)"
     if labels:
         title += "\n" + "\n".join(
             f"  v{i + 1}: {label}  norm^2 = {vectors[i].norm_sq}"

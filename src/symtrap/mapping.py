@@ -100,11 +100,10 @@ class StateLabel(Record):
         return self.hyper.energy(self.n)
 
     def __str__(self) -> str:
-        sign = "" if self.pi is None else ("+" if self.pi > 0 else "-")
         tag = f"; {self.component}" if self.component else ""
         return (
             f"|{self.hyper.nu_r},{self.hyper.nu_rho},{self.hyper.lam};"
-            f" [{self.p.compact()}]{sign}, tau={self.tau}{tag}>"
+            f" {self.p.label(self.pi)}, tau={self.tau}{tag}>"
         )
 
 

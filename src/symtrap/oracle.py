@@ -283,21 +283,29 @@ def _fixed_sectors(n: int, c: tuple[int, ...], inverted: int) -> int:
     return sum(map(eq, _relabelled(n, c, inverted), _sector_codes(n)[0]))
 
 
-def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, MultiplicityVector]:
-    """Signed-permutation matrices of the sector representation for one seed
-    parity.  The traces count the sectors each class fixes; they must equal
-    the sector characters, and their reduction the production one."""
+def sector_traces(n: int, lambda_parity: str) -> ClassFunction:
+    """The sector character for one seed parity, counted: the sectors each
+    class fixes, signed on the inverted classes; no matrix is built."""
     table = character_table_snz2(n)
     sign = _inversion_sign(n, lambda_parity)
     traces = tuple(
         (sign if inverted else 1) * _fixed_sectors(n, _class_representative(c), inverted)
         for c, inverted in table.classes
     )
+    return ClassFunction(table.group, table.classes, traces)
+
+
+def explicit_sector_rep(n: int, lambda_parity: str) -> tuple[ExplicitRep, MultiplicityVector]:
+    """Signed-permutation matrices of the sector representation for one seed
+    parity, with the :func:`sector_traces` and their reduction."""
+    traces = sector_traces(n, lambda_parity)
+    sign = _inversion_sign(n, lambda_parity)
     generators = tuple(
         (f"s{i}", _sector_action(n, _adjacent(n, i), 0, sign)) for i in range(1, n)
     ) + (("inversion", _sector_action(n, tuple(range(1, n + 1)), 1, sign)),)
-    rep = ExplicitRep(table.group, factorial(n), all_sectors(n), generators, table.classes, traces)
-    return rep, reduce_class_function(ClassFunction(rep.group, rep.classes, rep.traces), table)
+    group, classes = traces.group, traces.classes
+    rep = ExplicitRep(group, factorial(n), all_sectors(n), generators, classes, traces.values)
+    return rep, reduce_class_function(traces, character_table_snz2(n))
 
 
 def _isotypic_columns(n: int, lambda_parity: str, p: Partition, pi: int):
@@ -494,7 +502,7 @@ def verify_sector_basis(
             raise ConsistencyError("sector vector norm bookkeeping is wrong")
         if a.norm_sq <= 0:
             raise ConsistencyError("sector basis holds a zero vector")
-    irrep = f"{p}{'+' if pi > 0 else '-'}"
+    irrep = p.label(pi)
     sign = _inversion_sign(n, lambda_parity)
     mult = _sector_multiplicity(n, sign, p, pi)
     dim = irrep_dimension(p)

@@ -6,6 +6,10 @@ cycle type).  Partitions are enumerated in reverse-lexicographic order,
 ``[n]`` first and ``[1^n]`` last, so emitted tables line up without a
 permutation step.
 
+``Partition.label`` prints ``[21^2]`` and ``Partition.parse`` reads it back;
+an irrep of S_n x Z2 adds a parity suffix, ``label(pi)`` printing ``[21^2]+``
+or ``[21^2]-`` and :func:`parse_parity_irrep` reading it.
+
 Everything is exact integer arithmetic on immutable values; the
 functions are pure and safe to call concurrently.
 """
@@ -137,8 +141,10 @@ class Partition(Record):
             return text + "," if len(self.parts) == 1 else text
         return "".join(str(value) if count == 1 else f"{value}^{count}" for value, count in counts)
 
-    def label(self) -> str:
-        return f"[{self.compact()}]"
+    def label(self, pi: int | None = None) -> str:
+        """``[21^2]``, or the S_n x Z2 irrep ``[21^2]+`` / ``[21^2]-`` at parity ``pi``."""
+        suffix = "" if pi is None else "+" if pi > 0 else "-"
+        return f"[{self.compact()}]{suffix}"
 
     def __str__(self) -> str:
         return self.label()
@@ -169,6 +175,15 @@ class Partition(Record):
         if pos != len(body) or not parts:
             raise ValueError(f"cannot parse partition from {text!r}")
         return cls(tuple(sorted(parts, reverse=True)))
+
+
+def parse_parity_irrep(text: str) -> tuple[Partition, int]:
+    """Parse ``[21^2]+`` or ``21^2-`` into ``(p, pi)``, the inverse of ``p.label(pi)``."""
+    text = text.strip()
+    pi = {"+": 1, "-": -1}.get(text[-1:])
+    if pi is None:
+        raise ValueError("irrep needs a parity suffix, e.g. '2^2+' or '21^2-'")
+    return Partition.parse(text[:-1]), pi
 
 
 #: A partition of n read as cycle lengths of a conjugacy class of S_n.

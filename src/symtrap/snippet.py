@@ -139,8 +139,7 @@ class SnippetIrrepLabel(Record):
     __slots__ = _fields = ("p", "pi", "tau", "j")
 
     def __str__(self) -> str:
-        sign = "+" if self.pi > 0 else "-"
-        return f"[{self.p.compact()}]{sign} tau={self.tau} j={self.j}"
+        return f"{self.p.label(self.pi)} tau={self.tau} j={self.j}"
 
 
 class SectorVector(Record):

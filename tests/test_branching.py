@@ -5,6 +5,7 @@ from symtrap.branching import (
     BOSE,
     FERMI,
     ComponentPattern,
+    all_patterns,
     branch_multiplicity,
     component_degeneracy,
     cumulative_shell_degeneracy,
@@ -45,6 +46,9 @@ class TestComponentPattern:
         assert ComponentPattern((2, 2), FERMI).subgroup_tag() == "[1^2]x[1^2]"
         assert ComponentPattern((3, 1), FERMI).subgroup_tag() == "[1^3]x[1]"
         assert ComponentPattern((2, 2), BOSE).subgroup_tag() == "[2]x[2]"
+        for n in range(2, 9):
+            for pat in all_patterns(n):
+                assert ComponentPattern.from_tag(pat.subgroup_tag(), n) == pat
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,17 @@ class TestBehaviour:
         assert (result.exit_code, result.stderr) == (0, "")
         assert result.stdout == run(*args).stdout
 
+    def test_snippet_verify_builds_no_matrix(self, monkeypatch):
+        """The recount reads fixed-sector counts; no signed permutation is built."""
+        import symtrap.oracle as oracle
+
+        def refuse(*args):
+            raise AssertionError("reduce-snippet --verify built a sector matrix")
+
+        monkeypatch.setattr(oracle, "_sector_action", refuse)
+        result = run("reduce-snippet", "--n", "5", "--verify")
+        assert (result.exit_code, result.stderr) == (0, "")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -172,6 +183,8 @@ class TestExitCodes:
             ["map", "--n", "3", "--state", "0,0,x,21"],
             ["branch", "--n", "3", "--pattern", "2,x"],
             ["branch", "--n", "3", "--pattern", "2,,1"],
+            ["degeneracy-table", "--n", "4", "--by", "lambda", "--max-lambda", "4", "--max-energy", "9"],
+            ["degeneracy-table", "--n", "4", "--by", "shell", "--max-energy", "9", "--max-lambda", "4"],
         ],
     )
     def test_invalid_input_exits_two(self, args):
@@ -184,6 +197,10 @@ class TestExitCodes:
         }
         if args[-1] in ("nonsense", "0,0,x,21", "2,x", "2,,1"):
             assert result.stderr == grammar[args[-2]]
+        # Given both ranges, degeneracy-table names the axis of the other one.
+        stray = {"lambda": "--max-energy applies to --by shell", "shell": "--max-lambda applies to --by lambda"}
+        if {"--max-lambda", "--max-energy"} <= set(args):
+            assert result.stderr == f"error: {stray[args[4]]}\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -207,8 +224,11 @@ class TestExitCodes:
         [
             ("1^3", "irrep [3] holds no 1^3 component line"),
             ("zzz", "cannot parse component tag 'zzz'"),
+            ("2^2", "cannot parse component tag '2^2'"),
+            ("21", "cannot parse component tag '21'"),
+            ("1^2x2", "component tag '1^2x2' mixes symmetric and antisymmetric blocks"),
         ],
-        ids=["absent-line", "unparsable"],
+        ids=["absent-line", "unparsable", "square-block", "two-row-block", "mixed-statistics"],
     )
     def test_map_component_must_be_a_line_of_the_source(self, tag, reason):
         result = run("map", "--n", "3", "--state", "0,0,3,3", "--component", tag, "--format", "json")

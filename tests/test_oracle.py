@@ -3,7 +3,7 @@ import random
 import pytest
 from math import comb, factorial
 
-from symtrap.branching import BOSE, FERMI, ComponentPattern, distinguishable_pattern, patterns_for
+from symtrap.branching import BOSE, FERMI, ComponentPattern, all_patterns, patterns_for
 from symtrap.characters import sn_character
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
@@ -284,11 +284,10 @@ CORRUPTIONS = [_swapped_j, _swapped_tau, _rotated_line, _negated, _other_irrep]
 class TestVerifySectorBasis:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_basis_passes_on_both_paths(self, n):
-        patterns = [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
         for parity in ("even", "odd"):
             for p in partitions_of(n):
                 for pi in (1, -1):
-                    for pattern in [None, *patterns]:
+                    for pattern in [None, *all_patterns(n)]:
                         vectors = snippet_projection_basis(n, parity, p, pi, component=pattern)
                         verify_sector_basis(n, parity, p, pi, vectors, pattern)
 
@@ -374,10 +373,6 @@ class TestVerifySectorBasis:
             verify_sector_basis(2, "even", Partition((2,)), 1, [SectorVector(2, (1, 1), 3)])
 
 
-def _all_patterns(n):
-    return [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
-
-
 class TestSubgroupChainBasis:
     """The Jucys-Murphy route against subgroup sums over explicit matrices."""
 
@@ -392,7 +387,7 @@ class TestSubgroupChainBasis:
 
     @pytest.mark.parametrize(
         "n,pattern",
-        [(n, pattern) for n in range(2, CHAIN_N_LIMIT + 1) for pattern in _all_patterns(n)],
+        [(n, pattern) for n in range(2, CHAIN_N_LIMIT + 1) for pattern in all_patterns(n)],
         ids=str,
     )
     def test_component_path_matches(self, n, pattern):

@@ -8,6 +8,8 @@ from symtrap.partitions import (
     class_sign,
     class_size,
     irrep_dimension,
+    parity_irreps,
+    parse_parity_irrep,
     partitions_into_max_parts,
     partitions_of,
 )
@@ -108,11 +110,20 @@ class TestPartitionBasics:
             for p in partitions_of(n):
                 assert Partition.parse(p.compact()) == p
                 assert Partition.parse(p.label()) == p
+        for n in range(2, 9):
+            for p, pi in parity_irreps(n):
+                label = p.label(pi)
+                assert label == p.label() + ("+" if pi > 0 else "-")
+                assert parse_parity_irrep(label) == (p, pi)
+                assert parse_parity_irrep(label.strip("[]+-") + label[-1]) == (p, pi)
 
     def test_parse_garbage(self):
         for text in ["", "x", "2^", "[]", ",", "1^0", "2^21^"]:
             with pytest.raises(ValueError):
                 Partition.parse(text)
+        for text in ["21", "", "+", "21*"]:
+            with pytest.raises(ValueError):
+                parse_parity_irrep(text)
 
 
 class TestConjugation:

@@ -8,8 +8,8 @@ from symtrap.branching import (
     BOSE,
     FERMI,
     ComponentPattern,
+    all_patterns,
     branch_multiplicity,
-    distinguishable_pattern,
     patterns_for,
 )
 from symtrap.characters import character_table_snz2, reduce_class_function
@@ -350,11 +350,10 @@ class TestBlockOrder:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_small_block(self, blocks, n):
-        patterns = [*patterns_for(n, BOSE), *patterns_for(n, FERMI), distinguishable_pattern(n)]
         for parity in ("even", "odd"):
             for p in partitions_of(n):
                 for pi in (1, -1):
-                    for pattern in [None, *patterns]:
+                    for pattern in [None, *all_patterns(n)]:
                         snippet_projection_basis(n, parity, p, pi, component=pattern)
         assert blocks
         for producers, firsts in blocks:
