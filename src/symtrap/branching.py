@@ -13,14 +13,11 @@ joined by ``x``: a row ``[k]`` for bosons, a column ``[1^k]`` for fermions.
 ``ComponentPattern.subgroup_tag`` prints it and ``from_tag`` reads it back.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import prod
 
 from .characters import kostka
 from .errors import ConsistencyError
-from .oscillator import lambda_reduction, shell_reduction
 from .partitions import MultiplicityVector, Partition, Record, partitions_of
 
 BOSE = "bose"
@@ -125,12 +122,16 @@ def _degeneracy(n: int, reduce, k: int, pattern: ComponentPattern) -> int:
 
 def component_degeneracy(n: int, lam: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in one hyperangular subspace."""
-    return _degeneracy(n, lambda_reduction, lam, pattern)
+    from . import oscillator
+
+    return _degeneracy(n, oscillator.lambda_reduction, lam, pattern)
 
 
 def cumulative_shell_degeneracy(n: int, x: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in the whole shell ``x``."""
-    return _degeneracy(n, shell_reduction, x, pattern)
+    from . import oscillator
+
+    return _degeneracy(n, oscillator.shell_reduction, x, pattern)
 
 
 def _hook_content_count(shape: tuple[int, ...], k: int) -> int:

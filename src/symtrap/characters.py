@@ -6,8 +6,6 @@ validated against the orthogonality relations, cached, and never mutated
 afterwards; concurrent readers need no locking.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial
 from operator import mul

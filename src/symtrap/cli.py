@@ -6,20 +6,12 @@ aligned tables, ``--format csv`` machine-readable integer cells, and
 0 success, 2 invalid input, 3 failed internal consistency check.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from math import factorial
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .errors import ConsistencyError, SearchExhaustedError
-
-if TYPE_CHECKING:
-    from .branching import ComponentPattern
-    from .oscillator import HypercylindricalLabel
-    from .partitions import Partition
 
 SCHEMA = "symtrap/1"
 
@@ -57,21 +49,58 @@ def _render_text(headers: list[str], rows: list[list], title: str | None = None)
 
 
 def _render_csv(headers: list[str], rows: list[list]) -> str:
-    import csv
     import io
 
+    # ``csv.writer`` is ``_csv.writer``; its default dialect is excel's.
+    from _csv import writer
+
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    out = writer(buf, lineterminator="\n")
+    out.writerow(headers)
+    out.writerows(rows)
     return buf.getvalue()
 
 
-def _render_json(obj: dict) -> str:
-    import json
+#: json's string escapes: quote, backslash, the short forms, ``\u00XX`` below U+0020.
+_JSON_ESCAPES = {
+    **{code: f"\\u{code:04x}" for code in range(32)},
+    **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')},
+}
 
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+def _json_value(obj, pad: str) -> str:
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
+    inner = pad + "  "
+    if isinstance(obj, list):
+        items = [int.__repr__(v) if type(v) is int else _json_value(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        items = [f"{_json_value(k, inner)}: {_json_value(v, inner)}" for k, v in obj.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    if not items:
+        return brackets
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
+
+
+def _render_json(obj: dict) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte,
+    for dicts with str keys, lists, str, int, bool and None; any other
+    value raises ``TypeError``.  Written here so that no call imports
+    ``json`` or runs its pure-Python indent encoder.
+    ``tests/test_cli.py::TestJsonWriter`` checks it against ``json.dumps``
+    on generated values, and ``TestJsonContract::test_schema_and_round_trip``
+    on every command's output."""
+    return _json_value(obj, "") + "\n"
 
 
 def _emit(fmt: str, output: str | None, title: str, headers, rows, json_obj) -> None:
@@ -105,7 +134,7 @@ def _counts(tokens: list[str], grammar: str) -> tuple[int, ...]:
         raise ValueError(grammar) from None
 
 
-def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
+def _parse_state(n: int, text: str) -> "tuple[HypercylindricalLabel, Partition]":
     from .oscillator import HypercylindricalLabel
     from .partitions import Partition
 
@@ -120,7 +149,7 @@ def _parse_state(n: int, text: str) -> tuple[HypercylindricalLabel, Partition]:
     return hyper, p
 
 
-def _parse_pattern(n: int, pattern: str, stats: str) -> ComponentPattern:
+def _parse_pattern(n: int, pattern: str, stats: str) -> "ComponentPattern":
     from .branching import ComponentPattern
 
     counts = _counts(pattern.split(","), "pattern must be counts 'k1,k2,...', e.g. 2,2")
@@ -192,19 +221,21 @@ _METAVARS = {
 }
 
 
-class _Option(NamedTuple):
-    """``flag`` stores ``convert(text)`` as ``dest``; ``convert`` is None for a flag.
+class _Option:
+    """``flag`` stores ``convert(text)`` as ``dest`` (``flag`` without its
+    dashes by default); ``convert`` is None for a flag.
 
     A converter raises ``ValueError`` with the message a usage error shows.
     Help shows the ``default`` of every option that takes a value.
     """
 
-    flag: str
-    dest: str
-    convert: Callable[[str], object] | None
-    required: bool
-    default: object
-    help: str
+    __slots__ = ("flag", "dest", "convert", "required", "default", "help")
+
+    def __init__(self, flag: str, convert, help: str, *, dest: str | None = None,
+                 required: bool = False, default=None) -> None:
+        self.flag, self.convert, self.help = flag, convert, help
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.required, self.default = required, default
 
     def help_row(self) -> tuple[str, str]:
         term = self.flag
@@ -222,24 +253,22 @@ class _Option(NamedTuple):
         return term, f"{self.help}  [{'; '.join(extras)}]" if extras else self.help
 
 
-def _option(flag: str, convert, help: str, *, dest: str | None = None, required: bool = False,
-            default=None) -> _Option:
-    dest = dest or flag[2:].replace("-", "_")
-    return _Option(flag, dest, convert, required, default, help)
+class _Command:
+    """A command's ``options`` and ``fn(n, **options)``, which returns
+    ``(title, headers, rows, body)``."""
 
+    __slots__ = ("options", "fn")
 
-class _Command(NamedTuple):
-    options: tuple[_Option, ...]
-    #: ``fn(n, **options)`` returns ``(title, headers, rows, body)``.
-    fn: Callable
+    def __init__(self, options: tuple[_Option, ...], fn) -> None:
+        self.options, self.fn = options, fn
 
 
 #: Every command by name, in the order registered.
 COMMANDS: dict[str, _Command] = {}
 
-_N_OPTION = _option("--n", _particle_number, "Number of particles.", required=True)
-_OUTPUT_OPTION = _option("--output", _writable_path, "Write to a file.")
-_FORMAT_OPTION = _option(
+_N_OPTION = _Option("--n", _particle_number, "Number of particles.", required=True)
+_OUTPUT_OPTION = _Option("--output", _writable_path, "Write to a file.")
+_FORMAT_OPTION = _Option(
     "--format",
     _Choice(("text", "csv", "json")),
     "Output format.",
@@ -562,16 +591,16 @@ def _top_level_help(prog_name: str) -> str:
 
 
 def _verify(text: str) -> _Option:
-    return _option("--verify", None, text, default=False)
+    return _Option("--verify", None, text, default=False)
 
 
 _STATS = dict(convert=_Choice(("bose", "fermi")), default="fermi")
-_STATE = _option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", required=True)
+_STATE = _Option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", required=True)
 
 
 @_command(
     "chartable",
-    _option(
+    _Option(
         "--group",
         _Choice(("sn", "snz2")),
         "Plain permutation group or its parity double.",
@@ -628,7 +657,7 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, removed, column: st
 
 @_command(
     "reduce-shell",
-    _option("--max-energy", _non_negative, "Largest shell excitation X.", required=True),
+    _Option("--max-energy", _non_negative, "Largest shell excitation X.", required=True),
     _verify("Recount every shell by characters, from the cycle index; exit 3 on a mismatch."),
 )
 def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
@@ -640,7 +669,7 @@ def reduce_shell_cmd(n: int, max_energy: int, verify: bool):
 
 @_command(
     "reduce-lambda",
-    _option("--max-lambda", _non_negative, "Largest grand angular momentum.", required=True),
+    _Option("--max-lambda", _non_negative, "Largest grand angular momentum.", required=True),
     _verify(
         "Recount every row by characters, from the cycle index with the centre of "
         "mass and the hyperradius removed; exit 3 on a mismatch."
@@ -704,8 +733,8 @@ def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
 
 @_command(
     "branch",
-    _option("--pattern", str, "Component pattern, e.g. 2,2 (all patterns when omitted)."),
-    _option("--stats", help="Exchange statistics for --pattern.", **_STATS),
+    _Option("--pattern", str, "Component pattern, e.g. 2,2 (all patterns when omitted)."),
+    _Option("--stats", help="Exchange statistics for --pattern.", **_STATS),
 )
 def branch_cmd(n: int, pattern: str | None, stats: str):
     """Multiplicity of each symmetrized component line inside every irrep."""
@@ -725,14 +754,14 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
 
 @_command(
     "degeneracy-table",
-    _option(
+    _Option(
         "--by",
         _Choice(("lambda", "shell")),
         "Count states per hyperangular subspace or per whole shell.",
         default="lambda",
     ),
-    _option("--max-lambda", _non_negative, "Largest lambda column (--by lambda)."),
-    _option("--max-energy", _non_negative, "Largest shell column X (--by shell)."),
+    _Option("--max-lambda", _non_negative, "Largest lambda column (--by lambda)."),
+    _Option("--max-energy", _non_negative, "Largest shell column X (--by shell)."),
 )
 def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
@@ -760,7 +789,7 @@ def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: in
 
 @_command(
     "spin-decompose",
-    _option("--k", _integer, "Number of spin components.", required=True),
+    _Option("--k", _integer, "Number of spin components.", required=True),
 )
 def spin_decompose_cmd(n: int, k: int):
     """Permutation content of the k-component spin space."""
@@ -781,11 +810,11 @@ def spin_decompose_cmd(n: int, k: int):
 @_command(
     "spectrum",
     _STATE,
-    _option("--max-energy", _non_negative, "Largest excitation listed.", required=True),
+    _Option("--max-energy", _non_negative, "Largest excitation listed.", required=True),
 )
 def spectrum_cmd(n: int, state: str, max_energy: int):
     """Both exact-limit spectra of the symmetry class containing STATE."""
-    from .mapping import G_INF, G_ZERO, GNLabel, level_content, spectrum_by_irrep
+    from .mapping import G_INF, G_ZERO, GNLabel, level_content, spectrum_levels
 
     hyper, p = _parse_state(n, state)
     mu = GNLabel(hyper.nu_r, hyper.parity, p)
@@ -798,16 +827,15 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
     rows = []
     json_rows = []
     for regime, tag in ((G_ZERO, "g=0"), (G_INF, "g=inf")):
-        for entry in spectrum_by_irrep(n, regime, mu, max_energy):
-            level = entry.hyper
+        for level, multiplicity in spectrum_levels(n, regime, mu, max_energy):
             energy = _energy_cell(n, level.excitation)
-            rows.append([tag, energy, str(level), entry.multiplicity])
+            rows.append([tag, energy, str(level), multiplicity])
             json_rows.append(
                 {
                     "regime": tag,
                     "energy": energy,
                     "level": [level.nu_r, level.nu_rho, level.lam],
-                    "multiplicity": entry.multiplicity,
+                    "multiplicity": multiplicity,
                 }
             )
     body = {
@@ -820,9 +848,9 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
 @_command(
     "map",
     _STATE,
-    _option("--tau", _integer, "Copy index at the source level.", default=0),
-    _option("--component", str, "Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
-    _option(
+    _Option("--tau", _integer, "Copy index at the source level.", default=0),
+    _Option("--component", str, "Subgroup irrep tag echoed in the output, e.g. 1^2x1^2."),
+    _Option(
         "--ceiling",
         _non_negative,
         "Extra excitation searched above the source (default 4n); "
@@ -876,9 +904,9 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
 
 @_command(
     "ground-state",
-    _option("--pattern", str, "Component pattern, e.g. 2,2.", required=True),
-    _option("--stats", help="Exchange statistics.", **_STATS),
-    _option(
+    _Option("--pattern", str, "Component pattern, e.g. 2,2.", required=True),
+    _Option("--stats", help="Exchange statistics.", **_STATS),
+    _Option(
         "--regime",
         _Choice(("g0", "ginf")),
         "Exact limit to search, up to 4n quanta; exit 2 when no level "
@@ -916,14 +944,14 @@ def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
 
 @_command(
     "sector-basis",
-    _option("--irrep", str, "Parity-labelled irrep, e.g. '2^2+'.", required=True),
-    _option(
+    _Option("--irrep", str, "Parity-labelled irrep, e.g. '2^2+'.", required=True),
+    _Option(
         "--lambda-parity",
         _Choice(("even", "odd")),
         "Hyperangular parity of the seed level.",
         required=True,
     ),
-    _option("--component", str, "Project further onto a subgroup line, e.g. 1^2x1^2."),
+    _Option("--component", str, "Project further onto a subgroup line, e.g. 1^2x1^2."),
     _verify(
         "Certify the basis: orthogonality, norms, parity, multiplicity, the "
         "Jucys-Murphy eigenvalues of every label (with --component, the central "
@@ -938,12 +966,15 @@ def sector_basis_cmd(
     A block of more than 100,000 amplitudes (multiplicity times dimension
     times n! sectors) is refused with exit 2; every n=6 block fits.
     """
-    from .branching import ComponentPattern
     from .partitions import irrep_dimension, parse_parity_irrep
     from .snippet import all_sectors, snippet_projection_basis, snippet_reduction
 
     p, pi = parse_parity_irrep(irrep)
-    pattern = ComponentPattern.from_tag(component, n) if component else None
+    pattern = None
+    if component:
+        from .branching import ComponentPattern
+
+        pattern = ComponentPattern.from_tag(component, n)
     size = snippet_reduction(n, lambda_parity).get((p, pi)) * irrep_dimension(p) * factorial(n)
     if size > AMPLITUDE_LIMIT:
         raise ValueError(

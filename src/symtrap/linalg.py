@@ -11,8 +11,6 @@ orthogonal bases are returned as primitive integer vectors and callers
 track squared norms separately.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 from math import gcd
 from operator import floordiv, mul

@@ -15,8 +15,6 @@ parity-labelled irrep content at one grand angular momentum, and
 one triple's levels in that order from the lazy walk :func:`_triple_levels`.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .branching import ComponentPattern, branch_row
@@ -198,21 +196,31 @@ def _level(mu: GNLabel, rest: int, lam: int) -> HypercylindricalLabel:
     return HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam)
 
 
+def spectrum_levels(
+    n: int, regime: str, mu: GNLabel, e_max: int
+) -> list[tuple[HypercylindricalLabel, int]]:
+    """``(level, multiplicity)`` of every level carrying the triple ``mu``
+    with excitation at most ``e_max``, in :func:`spectrum_by_irrep` order."""
+    _check_regime(regime)
+    if mu.p.n != n:
+        raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
+    return [
+        (_level(mu, rest, lam), mult)
+        for rest, shell in enumerate(_triple_levels(n, regime, mu, e_max))
+        for lam, mult in shell
+    ]
+
+
 def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:
     """All levels carrying the triple ``mu`` with excitation at most ``e_max``.
 
     Entries are ordered by energy; equal energies are ordered ``lam``
     ascending then ``nu_rho`` ascending.
     """
-    _check_regime(regime)
-    if mu.p.n != n:
-        raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    entries = []
-    for rest, shell in enumerate(_triple_levels(n, regime, mu, e_max)):
-        for lam, mult in shell:
-            hyper = _level(mu, rest, lam)
-            entries.append(SpectrumEntry(hyper.energy(n), hyper, mult))
-    return entries
+    return [
+        SpectrumEntry(hyper.energy(n), hyper, mult)
+        for hyper, mult in spectrum_levels(n, regime, mu, e_max)
+    ]
 
 
 def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -> MapResult:

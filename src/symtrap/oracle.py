@@ -16,8 +16,6 @@ sums are guarded; it runs from the tests and behind the CLI ``--verify``
 flag, never in production.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import permutations, product as iter_product, repeat
 from math import factorial, gcd, prod

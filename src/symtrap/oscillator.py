@@ -9,8 +9,6 @@ brute-force route, Kostka counts over excitation multisets followed by a
 subtraction recursion over shells, lives in ``oracle`` as a cross-check.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb, factorial
 from operator import ge, gt, le, lt

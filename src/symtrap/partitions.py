@@ -14,9 +14,6 @@ Everything is exact integer arithmetic on immutable values; the
 functions are pure and safe to call concurrently.
 """
 
-from __future__ import annotations
-
-import re
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
@@ -164,14 +161,16 @@ class Partition(Record):
             if not tokens[-1]:
                 tokens.pop()
             return cls(tuple(int(tok) for tok in tokens))
+        # A digit, then optionally ``^`` and a digit, repeated; a digit is
+        # any Unicode decimal digit (``str.isdecimal``), which ``int`` reads.
         parts: list[int] = []
         pos = 0
-        for match in re.finditer(r"(\d)(?:\^(\d))?", body):
-            if match.start() != pos:
-                raise ValueError(f"cannot parse partition from {text!r}")
-            pos = match.end()
-            value, exp = int(match.group(1)), int(match.group(2) or 1)
-            parts.extend([value] * exp)
+        while pos < len(body) and body[pos].isdecimal():
+            exp, step = 1, 1
+            if body[pos + 1 : pos + 2] == "^" and body[pos + 2 : pos + 3].isdecimal():
+                exp, step = int(body[pos + 2]), 3
+            parts.extend([int(body[pos])] * exp)
+            pos += step
         if pos != len(body) or not parts:
             raise ValueError(f"cannot parse partition from {text!r}")
         return cls(tuple(sorted(parts, reverse=True)))

@@ -20,14 +20,11 @@ module, with the certificate of these bases and their rebuild by subgroup
 sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import add, itemgetter, sub
 
-from .branching import BOSE, ComponentPattern, branch_multiplicity
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
 from .linalg import dot, gram_schmidt
@@ -257,7 +254,7 @@ def snippet_projection_basis(
     lambda_parity: str,
     p: Partition,
     pi: int,
-    component: ComponentPattern | None = None,
+    component: "ComponentPattern | None" = None,
 ) -> list[SectorVector]:
     """Orthogonal exact basis of the ``(p, pi)`` isotypic sector subspace.
 
@@ -291,6 +288,8 @@ def snippet_projection_basis(
     jm = _index_tables(n)[0]
     sign = pi * _inversion_sign(n, lambda_parity)
     if component is not None:
+        from .branching import branch_multiplicity
+
         expected = mult * branch_multiplicity(p, component)
         if expected == 0:
             return []
@@ -321,13 +320,15 @@ def _act(v, factors):
     return v
 
 
-def _young_factors(pattern: ComponentPattern, jm):
+def _young_factors(pattern: "ComponentPattern", jm):
     """Factors of the pattern's Young-subgroup sum, signed for fermions.
 
     A block on ``start..end`` sums to ``prod_k (1 + s * sum_{start<=i<k} (i k))``
     over ``start < k <= end`` (coset factorization), with ``s = -1`` for
     fermions so that every element carries its sign.
     """
+    from .branching import BOSE
+
     s = 1 if pattern.statistics == BOSE else -1
     factors = []
     start = 1

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 from cli_runner import run
+from hypothesis import given, settings, strategies as st
 
-from symtrap.cli import COMMANDS
+from symtrap.cli import COMMANDS, _render_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +75,53 @@ class TestJsonContract:
         output = run_ok("reduce-lambda", "--n", "4", "--max-lambda", "13", "--format", "json")
         rows = json.loads(output)["rows"]
         assert rows[9] == {"lambda": 9, "counts": [1, 3, 1, 2, 1]}
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+#: Characters json escapes or must leave alone, mixed into generated text.
+AWKWARD = "\x00\x07\x1f\x7f\"\\/\b\f\n\r\t ħω\u2028\u2029é"
+json_text = st.text(st.sampled_from(AWKWARD) | st.characters(), max_size=12)
+json_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | json_text
+)
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_text, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``_render_json`` against ``json.dumps(v, indent=2, ensure_ascii=False)``."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(json_value)
+    def test_matches_the_standard_library(self, value):
+        assert _render_json(value) == dumps(value)
+
+    def test_every_escape_and_edge(self):
+        value = {
+            "text": ["".join(map(chr, range(128))), AWKWARD, ""],
+            "ints": [0, -1, 2**64, -(2**100), True, False, None],
+            "empty": [[], {}, [[]], [{}], {"": {}}, {"k": []}],
+            "ħω\u2028\"\\": {"nested": {"deeper": [1, [2, [3]]]}},
+        }
+        assert _render_json(value) == dumps(value)
+        assert _render_json([]) == "[]\n"
+        assert _render_json(None) == "null\n"
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, {"k": {3}}, [b"x"]])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            _render_json(value)
 
 
 class TestBehaviour:

@@ -108,17 +108,58 @@ def traced_child(*args):
 def test_fresh_process_matches_runner(args):
     """A fresh interpreter imports each layer itself, so a missing import fails here.
 
-    The records import no class machinery, and only exact energies need
-    ``fractions``: the ``--verify`` cross-checks stay in integers.
+    The records import no class machinery, and no command makes an exact
+    ``Fraction`` energy: ``spectrum`` prints its energies from integers,
+    and the ``--verify`` cross-checks stay in integers.
     """
     expected = run(*args)
     assert expected.exit_code == 0, expected.output
     result, imported = traced_child(*args)
     assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, expected.stderr)
     assert "click" not in imported
-    assert not {"dataclasses", "inspect"} & imported
-    if args[0] not in ("spectrum", "map"):
-        assert "fractions" not in imported
+    assert not {"dataclasses", "inspect", "fractions"} & imported
+
+
+#: Standard-library modules no call needs: annotations are builtins or
+#: strings, labels are scanned by hand, and the CLI and ``_csv`` write JSON and CSV.
+UNUSED = {"typing", "re", "enum", "json", "csv", "fractions", "decimal", "__future__"}
+
+
+def clean_imports(*args) -> set[str]:
+    """The modules ``python -S -m symtrap.cli ARGS`` imports after ``runpy``.
+
+    ``-S`` skips ``site`` and its ``.pth`` files, which may import modules
+    such as ``typing`` at start-up, so every module listed is one that
+    symtrap's own code asked for.
+    """
+    result = child("-S", "-X", "importtime", "-m", "symtrap.cli", *args)
+    assert result.returncode == 0, result.stderr
+    report = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    names = [line.rsplit("|", 1)[-1].strip() for line in report[1:]]
+    return set(names[names.index("runpy") + 1 :])
+
+
+def layers(*args) -> set[str]:
+    return {name[len("symtrap.") :] for name in clean_imports(*args) if name.startswith("symtrap.")}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("args", COMMAND_CALLS, ids=[call[0] for call in COMMAND_CALLS])
+def test_clean_interpreter_imports_nothing_unused(args, fmt):
+    assert not clean_imports(*args, "--format", fmt) & UNUSED
+
+
+def test_chain_sector_basis_loads_only_its_layers():
+    args = ["sector-basis", "--n", "4", "--irrep", "21^2+", "--lambda-parity", "odd"]
+    assert layers(*args) == {"errors", "partitions", "characters", "linalg", "snippet"}
+
+
+def test_parity_table_loads_no_free_limit_layer():
+    assert not layers("chartable", "--n", "4", "--group", "snz2") & {"oscillator", "branching"}
+
+
+def test_branch_loads_no_oscillator():
+    assert "oscillator" not in layers("branch", "--n", "4")
 
 
 def test_free_limit_reduction_loads_no_character_tables():

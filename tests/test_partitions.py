@@ -117,6 +117,49 @@ class TestPartitionBasics:
                 assert parse_parity_irrep(label) == (p, pi)
                 assert parse_parity_irrep(label.strip("[]+-") + label[-1]) == (p, pi)
 
+    def test_parse_matches_the_regular_expression_grammar(self):
+        """The hand scan accepts exactly the old ``re`` grammar, with the same
+        errors: every label and comma form for n <= 12, and edge cases."""
+
+        def reference(text):
+            import re
+
+            body = text.strip().strip("[]")
+            if not body:
+                raise ValueError(f"cannot parse partition from {text!r}")
+            if "," in body:
+                tokens = body.split(",")
+                if not tokens[-1]:
+                    tokens.pop()
+                return Partition(tuple(int(tok) for tok in tokens))
+            parts = []
+            pos = 0
+            for match in re.finditer(r"(\d)(?:\^(\d))?", body):
+                if match.start() != pos:
+                    raise ValueError(f"cannot parse partition from {text!r}")
+                pos = match.end()
+                value, exp = int(match.group(1)), int(match.group(2) or 1)
+                parts.extend([value] * exp)
+            if pos != len(body) or not parts:
+                raise ValueError(f"cannot parse partition from {text!r}")
+            return Partition(tuple(sorted(parts, reverse=True)))
+
+        def outcome(parse, text):
+            try:
+                return parse(text).parts
+            except ValueError as exc:
+                return str(exc)
+
+        texts = ["", "2^", "^2", "1^0", "0", "21a", "3^21", "\u0663", "\u0663^\u0662", "\u00b2",
+                 "2^\u00b2", "21^0", "2^^1", " [2^2] ", "[[21]]", "2,1,", "2^2,1"]
+        for n in range(1, 13):
+            for p in partitions_of(n):
+                digits = "".join(map(str, p.parts))
+                commas = ",".join(map(str, p.parts))
+                texts += [p.compact(), p.label(), digits, commas, commas + ",", f"[{commas}]"]
+        for text in texts:
+            assert outcome(Partition.parse, text) == outcome(reference, text), text
+
     def test_parse_garbage(self):
         for text in ["", "x", "2^", "[]", ",", "1^0", "2^21^"]:
             with pytest.raises(ValueError):
