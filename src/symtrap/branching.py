@@ -4,9 +4,11 @@ A component pattern records how many particles sit in each distinguishable
 spin component.  Physical states must carry the fully symmetric (bosons)
 or fully antisymmetric (fermions) line of the corresponding Young
 subgroup, and the number of such lines inside an S_n irrep is a Kostka
-count.  Each pattern's counts over all irreps form one memoized row,
-which every degeneracy and ground-state search reads; the slower subgroup
-character inner product lives in ``oracle`` as the cross-check.
+count.  Each pattern's counts over all irreps form one memoized row, read
+off one Pieri sweep that adds a horizontal strip per component (Macdonald,
+I.5).  Every degeneracy and ground-state search reads that row; the tests
+check it against ``characters.kostka``, and the slower subgroup character
+inner product lives in ``oracle`` as the cross-check.
 
 A pattern's line is named by its tag, one partition label per component
 joined by ``x``: a row ``[k]`` for bosons, a column ``[1^k]`` for fermions.
@@ -15,8 +17,8 @@ joined by ``x``: a row ``[k]`` for bosons, a column ``[1^k]`` for fermions.
 
 from functools import lru_cache
 from math import prod
+from operator import mul
 
-from .characters import kostka
 from .errors import ConsistencyError
 from .partitions import MultiplicityVector, Partition, Record, partitions_of
 
@@ -93,6 +95,27 @@ class ComponentPattern(Record):
         return self.label()
 
 
+@lru_cache(maxsize=None)
+def _pieri_sweep(counts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Kostka number at weight ``counts`` of every shape, keyed by its parts: each
+    count adds every horizontal strip of its size to every shape (row ``i > 0``
+    grows by at most ``row[i-1] - row[i]``) and the ways to each shape are summed."""
+    row = {(): 1}
+    for size in counts:
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, ways in row.items():
+            rows, heads = (*shape, 0), [((), size)]
+            for i, r in enumerate(rows):
+                cap = rows[i - 1] - r if i else size
+                heads = [(h + (r + k,), rest - k) for h, rest in heads for k in range(min(rest, cap) + 1)]
+            for h, rest in heads:
+                if not rest:
+                    key = h if h[-1] else h[:-1]
+                    grown[key] = grown.get(key, 0) + ways
+        row = grown
+    return row
+
+
 def branch_multiplicity(p: Partition, pattern: ComponentPattern) -> int:
     """Copies of the pattern's symmetrized line in the restriction of ``p``.
 
@@ -104,34 +127,45 @@ def branch_multiplicity(p: Partition, pattern: ComponentPattern) -> int:
     if p.n != pattern.n:
         raise ValueError(f"irrep of {p.n} cannot host a pattern of {pattern.n} particles")
     shape = p if pattern.statistics == BOSE else p.conjugate()
-    return kostka(shape, pattern.content())
+    return _pieri_sweep(pattern.counts).get(shape.parts, 0)
 
 
 @lru_cache(maxsize=None)
 def branch_row(pattern: ComponentPattern) -> tuple[int, ...]:
-    """:func:`branch_multiplicity` of every irrep of S_n, in ``partitions_of`` order."""
-    return tuple(branch_multiplicity(p, pattern) for p in partitions_of(pattern.n))
-
-
-def _degeneracy(n: int, reduce, k: int, pattern: ComponentPattern) -> int:
-    """The S_n content ``reduce(n, k)`` dotted with the pattern's branching row."""
-    if pattern.n != n:
-        raise ValueError(f"pattern {pattern} does not describe {n} particles")
-    return sum(c * b for c, b in zip(reduce(n, k).counts, branch_row(pattern)))
+    """:func:`branch_multiplicity` of every irrep of S_n, in ``partitions_of`` order:
+    the pattern's Pieri sweep read at ``p`` for bosons and at the conjugate of
+    ``p`` for fermions; the tests check it against ``characters.kostka``."""
+    sweep = _pieri_sweep(pattern.counts)
+    shapes = partitions_of(pattern.n)
+    if pattern.statistics == FERMI:
+        shapes = (p.conjugate() for p in shapes)
+    return tuple(sweep.get(shape.parts, 0) for shape in shapes)
 
 
 def component_degeneracy(n: int, lam: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in one hyperangular subspace."""
-    from . import oscillator
-
-    return _degeneracy(n, oscillator.lambda_reduction, lam, pattern)
+    return degeneracy_rows(n, "lambda", [lam], [pattern])[0][0]
 
 
 def cumulative_shell_degeneracy(n: int, x: int, pattern: ComponentPattern) -> int:
     """States obeying the pattern's symmetrization in the whole shell ``x``."""
+    return degeneracy_rows(n, "shell", [x], [pattern])[0][0]
+
+
+def degeneracy_rows(n: int, by: str, columns, patterns) -> list[list[int]]:
+    """:func:`component_degeneracy` (``by="lambda"``) or :func:`cumulative_shell_degeneracy`
+    (``by="shell"``) of each pattern at each column: each column's S_n content and
+    each pattern's branching row are read once, and a cell is their dot product."""
     from . import oscillator
 
-    return _degeneracy(n, oscillator.shell_reduction, x, pattern)
+    rows = []
+    for pattern in patterns:
+        if pattern.n != n:
+            raise ValueError(f"pattern {pattern} does not describe {n} particles")
+        rows.append(branch_row(pattern))
+    reduce = {"lambda": oscillator.lambda_reduction, "shell": oscillator.shell_reduction}[by]
+    contents = [reduce(n, k).counts for k in columns]
+    return [[sum(map(mul, content, row)) for content in contents] for row in rows]
 
 
 def _hook_content_count(shape: tuple[int, ...], k: int) -> int:

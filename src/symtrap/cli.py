@@ -719,8 +719,8 @@ def reduce_snippet_cmd(n: int, verify: bool):
 
 
 def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
-    """One row of ``cells(pattern)`` per pattern, tagged by counts and statistics in JSON."""
-    rows = [[pat.label(), *cells(pat)] for pat in patterns]
+    """One row per pattern, its ``cells`` in turn, tagged by counts and statistics in JSON."""
+    rows = [[pat.label(), *row] for pat, row in zip(patterns, cells)]
     body = {
         **meta,
         "rows": [
@@ -747,7 +747,7 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
         f"subgroup branching n={n}",
         selected,
         [p.label() for p in shapes],
-        branch_row,
+        map(branch_row, selected),
         {"irreps": [list(p.parts) for p in shapes]},
     )
 
@@ -765,24 +765,25 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
 )
 def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: int | None):
     """Symmetrization-allowed state counts for every component pattern."""
-    from .branching import all_patterns, component_degeneracy, cumulative_shell_degeneracy
+    from .branching import all_patterns, degeneracy_rows
 
     axes = {
-        "lambda": ("--max-lambda", max_lambda, component_degeneracy, "lambda"),
-        "shell": ("--max-energy", max_energy, cumulative_shell_degeneracy, "X"),
+        "lambda": ("--max-lambda", max_lambda, "lambda"),
+        "shell": ("--max-energy", max_energy, "X"),
     }
-    flag, top, count, column_head = axes[by]
+    flag, top, column_head = axes[by]
     if top is None:
         raise ValueError(f"{flag} is required with --by {by}")
     for axis, (other, value, *_) in axes.items():
         if axis != by and value is not None:
             raise ValueError(f"{other} applies to --by {axis}")
     columns = list(range(top + 1))
+    patterns = all_patterns(n)
     return _pattern_table(
         f"component degeneracies n={n} by {by}",
-        all_patterns(n),
+        patterns,
         [f"{column_head}={col}" for col in columns],
-        lambda pat: [count(n, col, pat) for col in columns],
+        degeneracy_rows(n, by, columns, patterns),
         {"by": by, "columns": columns},
     )
 

@@ -25,7 +25,6 @@ from .oscillator import (
     lambda_reduction,
 )
 from .partitions import MultiplicityVector, Partition, Record, parity_irreps, partitions_of
-from .snippet import snippet_reduction
 
 G_ZERO = "g0"
 G_INF = "ginf"
@@ -152,6 +151,8 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     seeds = antisymmetric_multiplicity(n, lam)
     if not seeds:
         return level_content(n, G_ZERO, lam).scaled(0)
+    from .snippet import snippet_reduction
+
     return snippet_reduction(n, "even" if even else "odd").scaled(seeds)
 
 

@@ -10,7 +10,7 @@ subtraction recursion over shells, lives in ``oracle`` as a cross-check.
 """
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from operator import ge, gt, le, lt
 
 from .errors import ConsistencyError
@@ -83,7 +83,7 @@ def hyperangular_dimension(n: int, lam: int) -> int:
         raise ValueError(f"lam must be non-negative, got {lam}")
     if n == 3:
         return 1 if lam == 0 else 2
-    dim, rem = divmod((n + 2 * lam - 3) * factorial(lam + n - 4), factorial(lam) * factorial(n - 3))
+    dim, rem = divmod((n + 2 * lam - 3) * comb(lam + n - 4, n - 4), n - 3)
     if rem:
         raise ArithmeticError(f"hyperangular dimension is not integral for n={n}, lam={lam}")
     return dim

@@ -91,17 +91,22 @@ class Record:
 class Partition(Record):
     """A partition of a positive integer, stored as non-increasing parts."""
 
-    __slots__ = _fields = ("parts",)
+    _fields = ("parts",)
+    __slots__ = (*_fields, "_hash")  # ``_hash`` is ``hash((parts,))``, not a field
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         parts = tuple(int(v) for v in parts)
         self._assign(parts)
+        object.__setattr__(self, "_hash", hash((parts,)))
         if not parts:
             raise ValueError("a partition needs at least one part")
         if any(v <= 0 for v in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be non-increasing: {parts}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -264,7 +269,7 @@ class MultiplicityVector(Record):
 
     _fields = ("keys", "counts")
     #: ``_slots`` maps each key to its slot (first occurrence), for
-    #: constant-time lookup; it is not a field.
+    #: constant-time lookup; it is not a field, and the first lookup builds it.
     __slots__ = (*_fields, "_slots")
 
     def __init__(self, keys: tuple, counts: tuple[int, ...]) -> None:
@@ -272,14 +277,13 @@ class MultiplicityVector(Record):
         self._assign(keys, counts)
         if len(keys) != len(counts):
             raise ValueError("keys and counts must have equal length")
-        slots: dict = {}
-        for i, key in enumerate(keys):
-            slots.setdefault(key, i)
-        object.__setattr__(self, "_slots", slots)
 
     def __getitem__(self, key) -> int:
         try:
             return self.counts[self._slots[key]]
+        except AttributeError:
+            object.__setattr__(self, "_slots", {k: i for i, k in reversed(tuple(enumerate(self.keys)))})
+            return self[key]
         except KeyError:
             raise ValueError(f"{key!r} is not a key of this vector") from None
 

@@ -7,14 +7,16 @@ from symtrap.branching import (
     ComponentPattern,
     all_patterns,
     branch_multiplicity,
+    branch_row,
     component_degeneracy,
     cumulative_shell_degeneracy,
+    degeneracy_rows,
     distinguishable_pattern,
     spin_decomposition,
 )
-from symtrap.characters import ClassFunction, character_table_sn, reduce_class_function
+from symtrap.characters import ClassFunction, character_table_sn, kostka, reduce_class_function
 from symtrap.oracle import branch_multiplicity_by_characters
-from symtrap.oscillator import hyperangular_dimension
+from symtrap.oscillator import hyperangular_dimension, lambda_reduction, shell_reduction
 from symtrap.partitions import Partition, partitions_of
 
 from reference_data import (
@@ -96,6 +98,51 @@ class TestBranchMultiplicity:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             branch_multiplicity(Partition((2, 1)), ComponentPattern((2, 2), FERMI))
+
+
+def kostka_row(pattern):
+    """The branching row shape by shape, through ``characters.kostka``."""
+    shapes = partitions_of(pattern.n)
+    if pattern.statistics == FERMI:
+        shapes = [p.conjugate() for p in shapes]
+    return tuple(kostka(shape, pattern.content()) for shape in shapes)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pieri_row_equals_kostka_per_shape(n):
+    for counts in partitions_of(n):
+        for stats in (BOSE, FERMI):
+            pattern = ComponentPattern(counts.parts, stats)
+            row = branch_row(pattern)
+            assert row == kostka_row(pattern), pattern.label()
+            assert row == tuple(branch_multiplicity(p, pattern) for p in partitions_of(n))
+
+
+@pytest.mark.parametrize("by", ["lambda", "shell"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_degeneracy_rows_equal_the_cells(n, by):
+    """Each cell of a row is the column's content dotted with the per-shape
+    Kostka row, and what the per-cell function returns."""
+    reduce, cell = {
+        "lambda": (lambda_reduction, component_degeneracy),
+        "shell": (shell_reduction, cumulative_shell_degeneracy),
+    }[by]
+    columns = range(31)
+    patterns = all_patterns(n)
+    rows = degeneracy_rows(n, by, columns, patterns)
+    assert len(rows) == len(patterns)
+    for pattern, row in zip(patterns, rows):
+        reference = kostka_row(pattern)
+        expected = [sum(c * b for c, b in zip(reduce(n, k).counts, reference)) for k in columns]
+        assert row == expected, pattern.label()
+        assert row == [cell(n, k, pattern) for k in columns]
+
+
+def test_degeneracy_rows_reject_a_foreign_pattern():
+    with pytest.raises(ValueError, match="does not describe 4 particles"):
+        degeneracy_rows(4, "lambda", [0, 1], [ComponentPattern((2, 1), FERMI)])
+    with pytest.raises(ValueError, match="does not describe 4 particles"):
+        component_degeneracy(4, 1, ComponentPattern((2, 1), FERMI))
 
 
 class TestComponentDegeneracy:

@@ -162,6 +162,14 @@ def test_branch_loads_no_oscillator():
     assert "oscillator" not in layers("branch", "--n", "4")
 
 
+def test_free_limit_ground_state_loads_no_sector_layer():
+    """Only the hard-core side of ``level_content`` reads the sector reduction."""
+    loaded = layers("ground-state", "--n", "5", "--pattern", "3,2", "--regime", "g0")
+    assert {"mapping", "oscillator", "branching"} <= loaded
+    assert not loaded & {"snippet", "linalg", "characters"}
+    assert {"snippet", "linalg"} <= layers("ground-state", "--n", "5", "--pattern", "3,2", "--regime", "ginf")
+
+
 def test_free_limit_reduction_loads_no_character_tables():
     result, imported = traced_child("reduce-lambda", "--n", "4", "--max-lambda", "4")
     assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import factorial
 
 from symtrap.mapping import G_ZERO, enumerate_levels
 from symtrap.oscillator import (
@@ -71,6 +72,14 @@ class TestHyperangularDimension:
     def test_two_particles_unsupported(self):
         with pytest.raises(ValueError):
             hyperangular_dimension(2, 1)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_closed_form_equals_the_factorial_form(self, n):
+        """(n + 2 lam - 3) (lam + n - 4)! / (lam! (n - 3)!), the harmonic
+        polynomials of degree lam on the sphere in n - 1 dimensions."""
+        for lam in range(301):
+            reference = (n + 2 * lam - 3) * factorial(lam + n - 4) // (factorial(lam) * factorial(n - 3))
+            assert hyperangular_dimension(n, lam) == reference
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_shell_recovered_from_subspaces(self, n):

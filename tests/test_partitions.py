@@ -307,3 +307,39 @@ class TestMultiplicityVector:
         keys = tuple((p, 1) for p in partitions_of(3))
         v = MultiplicityVector(keys, (0, 1, 1))
         assert v.total_dimension() == 3
+
+    def test_lookup_table_is_built_on_first_lookup(self):
+        """Arithmetic and ordered reads never build the key-to-slot map."""
+        v = MultiplicityVector(partitions_of(3), (1, 2, 1))
+        w = v + v.scaled(2)
+        assert list(w.items())[1] == (Partition((2, 1)), 6) and w.min_count() == 3
+        with pytest.raises(AttributeError):
+            w._slots
+        assert w[Partition((2, 1))] == 6
+        assert w._slots[Partition((2, 1))] == 1
+
+    def test_duplicate_keys_resolve_to_the_first_occurrence(self):
+        p, q = Partition((2, 1)), Partition((3,))
+        v = MultiplicityVector((p, q, p, q), (1, 2, 3, 4))
+        assert (v[p], v[q], v.get(p), v.get(q, 9)) == (1, 2, 1, 2)
+
+    def test_first_lookup_may_miss(self):
+        """Whichever lookup comes first builds the map: a missed ``get``
+        returns its default, and a missed index raises ``ValueError``."""
+        keys = partitions_of(3)
+        v = MultiplicityVector(keys, (1, 2, 1))
+        assert v.get(Partition((4,)), -5) == -5
+        assert v[Partition((1, 1, 1))] == 1
+        w = MultiplicityVector(keys, (1, 2, 1))
+        with pytest.raises(ValueError, match="is not a key of this vector"):
+            w[Partition((4,))]
+        assert w.get(Partition((3,))) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partition_hash_is_the_record_hash(n):
+    """``Partition`` caches the hash ``Record`` would compute, so set and dict
+    orders do not change."""
+    for p in partitions_of(n):
+        assert hash(p) == hash((p.parts,)) == hash(Partition(p.parts))
+        assert hash(p.conjugate()) == hash((p.conjugate().parts,))

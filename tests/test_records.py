@@ -210,6 +210,10 @@ def test_hypercylindrical_labels_sort_as_field_tuples():
 
 
 def test_an_unpickled_vector_still_looks_up():
-    """``MultiplicityVector._slots`` is not pickled but rebuilt on construction."""
-    vector = pickle.loads(pickle.dumps(MultiplicityVector(partitions_of(3), (1, 2, 1))))
-    assert vector[P21] == 2
+    """``MultiplicityVector._slots`` is not pickled; the copy builds its own on
+    its first lookup, whether or not the original had built one."""
+    original = MultiplicityVector(partitions_of(3), (1, 2, 1))
+    assert pickle.loads(pickle.dumps(original))[P21] == 2
+    assert original[P21] == 2
+    assert pickle.loads(pickle.dumps(original))[P21] == 2
+    assert hash(pickle.loads(pickle.dumps(P21))) == hash(((2, 1),))
