@@ -17,8 +17,7 @@ _MODULE_OF = {
     "ComponentPattern": "branching",
     "branch_multiplicity": "branching",
     "branch_row": "branching",
-    "component_degeneracy": "branching",
-    "cumulative_shell_degeneracy": "branching",
+    "degeneracy_rows": "branching",
     "spin_decomposition": "branching",
     "CharacterTable": "characters",
     "ClassFunction": "characters",
@@ -39,7 +38,7 @@ _MODULE_OF = {
     "enumerate_levels": "mapping",
     "ground_state": "mapping",
     "level_content": "mapping",
-    "spectrum_by_irrep": "mapping",
+    "spectrum_levels": "mapping",
     "HypercylindricalLabel": "oscillator",
     "hyperangular_dimension": "oscillator",
     "lambda_reduction": "oscillator",

@@ -142,20 +142,12 @@ def branch_row(pattern: ComponentPattern) -> tuple[int, ...]:
     return tuple(sweep.get(shape.parts, 0) for shape in shapes)
 
 
-def component_degeneracy(n: int, lam: int, pattern: ComponentPattern) -> int:
-    """States obeying the pattern's symmetrization in one hyperangular subspace."""
-    return degeneracy_rows(n, "lambda", [lam], [pattern])[0][0]
-
-
-def cumulative_shell_degeneracy(n: int, x: int, pattern: ComponentPattern) -> int:
-    """States obeying the pattern's symmetrization in the whole shell ``x``."""
-    return degeneracy_rows(n, "shell", [x], [pattern])[0][0]
-
-
 def degeneracy_rows(n: int, by: str, columns, patterns) -> list[list[int]]:
-    """:func:`component_degeneracy` (``by="lambda"``) or :func:`cumulative_shell_degeneracy`
-    (``by="shell"``) of each pattern at each column: each column's S_n content and
-    each pattern's branching row are read once, and a cell is their dot product."""
+    """The states obeying each pattern's symmetrization at each column: in one
+    hyperangular subspace ``lam`` (``by="lambda"``) or in the whole shell
+    ``x`` (``by="shell"``).  Each column's S_n content and each pattern's
+    branching row are read once, and a cell is their dot product; one cell
+    is ``degeneracy_rows(n, by, [k], [pattern])[0][0]``."""
     from . import oscillator
 
     rows = []
@@ -164,8 +156,9 @@ def degeneracy_rows(n: int, by: str, columns, patterns) -> list[list[int]]:
             raise ValueError(f"pattern {pattern} does not describe {n} particles")
         rows.append(branch_row(pattern))
     reduce = {"lambda": oscillator.lambda_reduction, "shell": oscillator.shell_reduction}[by]
-    contents = [reduce(n, k).counts for k in columns]
-    return [[sum(map(mul, content, row)) for content in contents] for row in rows]
+    # The largest column first, so that every other one reads its series.
+    contents = {k: reduce(n, k).counts for k in sorted(columns, reverse=True)}
+    return [[sum(map(mul, contents[k], row)) for k in columns] for row in rows]
 
 
 def _hook_content_count(shape: tuple[int, ...], k: int) -> int:

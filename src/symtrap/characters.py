@@ -73,12 +73,6 @@ class CharacterTable(Record):
 
     __slots__ = _fields = ("group", "order", "classes", "class_sizes", "irreps", "values")
 
-    def class_index(self, cls) -> int:
-        return self.classes.index(cls)
-
-    def irrep_index(self, irrep) -> int:
-        return self.irreps.index(irrep)
-
 
 class ClassFunction(Record):
     """An integer value per conjugacy class, aligned with a table's classes."""

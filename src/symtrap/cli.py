@@ -641,6 +641,7 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, removed, column: st
     from .partitions import partitions_of
 
     shapes = partitions_of(n)
+    reduce(n, top)  # the top row first, so that every other row reads its series
     rows = [[k, *reduce(n, k).counts] for k in range(top + 1)]
     if verify:
         from .oracle import cycle_index_rows

@@ -91,24 +91,12 @@ class StateLabel(Record):
     def gn_label(self) -> GNLabel:
         return GNLabel(self.hyper.nu_r, self.relative_parity, self.p)
 
-    @property
-    def energy(self):
-        """Level energy in trap units, an exact ``Fraction``."""
-        return self.hyper.energy(self.n)
-
     def __str__(self) -> str:
         tag = f"; {self.component}" if self.component else ""
         return (
             f"|{self.hyper.nu_r},{self.hyper.nu_rho},{self.hyper.lam};"
             f" {self.p.label(self.pi)}, tau={self.tau}{tag}>"
         )
-
-
-class SpectrumEntry(Record):
-    """One level of a triple's spectrum: its exact ``Fraction`` energy, its
-    ``HypercylindricalLabel`` and how many copies of the triple it holds."""
-
-    __slots__ = _fields = ("energy", "hyper", "multiplicity")
 
 
 class MapResult(Record):
@@ -125,11 +113,6 @@ class MapResult(Record):
         "resolved",
         "convention_ordered",
     )
-
-    @property
-    def target_energy(self):
-        """Energy of the image level in trap units, an exact ``Fraction``."""
-        return self.target_hyper.energy(self.target_p.n)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +184,12 @@ def spectrum_levels(
     n: int, regime: str, mu: GNLabel, e_max: int
 ) -> list[tuple[HypercylindricalLabel, int]]:
     """``(level, multiplicity)`` of every level carrying the triple ``mu``
-    with excitation at most ``e_max``, in :func:`spectrum_by_irrep` order."""
+    with excitation at most ``e_max``.
+
+    Levels are ordered by energy; equal energies are ordered ``lam``
+    ascending then ``nu_rho`` ascending.  A level's exact energy is
+    ``level.energy(n)``.
+    """
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
@@ -209,18 +197,6 @@ def spectrum_levels(
         (_level(mu, rest, lam), mult)
         for rest, shell in enumerate(_triple_levels(n, regime, mu, e_max))
         for lam, mult in shell
-    ]
-
-
-def spectrum_by_irrep(n: int, regime: str, mu: GNLabel, e_max: int) -> list[SpectrumEntry]:
-    """All levels carrying the triple ``mu`` with excitation at most ``e_max``.
-
-    Entries are ordered by energy; equal energies are ordered ``lam``
-    ascending then ``nu_rho`` ascending.
-    """
-    return [
-        SpectrumEntry(hyper.energy(n), hyper, mult)
-        for hyper, mult in spectrum_levels(n, regime, mu, e_max)
     ]
 
 

@@ -6,7 +6,9 @@ floating point.  Shell and hyperangular reductions are read off one
 truncated power series per irrep, built from Stanley's q-hook formula for
 the fake degree (EC2, Cor. 7.21.5) and memoized per particle number.  The
 brute-force route, Kostka counts over excitation multisets followed by a
-subtraction recursion over shells, lives in ``oracle`` as a cross-check.
+subtraction recursion over shells, is the tests' reference, in
+``tests/reference_routes.py``; ``--verify`` recounts every row from Polya's
+cycle index in ``oracle``.
 """
 
 from functools import lru_cache
@@ -92,10 +94,23 @@ def hyperangular_dimension(n: int, lam: int) -> int:
 #: Shortest series kept per (n, first factor); longer ones double it.
 _MIN_SERIES_LENGTH = 64
 
+#: The longest series length built so far per (n, first factor).
+_LONGEST: dict[tuple[int, int], int] = {}
+
 
 def _series_length(x: int) -> int:
     """Smallest power of two above ``x``, at least the minimum length."""
     return max(_MIN_SERIES_LENGTH, 1 << x.bit_length())
+
+
+def _series_through(n: int, first: int, x: int) -> tuple[tuple[int, ...], ...]:
+    """A :func:`_series` reaching q^x: the longest built so far for ``(n, first)``
+    when it reaches that far, else a new one.  A table that asks for its top
+    row first so builds one series for all its rows."""
+    length = _LONGEST.get((n, first), 0)
+    if length <= x:
+        length = _LONGEST[n, first] = _series_length(x)
+    return _series(n, first, length)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +150,7 @@ def shell_reduction(n: int, x: int) -> MultiplicityVector:
         raise ValueError(f"need at least two particles, got n={n}")
     if x < 0:
         raise ValueError(f"excitation must be non-negative, got {x}")
-    series = _series(n, 1, _series_length(x))
+    series = _series_through(n, 1, x)
     result = MultiplicityVector(partitions_of(n), tuple(s[x] for s in series))
     if result.total_dimension() != shell_dimension(n, x):
         raise ConsistencyError(f"shell reduction does not fill the shell for n={n}, x={x}")
@@ -153,7 +168,7 @@ def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
         raise ValueError(f"hyperangular structure needs n >= 3, got n={n}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    series = _series(n, 3, _series_length(lam))
+    series = _series_through(n, 3, lam)
     result = MultiplicityVector(partitions_of(n), tuple(s[lam] for s in series))
     if result.min_count() < 0:
         raise ConsistencyError(f"negative multiplicity in lambda reduction n={n}, lam={lam}")

@@ -14,10 +14,11 @@ block is one group-algebra element applied to the candidates
 on per-n index tables of the transpositions (the only S_n action here),
 and every candidate is read off that column by right reindexing.  The
 block is the first candidates with a nonzero Gram-Schmidt residual,
-orthogonalized by that same pass.  Full
-matrices, tuple relabelling and subgroup sums live only in the oracle
-module, with the certificate of these bases and their rebuild by subgroup
-sums.  The hard-core levels are listed by ``mapping.enumerate_levels``.
+orthogonalized by that same pass.  The certificate of these bases, what
+``sector-basis --verify`` runs, lives in ``oracle`` with its own actions;
+full matrices and the rebuild by subgroup sums are the tests' references,
+in ``tests/reference_routes.py``.  The hard-core levels are listed by
+``mapping.enumerate_levels``.
 """
 
 from functools import lru_cache

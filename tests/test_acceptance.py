@@ -16,8 +16,7 @@ from symtrap.branching import (
     FERMI,
     ComponentPattern,
     branch_multiplicity,
-    component_degeneracy,
-    cumulative_shell_degeneracy,
+    degeneracy_rows,
     spin_decomposition,
 )
 from symtrap.characters import character_table_sn, character_table_snz2
@@ -31,7 +30,6 @@ from symtrap.oscillator import (
     shell_dimension,
     shell_reduction,
 )
-from symtrap.oracle import explicit_sector_rep, explicit_shell_rep
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
     sector_rep_characters,
@@ -40,6 +38,7 @@ from symtrap.snippet import (
 )
 
 import reference_data as ref
+from reference_routes import explicit_sector_rep, explicit_shell_rep
 
 P = Partition
 H = HypercylindricalLabel
@@ -83,10 +82,10 @@ def test_criterion_1_table_reproduction(report):
             if got != row:
                 failures.append(f"lambda reduction n={n} lam={lam}: {got} != {row}")
 
-    def check_degeneracy(n, table, counter):
+    def check_degeneracy(n, table, by):
         for (parts, stats), row in table.items():
             pattern = ComponentPattern(parts, stats or BOSE)
-            got = tuple(counter(n, col, pattern) for col in range(len(row)))
+            got = tuple(degeneracy_rows(n, by, [col], [pattern])[0][0] for col in range(len(row)))
             if got != row:
                 failures.append(f"degeneracy {pattern.label()} n={n}: {got} != {row}")
 
@@ -100,7 +99,7 @@ def test_criterion_1_table_reproduction(report):
     def check_characters(n, rows, sector_rows):
         table = character_table_snz2(n)
         for (parts, pi), row in rows.items():
-            if table.values[table.irrep_index((P(parts), pi))] != row:
+            if table.values[table.irreps.index((P(parts), pi))] != row:
                 failures.append(f"character row n={n} {parts}/{pi}")
         for parity, row in sector_rows.items():
             if sector_rep_characters(n, parity).values != row:
@@ -129,25 +128,25 @@ def test_criterion_1_table_reproduction(report):
         failures,
         1.0,
         "N4 lambda degeneracies",
-        lambda: check_degeneracy(4, ref.N4_LAMBDA_DEGENERACY, component_degeneracy),
+        lambda: check_degeneracy(4, ref.N4_LAMBDA_DEGENERACY, "lambda"),
     )
     timed(
         failures,
         1.0,
         "N3 lambda degeneracies",
-        lambda: check_degeneracy(3, ref.N3_LAMBDA_DEGENERACY, component_degeneracy),
+        lambda: check_degeneracy(3, ref.N3_LAMBDA_DEGENERACY, "lambda"),
     )
     timed(
         failures,
         1.0,
         "N3 shell degeneracies",
-        lambda: check_degeneracy(3, ref.N3_SHELL_DEGENERACY, cumulative_shell_degeneracy),
+        lambda: check_degeneracy(3, ref.N3_SHELL_DEGENERACY, "shell"),
     )
     timed(
         failures,
         1.0,
         "N5 lambda degeneracies",
-        lambda: check_degeneracy(5, ref.N5_LAMBDA_DEGENERACY, component_degeneracy),
+        lambda: check_degeneracy(5, ref.N5_LAMBDA_DEGENERACY, "lambda"),
     )
     timed(
         failures,
@@ -182,7 +181,7 @@ def test_criterion_2_spot_values(report):
         failures.append("hyperangular n=3")
     table = character_table_snz2(4)
     even = sector_rep_characters(4, "even")
-    index = table.class_index((P((2, 2)), 1))
+    index = table.classes.index((P((2, 2)), 1))
     if even.values[index] != 8:
         failures.append("inverted double-transposition character")
     first = {

@@ -8,8 +8,6 @@ from symtrap.branching import (
     all_patterns,
     branch_multiplicity,
     branch_row,
-    component_degeneracy,
-    cumulative_shell_degeneracy,
     degeneracy_rows,
     distinguishable_pattern,
     spin_decomposition,
@@ -123,10 +121,7 @@ def test_pieri_row_equals_kostka_per_shape(n):
 def test_degeneracy_rows_equal_the_cells(n, by):
     """Each cell of a row is the column's content dotted with the per-shape
     Kostka row, and what the per-cell function returns."""
-    reduce, cell = {
-        "lambda": (lambda_reduction, component_degeneracy),
-        "shell": (shell_reduction, cumulative_shell_degeneracy),
-    }[by]
+    reduce = {"lambda": lambda_reduction, "shell": shell_reduction}[by]
     columns = range(31)
     patterns = all_patterns(n)
     rows = degeneracy_rows(n, by, columns, patterns)
@@ -135,14 +130,14 @@ def test_degeneracy_rows_equal_the_cells(n, by):
         reference = kostka_row(pattern)
         expected = [sum(c * b for c, b in zip(reduce(n, k).counts, reference)) for k in columns]
         assert row == expected, pattern.label()
-        assert row == [cell(n, k, pattern) for k in columns]
+        assert row == [degeneracy_rows(n, by, [k], [pattern])[0][0] for k in columns]
 
 
 def test_degeneracy_rows_reject_a_foreign_pattern():
     with pytest.raises(ValueError, match="does not describe 4 particles"):
         degeneracy_rows(4, "lambda", [0, 1], [ComponentPattern((2, 1), FERMI)])
     with pytest.raises(ValueError, match="does not describe 4 particles"):
-        component_degeneracy(4, 1, ComponentPattern((2, 1), FERMI))
+        degeneracy_rows(4, "lambda", [1], [ComponentPattern((2, 1), FERMI)])
 
 
 class TestComponentDegeneracy:
@@ -153,32 +148,36 @@ class TestComponentDegeneracy:
     def test_reference_tables(self, table, n):
         for (parts, stats), row in table.items():
             pattern = pattern_from(parts, stats)
-            computed = tuple(component_degeneracy(n, lam, pattern) for lam in range(len(row)))
+            computed = tuple(
+                degeneracy_rows(n, "lambda", [lam], [pattern])[0][0] for lam in range(len(row))
+            )
             assert computed == row, pattern.label()
 
     def test_spot_values(self):
-        assert component_degeneracy(4, 6, ComponentPattern((2, 2), FERMI)) == 3
-        assert component_degeneracy(3, 1, ComponentPattern((2, 1), FERMI)) == 1
-        assert component_degeneracy(5, 5, ComponentPattern((2, 1, 1, 1), FERMI)) == 15
+        assert degeneracy_rows(4, "lambda", [6], [ComponentPattern((2, 2), FERMI)])[0][0] == 3
+        assert degeneracy_rows(3, "lambda", [1], [ComponentPattern((2, 1), FERMI)])[0][0] == 1
+        assert degeneracy_rows(5, "lambda", [5], [ComponentPattern((2, 1, 1, 1), FERMI)])[0][0] == 15
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_distinguishable_sees_everything(self, n):
         pattern = distinguishable_pattern(n)
         for lam in range(14):
-            assert component_degeneracy(n, lam, pattern) == hyperangular_dimension(n, lam)
+            assert degeneracy_rows(n, "lambda", [lam], [pattern])[0][0] == hyperangular_dimension(n, lam)
 
 
 class TestCumulativeShellDegeneracy:
     def test_reference_table(self):
         for (parts, stats), row in N3_SHELL_DEGENERACY.items():
             pattern = pattern_from(parts, stats)
-            computed = tuple(cumulative_shell_degeneracy(3, x, pattern) for x in range(len(row)))
+            computed = tuple(
+                degeneracy_rows(3, "shell", [x], [pattern])[0][0] for x in range(len(row))
+            )
             assert computed == row, pattern.label()
 
     def test_spot_values(self):
-        assert cumulative_shell_degeneracy(3, 3, ComponentPattern((2, 1), FERMI)) == 4
-        assert cumulative_shell_degeneracy(3, 0, ComponentPattern((3,), FERMI)) == 0
-        assert cumulative_shell_degeneracy(3, 6, ComponentPattern((3,), BOSE)) == 7
+        assert degeneracy_rows(3, "shell", [3], [ComponentPattern((2, 1), FERMI)])[0][0] == 4
+        assert degeneracy_rows(3, "shell", [0], [ComponentPattern((3,), FERMI)])[0][0] == 0
+        assert degeneracy_rows(3, "shell", [6], [ComponentPattern((3,), BOSE)])[0][0] == 7
 
 
 def brute_force_spin_multiplicities(n, k):

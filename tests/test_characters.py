@@ -142,12 +142,12 @@ class TestDoubledTables:
     def test_s3z2_rows(self):
         table = character_table_snz2(3)
         for (parts, pi), row in S3Z2_CHARACTERS.items():
-            assert table.values[table.irrep_index((Partition(parts), pi))] == row
+            assert table.values[table.irreps.index((Partition(parts), pi))] == row
 
     def test_s4z2_rows(self):
         table = character_table_snz2(4)
         for (parts, pi), row in S4Z2_CHARACTERS.items():
-            assert table.values[table.irrep_index((Partition(parts), pi))] == row
+            assert table.values[table.irreps.index((Partition(parts), pi))] == row
 
     def test_trivial_irrep_everywhere(self):
         for n in range(2, 7):

@@ -211,7 +211,7 @@ class TestBehaviour:
         def refuse(*args):
             raise AssertionError("reduce-snippet --verify built a sector matrix")
 
-        monkeypatch.setattr(oracle, "_sector_action", refuse)
+        monkeypatch.setattr(oracle, "_images", refuse)
         result = run("reduce-snippet", "--n", "5", "--verify")
         assert (result.exit_code, result.stderr) == (0, "")
 

@@ -13,7 +13,7 @@ from symtrap.mapping import (
     adiabatic_map,
     enumerate_levels,
     ground_state,
-    spectrum_by_irrep,
+    spectrum_levels,
 )
 from symtrap.oscillator import HypercylindricalLabel, antisymmetric_multiplicity
 from symtrap.partitions import Partition, parity_irreps
@@ -39,7 +39,7 @@ class TestGNLabel:
 class TestStateLabel:
     def test_energy_and_parity(self):
         state = StateLabel(H(0, 0, 1), P((2, 1)))
-        assert state.energy == Fraction(5, 2)
+        assert state.hyper.energy(state.n) == Fraction(5, 2)
         assert state.gn_label == GNLabel(0, -1, P((2, 1)))
 
     def test_hard_core_labels_need_parity(self):
@@ -51,33 +51,33 @@ class TestStateLabel:
 
 class TestSpectrumByIrrep:
     def test_mixed_irrep_lowest_level(self):
-        entries = spectrum_by_irrep(3, G_ZERO, GNLabel(0, -1, P((2, 1))), 8)
-        assert entries[0].energy == Fraction(5, 2)
-        assert (entries[0].hyper.nu_r, entries[0].hyper.nu_rho, entries[0].hyper.lam) == (0, 0, 1)
-        assert entries[0].multiplicity == 1
+        hyper, multiplicity = spectrum_levels(3, G_ZERO, GNLabel(0, -1, P((2, 1))), 8)[0]
+        assert hyper.energy(3) == Fraction(5, 2)
+        assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 1)
+        assert multiplicity == 1
 
     def test_hard_core_double_degeneracy(self):
-        entries = spectrum_by_irrep(4, G_INF, GNLabel(0, 1, P((2, 2))), 10)
-        assert (entries[0].hyper.nu_r, entries[0].hyper.nu_rho, entries[0].hyper.lam) == (0, 0, 6)
-        assert entries[0].multiplicity == 2
+        hyper, multiplicity = spectrum_levels(4, G_INF, GNLabel(0, 1, P((2, 2))), 10)[0]
+        assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 6)
+        assert multiplicity == 2
 
     def test_symmetric_ground_level(self):
         for n in (3, 4, 5):
-            entries = spectrum_by_irrep(n, G_ZERO, GNLabel(0, 1, P((n,))), 4)
-            assert (entries[0].hyper.nu_r, entries[0].hyper.nu_rho, entries[0].hyper.lam) == (0, 0, 0)
-            assert entries[0].multiplicity == 1
+            hyper, multiplicity = spectrum_levels(n, G_ZERO, GNLabel(0, 1, P((n,))), 4)[0]
+            assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 0)
+            assert multiplicity == 1
 
     def test_sorted_with_tie_break(self):
-        entries = spectrum_by_irrep(3, G_ZERO, GNLabel(0, 1, P((3,))), 8)
-        energies = [e.energy for e in entries]
+        entries = spectrum_levels(3, G_ZERO, GNLabel(0, 1, P((3,))), 8)
+        energies = [hyper.energy(3) for hyper, _ in entries]
         assert energies == sorted(energies)
-        same_energy = [e for e in entries if e.energy == Fraction(15, 2)]
-        lams = [e.hyper.lam for e in same_energy]
+        same_energy = [hyper for hyper, _ in entries if hyper.energy(3) == Fraction(15, 2)]
+        lams = [hyper.lam for hyper in same_energy]
         assert lams == sorted(lams)
 
     def test_parity_selects_lambda_parity_at_g0(self):
-        entries = spectrum_by_irrep(4, G_ZERO, GNLabel(0, 1, P((3, 1))), 9)
-        assert all(e.hyper.lam % 2 == 0 for e in entries)
+        entries = spectrum_levels(4, G_ZERO, GNLabel(0, 1, P((3, 1))), 9)
+        assert all(hyper.lam % 2 == 0 for hyper, _ in entries)
 
 
 class TestOneLevelOrder:
@@ -90,14 +90,14 @@ class TestOneLevelOrder:
         listed = 0
         for nu_r in (0, 1, 2):
             for p, pi in parity_irreps(n):
-                entries = spectrum_by_irrep(n, regime, GNLabel(nu_r, pi, p), e_max)
+                entries = spectrum_levels(n, regime, GNLabel(nu_r, pi, p), e_max)
                 expected = [
                     (hyper, content[(p, pi)])
                     for hyper, content in levels
                     if hyper.nu_r == nu_r and content[(p, pi)]
                 ]
-                assert [(e.hyper, e.multiplicity) for e in entries] == expected
-                keys = [(e.energy, e.hyper.lam, e.hyper.nu_rho) for e in entries]
+                assert entries == expected
+                keys = [(hyper.energy(n), hyper.lam, hyper.nu_rho) for hyper, _ in entries]
                 assert keys == sorted(keys)
                 listed += len(entries)
         assert listed
@@ -182,18 +182,18 @@ class TestAdiabaticMap:
                     assert result.target_p == p
                     assert result.target_pi == source.gn_label.pi
                     assert result.target_hyper.nu_r == 0
-                    assert result.target_energy >= source.energy
+                    assert result.target_hyper.energy(n) >= source.hyper.energy(n)
 
     def test_rank_monotone_within_triple(self):
         mu = GNLabel(0, 1, P((3, 1)))
         sources = []
         from symtrap.oscillator import lambda_reduction
 
-        for entry in spectrum_by_irrep(4, G_ZERO, mu, 8):
-            for tau in range(entry.multiplicity):
-                sources.append(StateLabel(entry.hyper, P((3, 1)), tau=tau))
+        for hyper, multiplicity in spectrum_levels(4, G_ZERO, mu, 8):
+            for tau in range(multiplicity):
+                sources.append(StateLabel(hyper, P((3, 1)), tau=tau))
         targets = [adiabatic_map(4, s) for s in sources]
-        energies = [t.target_energy for t in targets]
+        energies = [t.target_hyper.energy(4) for t in targets]
         assert energies == sorted(energies)
 
     def test_validation(self):

@@ -7,23 +7,12 @@ from symtrap.branching import BOSE, FERMI, ComponentPattern, all_patterns, patte
 from symtrap.characters import sn_character
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
-    CHAIN_N_LIMIT,
-    SHELL_N_LIMIT,
-    SHELL_X_LIMIT,
-    SignedPerm,
-    _apply,
     _class_representative,
     _content_sums,
-    _isotypic_columns,
-    _sector_action,
+    _inversion,
+    _jucys_murphy,
     _sector_multiplicity,
-    explicit_isotypic_rank,
-    explicit_sector_rep,
-    explicit_shell_rep,
-    subgroup_chain_basis,
     verify_sector_basis,
-    verify_sector_homomorphism,
-    verify_shell_homomorphism,
 )
 from symtrap.linalg import dot, primitive
 from symtrap.oscillator import shell_reduction
@@ -37,6 +26,22 @@ from symtrap.snippet import (
     sector_rep_characters,
     snippet_projection_basis,
     snippet_reduction,
+)
+
+from reference_routes import (
+    CHAIN_N_LIMIT,
+    SHELL_N_LIMIT,
+    SHELL_X_LIMIT,
+    SignedPerm,
+    _apply,
+    _isotypic_columns,
+    _sector_action,
+    explicit_isotypic_rank,
+    explicit_sector_rep,
+    explicit_shell_rep,
+    subgroup_chain_basis,
+    verify_sector_homomorphism,
+    verify_shell_homomorphism,
 )
 
 
@@ -211,6 +216,37 @@ class TestSectorActionDefinitions:
                     for chi, g in zip(chis, actions):
                         expected = [a + chi * b for a, b in zip(expected, _scatter(g, start))]
                     assert column == expected
+
+
+def _transposition(n, i, k):
+    image = list(range(1, n + 1))
+    image[i - 1], image[k - 1] = k, i
+    return tuple(image)
+
+
+class TestCertificateGetters:
+    """The index getters ``verify_sector_basis`` acts with, against the
+    reference route's signed-permutation matrices."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_getters_match_the_matrices(self, n, parity):
+        rng = random.Random(n)
+        sign = _inversion_sign(n, parity)
+        jm = _jucys_murphy(n)
+        inversion = _sector_action(n, tuple(range(1, n + 1)), 1, sign)
+        for _ in range(3):
+            vec = [rng.randint(-9, 9) for _ in range(factorial(n))]
+            assert [sign * a for a in _inversion(n)(vec)] == inversion.apply(vec)
+            for i in range(1, n):
+                # The exchange of i and i + 1 inside a component block.
+                swap = _sector_action(n, _transposition(n, i, i + 1), 0, sign)
+                assert list(jm[i + 1][-1](vec)) == swap.apply(vec)
+            for k in range(2, n + 1):
+                assert len(jm[k]) == k - 1
+                for i in range(1, k):
+                    swap = _sector_action(n, _transposition(n, i, k), 0, sign)
+                    assert list(jm[k][i - 1](vec)) == swap.apply(vec)
 
 
 class TestProjectorRanks:

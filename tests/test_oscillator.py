@@ -255,7 +255,8 @@ class TestSeriesRoute:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shells_match_kostka_route(self, n):
-        from symtrap.oracle import cycle_index_rows, kostka_shell_reduction
+        from reference_routes import kostka_shell_reduction
+        from symtrap.oracle import cycle_index_rows
 
         by_characters = cycle_index_rows(n, 60)
         for x in range(61):
@@ -265,7 +266,8 @@ class TestSeriesRoute:
 
     @pytest.mark.parametrize("n,top", [(3, 24), (4, 24), (5, 24), (6, 24), (7, 24), (8, 20)])
     def test_lambdas_match_subtraction_route(self, n, top):
-        from symtrap.oracle import cycle_index_rows, subtraction_lambda_reduction
+        from reference_routes import subtraction_lambda_reduction
+        from symtrap.oracle import cycle_index_rows
 
         by_characters = cycle_index_rows(n, 60, (1, 2))
         for lam in range(61):
@@ -285,6 +287,27 @@ class TestSeriesRoute:
         x = _MIN_SERIES_LENGTH + 3
         assert shell_reduction(4, x).total_dimension() == shell_dimension(4, x)
         assert lambda_reduction(4, x).total_dimension() == hyperangular_dimension(4, x)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reduce-shell", "--n", "6", "--max-energy", "300"],
+            ["reduce-lambda", "--n", "6", "--max-lambda", "300"],
+            ["degeneracy-table", "--n", "6", "--max-lambda", "300"],
+            ["degeneracy-table", "--n", "6", "--by", "shell", "--max-energy", "300"],
+        ],
+        ids=["reduce-shell", "reduce-lambda", "degeneracy-table-lambda", "degeneracy-table-shell"],
+    )
+    def test_a_table_builds_one_series(self, monkeypatch, args):
+        """Rows 0..300 span three series lengths; the table builds only the longest."""
+        from cli_runner import run
+        from symtrap import oscillator
+
+        monkeypatch.setattr(oscillator, "_LONGEST", {})
+        for memo in (oscillator._series, shell_reduction, lambda_reduction):
+            memo.cache_clear()
+        assert run(*args).exit_code == 0
+        assert oscillator._series.cache_info().misses == 1
 
     def test_import_computes_nothing(self):
         import subprocess

@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,14 +13,14 @@ from symtrap.mapping import (
     G_ZERO,
     GNLabel,
     MapResult,
-    SpectrumEntry,
     StateLabel,
     level_content,
 )
-from symtrap.oracle import ExplicitRep, SignedPerm
 from symtrap.oscillator import HypercylindricalLabel
 from symtrap.partitions import MultiplicityVector, Partition, Record, parity_irreps, partitions_of
 from symtrap.snippet import SectorVector, SnippetIrrepLabel
+
+from reference_routes import ExplicitRep, SignedPerm
 
 P21 = Partition((2, 1))
 S2_CLASSES = (Partition((1, 1)), Partition((2,)))
@@ -69,13 +68,6 @@ RECORDS = [
         ("hyper", "p", "tau", "pi", "component", "regime"),
         None,
         id="StateLabel",
-    ),
-    pytest.param(
-        lambda: SpectrumEntry(Fraction(9, 2), HYPER, 2),
-        ("energy", "hyper", "multiplicity"),
-        "SpectrumEntry(energy=Fraction(9, 2), hyper=HypercylindricalLabel(nu_r=0, nu_rho=1, lam=2),"
-        " multiplicity=2)",
-        id="SpectrumEntry",
     ),
     pytest.param(
         lambda: MapResult(STATE, HYPER, P21, -1, 2, False, True),

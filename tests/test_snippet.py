@@ -16,7 +16,7 @@ from symtrap.characters import character_table_snz2, reduce_class_function
 from symtrap.linalg import dot
 from symtrap.mapping import G_INF, enumerate_levels
 from symtrap.errors import ConsistencyError
-from symtrap.oracle import _sector_action, verify_sector_basis
+from symtrap.oracle import verify_sector_basis
 from symtrap.oscillator import antisymmetric_multiplicity
 from symtrap.partitions import MultiplicityVector, Partition, irrep_dimension, partitions_of
 from symtrap.snippet import (
@@ -31,6 +31,7 @@ from symtrap.snippet import (
     snippet_reduction,
 )
 
+from reference_routes import _sector_action
 from reference_data import (
     N3_SECTOR_REDUCTION,
     N4_SECTOR_REDUCTION,
