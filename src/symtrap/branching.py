@@ -6,9 +6,10 @@ or fully antisymmetric (fermions) line of the corresponding Young
 subgroup, and the number of such lines inside an S_n irrep is a Kostka
 count.  Each pattern's counts over all irreps form one memoized row, read
 off one Pieri sweep that adds a horizontal strip per component (Macdonald,
-I.5).  Every degeneracy and ground-state search reads that row; the tests
-check it against ``characters.kostka``, and the slower subgroup character
-inner product lives in ``oracle`` as the cross-check.
+I.5).  Every degeneracy and ground-state search reads that row, and so does
+``characters.kostka``; the tests check it against a strip recursion shape
+by shape, and the slower subgroup character inner product lives in
+``oracle`` as the cross-check.
 
 A pattern's line is named by its tag, one partition label per component
 joined by ``x``: a row ``[k]`` for bosons, a column ``[1^k]`` for fermions.
@@ -134,7 +135,7 @@ def branch_multiplicity(p: Partition, pattern: ComponentPattern) -> int:
 def branch_row(pattern: ComponentPattern) -> tuple[int, ...]:
     """:func:`branch_multiplicity` of every irrep of S_n, in ``partitions_of`` order:
     the pattern's Pieri sweep read at ``p`` for bosons and at the conjugate of
-    ``p`` for fermions; the tests check it against ``characters.kostka``."""
+    ``p`` for fermions; the tests check it against a strip recursion."""
     sweep = _pieri_sweep(pattern.counts)
     shapes = partitions_of(pattern.n)
     if pattern.statistics == FERMI:

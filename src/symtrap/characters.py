@@ -3,7 +3,8 @@
 Characters are generated by the Murnaghan-Nakayama rim-hook recursion, so
 every entry is an exact integer.  Tables are built once per group order,
 validated against the orthogonality relations, cached, and never mutated
-afterwards; concurrent readers need no locking.
+afterwards; concurrent readers need no locking.  Kostka counts are read off
+the Pieri sweep of ``branching``.
 """
 
 from functools import lru_cache
@@ -168,40 +169,13 @@ def reduce_class_function(f: ClassFunction, table: CharacterTable) -> Multiplici
     return MultiplicityVector(table.irreps, tuple(counts))
 
 
-def _strip_predecessors(shape: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes obtained from ``shape`` by removing a horizontal strip of ``size``."""
-    m = len(shape)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if i == m:
-            if remaining == 0:
-                trimmed = prefix
-                while trimmed and trimmed[-1] == 0:
-                    trimmed = trimmed[:-1]
-                out.append(trimmed)
-            return
-        low = shape[i + 1] if i + 1 < m else 0
-        for kept in range(shape[i], low - 1, -1):
-            removed = shape[i] - kept
-            if removed > remaining:
-                break
-            rec(i + 1, remaining - removed, prefix + (kept,))
-
-    rec(0, size, ())
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _kostka(shape: tuple[int, ...], weights: tuple[int, ...]) -> int:
-    if not shape:
-        return 1 if not weights else 0
-    if not weights:
-        return 0
-    total = 0
-    for predecessor in _strip_predecessors(shape, weights[-1]):
-        total += _kostka(predecessor, weights[:-1])
-    return total
+    """Read off the Pieri sweep of ``weights``; a Kostka number does not
+    depend on the order of the weights."""
+    from .branching import _pieri_sweep
+
+    return _pieri_sweep(weights).get(shape, 0)
 
 
 def kostka(shape: Partition, content) -> int:

@@ -12,7 +12,10 @@ Both limits are read by one route: :func:`level_content` gives the
 parity-labelled irrep content at one grand angular momentum, and
 :func:`enumerate_levels` walks the levels in (excitation, ``lam``,
 ``nu_rho``) order.  Ground states consume them; spectra and the map read
-one triple's levels in that order from the lazy walk :func:`_triple_levels`.
+one triple's levels in that order from the lazy walk :func:`_triple_levels`,
+which yields each excitation's ``(lam, multiplicity)`` pairs, without a copy,
+with their total.  The map reads its rank and its image off those totals in
+one pass, in time linear in the source's and the image's excitation.
 """
 
 from functools import lru_cache
@@ -160,19 +163,23 @@ def enumerate_levels(n: int, regime: str, e_max: int):
 
 def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
     """The levels carrying ``mu`` up to excitation ``e_max``, lazily: for each
-    excitation ``nu_R + rest``, ``rest = 0, 1, ...``, one tuple of
+    excitation ``nu_R + rest``, ``rest = 0, 1, ...``, ``(pairs, total)``, the
     ``(lam, multiplicity)`` pairs, ``lam`` ascending, in
-    :func:`enumerate_levels` order.  With ``nu_R`` fixed, ``rest`` and
-    ``lam`` fix the level (:func:`_level`)."""
+    :func:`enumerate_levels` order, and the sum of their multiplicities.
+    ``pairs`` is the walk's own list for the parity of ``rest``, which it
+    extends as it goes: read it before the next step.  With ``nu_R`` fixed,
+    ``rest`` and ``lam`` fix the level (:func:`_level`)."""
     slot = parity_irreps(n).index((mu.p, mu.pi))
     # The nonzero ``(lam, multiplicity)`` pairs of each ``lam`` parity seen
-    # so far: each ``lam`` is looked up once, when the walk first reaches it.
-    seen = ([], [])
+    # so far, and their running totals: each ``lam`` is looked up once, when
+    # the walk first reaches it.
+    seen, totals = ([], []), [0, 0]
     for rest in range(e_max - mu.nu_r + 1):
         found = level_content(n, regime, rest).counts[slot]
         if found:
             seen[rest % 2].append((rest, found))
-        yield tuple(seen[rest % 2])
+            totals[rest % 2] += found
+        yield seen[rest % 2], totals[rest % 2]
 
 
 def _level(mu: GNLabel, rest: int, lam: int) -> HypercylindricalLabel:
@@ -195,8 +202,8 @@ def spectrum_levels(
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
     return [
         (_level(mu, rest, lam), mult)
-        for rest, shell in enumerate(_triple_levels(n, regime, mu, e_max))
-        for lam, mult in shell
+        for rest, (pairs, _) in enumerate(_triple_levels(n, regime, mu, e_max))
+        for lam, mult in pairs
     ]
 
 
@@ -219,18 +226,21 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     if not 0 <= source.tau < source_mult:
         raise ValueError(f"tau={source.tau} out of range for multiplicity {source_mult}")
 
-    *below, shell = _triple_levels(n, G_ZERO, mu, source.hyper.excitation)
-    position = [lam for lam, _ in shell].index(source.hyper.lam)
-    rank = sum(mult for lower in below for _, mult in lower)
-    rank += sum(mult for _, mult in shell[:position]) + source.tau
-    source_ties = len(shell)
+    # Copies before the source: every lower excitation's, then the earlier ``lam``'s at its own.
+    rank = source.tau
+    for pairs, total in _triple_levels(n, G_ZERO, mu, source.hyper.excitation):
+        rank += total
+    rank += sum(mult for lam, mult in pairs if lam < source.hyper.lam) - total
+    source_ties = len(pairs)
 
-    ceiling = source.hyper.excitation + (4 * n if extra_energy is None else extra_energy)
-    cumulative = 0
-    for rest, shell in enumerate(_triple_levels(n, G_INF, mu, ceiling)):
-        for lam, mult in shell:
-            cumulative += mult
-            if cumulative > rank:
+    extra = 4 * n if extra_energy is None else extra_energy
+    ceiling = source.hyper.excitation + extra
+    for rest, (pairs, total) in enumerate(_triple_levels(n, G_INF, mu, ceiling)):
+        if rank >= total:
+            rank -= total
+            continue
+        for lam, mult in pairs:
+            if rank < mult:
                 return MapResult(
                     source=source,
                     target_hyper=_level(mu, rest, lam),
@@ -238,10 +248,12 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
                     target_pi=mu.pi,
                     target_dimension=mult,
                     resolved=mult == 1,
-                    convention_ordered=source_ties > 1 or len(shell) > 1,
+                    convention_ordered=source_ties > 1 or len(pairs) > 1,
                 )
+            rank -= mult
     raise SearchExhaustedError(
-        f"no hard-core level carrying {mu} within {ceiling} quanta"
+        f"no hard-core level carrying {mu} up to excitation {ceiling}, "
+        f"{extra} quanta above the source"
     )
 
 

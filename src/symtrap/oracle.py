@@ -47,7 +47,6 @@ from .partitions import (
 from .snippet import (
     SnippetIrrepLabel,
     _cycle_type,
-    _inversion_sign,
     _standard_chains,
     all_sectors,
 )
@@ -143,11 +142,20 @@ def _fixed_sectors(n: int, c: tuple[int, ...], inverted: int) -> int:
     return sum(map(eq, _relabelled(n, c, inverted), _sector_codes(n)[0]))
 
 
+def _global_sign(n: int, lambda_parity: str) -> int:
+    """Sign of inversion on the sectors, from its definition: the seed's, +1
+    or -1 for an ``even`` or ``odd`` seed, times the sign of the reversal."""
+    if lambda_parity not in ("even", "odd"):
+        raise ValueError(f"lambda parity must be 'even' or 'odd', got {lambda_parity!r}")
+    seed = 1 if lambda_parity == "even" else -1
+    return seed * class_sign(_cycle_type(tuple(range(n, 0, -1))))
+
+
 def sector_traces(n: int, lambda_parity: str) -> ClassFunction:
     """The sector character for one seed parity, counted: the sectors each
     class fixes, signed on the inverted classes; no matrix is built."""
     table = character_table_snz2(n)
-    sign = _inversion_sign(n, lambda_parity)
+    sign = _global_sign(n, lambda_parity)
     traces = tuple(
         (sign if inverted else 1) * _fixed_sectors(n, _class_representative(c), inverted)
         for c, inverted in table.classes
@@ -291,7 +299,7 @@ def verify_sector_basis(
         if a.norm_sq <= 0:
             raise ConsistencyError("sector basis holds a zero vector")
     irrep = p.label(pi)
-    sign = _inversion_sign(n, lambda_parity)
+    sign = _global_sign(n, lambda_parity)
     mult = _sector_multiplicity(n, sign, p, pi)
     dim = irrep_dimension(p)
     jm = _jucys_murphy(n)

@@ -3,14 +3,16 @@
 These builders materialize the actual (signed) permutation matrices that
 the package deliberately avoids, count their fixed points, and decompose
 the traces with the character tables.  Shell contents are recounted by
-Kostka counts and hyperangular contents by a subtraction over shells, the
-sector representation is built as explicit signed-permutation generators,
-and sector bases are rebuilt by subgroup character sums over whole groups
-(``subgroup_chain_basis``).  No command runs any of this: what
-``--verify`` runs lives in ``symtrap.oracle``, and the sector actions here
-are built from the oracle's own sector relabelling (``_relabelled``), so
-they share no action code with ``snippet``.  The explicit shell matrices and
-the whole-group sums are guarded.
+Kostka counts, from a strip recursion that is the shape-by-shape reference
+of the package's Pieri sweep (``strip_kostka``), and hyperangular contents
+by a subtraction over shells; the sector representation is built as
+explicit signed-permutation generators, and sector bases are rebuilt by
+subgroup character sums over whole groups (``subgroup_chain_basis``).  No
+command runs any of this: what ``--verify`` runs lives in
+``symtrap.oracle``, and the sector actions here are built from the
+oracle's own sector relabelling (``_relabelled``), so they share no action
+code with ``snippet``.  The explicit shell matrices and the whole-group
+sums are guarded.
 """
 
 from functools import lru_cache
@@ -23,7 +25,6 @@ from symtrap.characters import (
     ClassFunction,
     character_table_sn,
     character_table_snz2,
-    kostka,
     reduce_class_function,
     sn_character,
 )
@@ -116,6 +117,51 @@ class ExplicitRep(Record):
     __slots__ = _fields = ("group", "dimension", "basis", "generators", "classes", "traces")
 
 
+def _strip_predecessors(shape: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes obtained from ``shape`` by removing a horizontal strip of ``size``."""
+    m = len(shape)
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
+        if i == m:
+            if remaining == 0:
+                trimmed = prefix
+                while trimmed and trimmed[-1] == 0:
+                    trimmed = trimmed[:-1]
+                out.append(trimmed)
+            return
+        low = shape[i + 1] if i + 1 < m else 0
+        for kept in range(shape[i], low - 1, -1):
+            removed = shape[i] - kept
+            if removed > remaining:
+                break
+            rec(i + 1, remaining - removed, prefix + (kept,))
+
+    rec(0, size, ())
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _strip_kostka(shape: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    if not shape:
+        return 1 if not weights else 0
+    if not weights:
+        return 0
+    total = 0
+    for predecessor in _strip_predecessors(shape, weights[-1]):
+        total += _strip_kostka(predecessor, weights[:-1])
+    return total
+
+
+def strip_kostka(shape: Partition, content) -> int:
+    """``characters.kostka`` shape by shape, by a recursion that removes one
+    horizontal strip per weight, the last weight first, rather than by the
+    package's Pieri sweep."""
+    values = tuple(content)
+    weights = tuple(values.count(v) for v in sorted(set(values)))
+    return _strip_kostka(shape.parts, weights)
+
+
 @lru_cache(maxsize=None)
 def kostka_shell_reduction(n: int, x: int) -> MultiplicityVector:
     """Shell content by Kostka counts: each way of distributing ``x`` quanta
@@ -125,7 +171,7 @@ def kostka_shell_reduction(n: int, x: int) -> MultiplicityVector:
     for quanta in partitions_into_max_parts(x, n):
         content = (0,) * (n - len(quanta)) + tuple(sorted(quanta))
         for i, shape in enumerate(shapes):
-            totals[i] += kostka(shape, content)
+            totals[i] += strip_kostka(shape, content)
     return MultiplicityVector(shapes, tuple(totals))
 
 

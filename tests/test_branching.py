@@ -12,7 +12,7 @@ from symtrap.branching import (
     distinguishable_pattern,
     spin_decomposition,
 )
-from symtrap.characters import ClassFunction, character_table_sn, kostka, reduce_class_function
+from symtrap.characters import ClassFunction, character_table_sn, reduce_class_function
 from symtrap.oracle import branch_multiplicity_by_characters
 from symtrap.oscillator import hyperangular_dimension, lambda_reduction, shell_reduction
 from symtrap.partitions import Partition, partitions_of
@@ -27,6 +27,7 @@ from reference_data import (
     S5_BRANCHING,
     SPIN_DECOMPOSITIONS,
 )
+from reference_routes import strip_kostka
 
 
 def pattern_from(parts, stats):
@@ -99,11 +100,11 @@ class TestBranchMultiplicity:
 
 
 def kostka_row(pattern):
-    """The branching row shape by shape, through ``characters.kostka``."""
+    """The branching row shape by shape, through the strip recursion."""
     shapes = partitions_of(pattern.n)
     if pattern.statistics == FERMI:
         shapes = [p.conjugate() for p in shapes]
-    return tuple(kostka(shape, pattern.content()) for shape in shapes)
+    return tuple(strip_kostka(shape, pattern.content()) for shape in shapes)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -1,4 +1,5 @@
 import pytest
+from itertools import product
 from math import factorial
 
 from symtrap.characters import (
@@ -16,6 +17,7 @@ from symtrap.errors import ConsistencyError
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 
 from reference_data import S3Z2_CHARACTERS, S4Z2_CHARACTERS
+from reference_routes import strip_kostka
 
 
 def altered(table, values=None, class_sizes=None):
@@ -243,6 +245,18 @@ class TestKostka:
     )
     def test_matches_brute_force(self, shape, content):
         assert kostka(Partition(shape), content) == brute_force_kostka(shape, content)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sweep_equals_the_strip_recursion(self, n):
+        """Every shape against every content whose weights, in order, are a
+        composition of n: the sweep reads weights in any order."""
+        for cuts in product((False, True), repeat=n - 1):
+            content, symbol = [0], 0
+            for cut in cuts:
+                symbol += cut
+                content.append(symbol)
+            for shape in partitions_of(n):
+                assert kostka(shape, content) == strip_kostka(shape, content), (shape, content)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_distinct_content_gives_dimension(self, n):

@@ -299,6 +299,15 @@ class TestExitCodes:
         assert not result.stdout
         assert result.stderr == f"error: {reason}\n"
 
+    def test_map_exhausted_search_names_what_was_searched(self):
+        result = run("map", "--n", "3", "--state", "0,0,1,21", "--ceiling", "0")
+        assert result.exit_code == 2
+        assert not result.stdout
+        assert result.stderr == (
+            "error: no hard-core level carrying (nu_R=0, pi=-, [21]) up to excitation 1, "
+            "0 quanta above the source\n"
+        )
+
     def test_map_component_tag_is_echoed_as_given(self):
         output = run_ok("map", "--n", "3", "--state", "0,0,3,3", "--component", "[2]x[1]")
         assert "|0,0,3; [3], tau=0; [2]x[1]>" in output
@@ -385,6 +394,35 @@ class TestExitCodes:
         result = run(*args, "--verify")
         assert result.exit_code == 3
         assert not result.stdout
+        assert result.stderr.startswith("consistency failure: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reduce-snippet", "--n", "5"],
+            ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"],
+        ],
+        ids=["reduce-snippet", "sector-basis"],
+    )
+    def test_a_wrong_inversion_sign_exits_three(self, monkeypatch, args):
+        """The certificate derives the inversion sign from its definition, so a
+        wrong sign in the builder fails the check, even where the certificate
+        would have read the same formula."""
+        from symtrap import oracle, snippet
+
+        right = snippet._inversion_sign
+
+        def negated(n, lambda_parity):
+            return -right(n, lambda_parity)
+
+        monkeypatch.setattr(snippet, "_inversion_sign", negated)
+        monkeypatch.setattr(oracle, "_inversion_sign", negated, raising=False)
+        snippet.snippet_reduction.cache_clear()
+        try:
+            result = run(*args, "--verify")
+        finally:
+            snippet.snippet_reduction.cache_clear()
+        assert result.exit_code == 3
         assert result.stderr.startswith("consistency failure: ")
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from symtrap.mapping import (
     G_ZERO,
     REGIMES,
     GNLabel,
+    MapResult,
     SearchExhaustedError,
     StateLabel,
     adiabatic_map,
@@ -218,6 +221,65 @@ class TestAdiabaticMap:
     def test_untied_map_is_not_flagged(self):
         result = adiabatic_map(3, StateLabel(H(0, 0, 1), P((2, 1))))
         assert not result.convention_ordered
+
+
+class TestMapAgainstTheSpectra:
+    """The map ranks copies in one pass over the walk's running totals; here
+    the image is read off the two ``spectrum_levels`` lists copy by copy."""
+
+    @pytest.mark.parametrize("extra", [None, 2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_image_is_read_off_both_spectra(self, n, extra):
+        e_max = 10
+        reach = 4 * n if extra is None else extra
+        for nu_r in (0, 1):
+            for p, pi in parity_irreps(n):
+                mu = GNLabel(nu_r, pi, p)
+                free = spectrum_levels(n, G_ZERO, mu, e_max)
+                hard = spectrum_levels(n, G_INF, mu, e_max + reach)
+                hard_copies = [(hyper, mult) for hyper, mult in hard for _ in range(mult)]
+                rank = 0
+                for hyper, mult in free:
+                    ties = sum(other.excitation == hyper.excitation for other, _ in free)
+                    within = [c for c in hard_copies if c[0].excitation <= hyper.excitation + reach]
+                    for tau in range(mult):
+                        source = StateLabel(hyper, p, tau=tau)
+                        if rank >= len(within):
+                            with pytest.raises(SearchExhaustedError):
+                                adiabatic_map(n, source, extra)
+                        else:
+                            target, dim = within[rank]
+                            target_ties = sum(other.excitation == target.excitation for other, _ in hard)
+                            expected = MapResult(
+                                source, target, p, pi, dim, dim == 1, ties > 1 or target_ties > 1
+                            )
+                            assert adiabatic_map(n, source, extra) == expected
+                        rank += 1
+
+    def test_cost_is_linear_in_the_excitation(self):
+        """With every level content cached, a map twice as deep costs about
+        twice as many calls, not four times as many."""
+
+        def state(e):
+            return StateLabel(H(0, 0, e), P((7, 1)))
+
+        for e in (1000, 2000):
+            adiabatic_map(8, state(e))
+        counts = []
+        for e in (1000, 2000):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                adiabatic_map(8, state(e))
+            finally:
+                sys.setprofile(None)
+            counts.append(calls)
+        assert counts[1] <= 2.5 * counts[0], counts
 
 
 class TestGroundState:

@@ -12,6 +12,7 @@ from symtrap.oracle import (
     _inversion,
     _jucys_murphy,
     _sector_multiplicity,
+    sector_traces,
     verify_sector_basis,
 )
 from symtrap.linalg import dot, primitive
@@ -138,6 +139,10 @@ class TestSectorOracle:
                 _sector_action(n, _class_representative(c), inverted, sign).trace()
                 for c, inverted in rep.classes
             )
+
+    def test_unknown_parity_is_refused(self):
+        with pytest.raises(ValueError, match="lambda parity must be 'even' or 'odd'"):
+            sector_traces(4, "both")
 
     def test_two_sector_case(self):
         _, even = explicit_sector_rep(2, "even")

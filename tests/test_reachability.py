@@ -64,7 +64,6 @@ ALLOWED = {
         "perfbench/traced_cli.py wraps it by name; the tests' Kostka shell route reads it"
     ),
     "characters._kostka": "runs behind the exported kostka; perfbench reads its cache",
-    "characters._strip_predecessors": "runs behind the exported kostka",
     "cli.entry": "runs only as the process entry; TestProcessEntry runs it in a child",
     "cli._program_name": "runs only as the process entry; TestProcessEntry runs it in a child",
 }
