@@ -709,11 +709,11 @@ def reduce_snippet_cmd(n: int, verify: bool):
                 raise ConsistencyError(f"sector characters disagree for n={n}, {parity}")
             if reduce_class_function(traces, character_table_snz2(n)).counts != printed.counts:
                 raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
-    rows = [[p.label(pi), even[(p, pi)], odd[(p, pi)]] for (p, pi) in even.keys]
+    cells = list(zip(even.keys, even.counts, odd.counts))
+    rows = [[p.label(pi), e, o] for (p, pi), e, o in cells]
     body = {
         "rows": [
-            {"irrep": list(p.parts), "pi": pi, "even": even[(p, pi)], "odd": odd[(p, pi)]}
-            for (p, pi) in even.keys
+            {"irrep": list(p.parts), "pi": pi, "even": e, "odd": o} for (p, pi), e, o in cells
         ],
     }
     return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, body

@@ -16,9 +16,9 @@ one triple's levels in that order from the lazy walk :func:`_triple_levels`,
 which yields each excitation's ``(lam, multiplicity)`` pairs, without a copy,
 with their total.  The map reads its rank and its image off those totals in
 one pass, in time linear in the source's and the image's excitation.
+:func:`level_content`, a view over the memoized reductions, is not memoized:
+each walk reads a ``lam``'s content once, so the memos keep one row per ``lam``.
 """
-
-from functools import lru_cache
 
 from .branching import ComponentPattern, branch_row
 from .errors import SearchExhaustedError
@@ -118,7 +118,6 @@ class MapResult(Record):
     )
 
 
-@lru_cache(maxsize=None)
 def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     """Multiplicity of each parity-labelled irrep ``(p, pi)`` in one level at ``lam``.
 
@@ -136,7 +135,7 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
         return MultiplicityVector(parity_irreps(n), counts + zeros if even else zeros + counts)
     seeds = antisymmetric_multiplicity(n, lam)
     if not seeds:
-        return level_content(n, G_ZERO, lam).scaled(0)
+        return MultiplicityVector(parity_irreps(n), (0,) * len(parity_irreps(n)))
     from .snippet import snippet_reduction
 
     return snippet_reduction(n, "even" if even else "odd").scaled(seeds)
@@ -153,9 +152,11 @@ def enumerate_levels(n: int, regime: str, e_max: int):
     _check_regime(regime)
     if e_max < 0:
         raise ValueError(f"e_max must be non-negative, got {e_max}")
+    # Each ``lam``'s content, read once, when the walk first reaches it.
+    contents = []
     for x in range(e_max + 1):
-        for lam in range(x + 1):
-            content = level_content(n, regime, lam)
+        contents.append(level_content(n, regime, x))
+        for lam, content in enumerate(contents):
             if any(content.counts):
                 for nu_rho in range((x - lam) // 2 + 1):
                     yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content

@@ -16,7 +16,7 @@ from math import comb
 from operator import ge, gt, le, lt
 
 from .errors import ConsistencyError
-from .partitions import MultiplicityVector, Partition, Record, partitions_of
+from .partitions import MultiplicityVector, Record, partitions_of
 
 
 def _by_fields(compare):
@@ -178,5 +178,6 @@ def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
 
 
 def antisymmetric_multiplicity(n: int, lam: int) -> int:
-    """Copies of the totally antisymmetric irrep at grand angular momentum ``lam``."""
-    return lambda_reduction(n, lam)[Partition((1,) * n)]
+    """Copies of the totally antisymmetric irrep at grand angular momentum ``lam``:
+    the last slot, since :func:`partitions_of` puts ``[1^n]`` last."""
+    return lambda_reduction(n, lam).counts[-1]

@@ -265,12 +265,11 @@ class MultiplicityVector(Record):
 
     Keys are either partitions or ``(partition, parity)`` pairs; the order
     is fixed by whoever builds the vector and is preserved by arithmetic.
+    Lookup scans the keys, in linear time, for the key's first occurrence;
+    a caller that reads every slot zips ``keys`` with ``counts`` instead.
     """
 
-    _fields = ("keys", "counts")
-    #: ``_slots`` maps each key to its slot (first occurrence), for
-    #: constant-time lookup; it is not a field, and the first lookup builds it.
-    __slots__ = (*_fields, "_slots")
+    __slots__ = _fields = ("keys", "counts")
 
     def __init__(self, keys: tuple, counts: tuple[int, ...]) -> None:
         keys, counts = tuple(keys), tuple(int(c) for c in counts)
@@ -280,11 +279,8 @@ class MultiplicityVector(Record):
 
     def __getitem__(self, key) -> int:
         try:
-            return self.counts[self._slots[key]]
-        except AttributeError:
-            object.__setattr__(self, "_slots", {k: i for i, k in reversed(tuple(enumerate(self.keys)))})
-            return self[key]
-        except KeyError:
+            return self.counts[self.keys.index(key)]
+        except ValueError:
             raise ValueError(f"{key!r} is not a key of this vector") from None
 
     def get(self, key, default: int = 0) -> int:

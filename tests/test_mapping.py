@@ -106,18 +106,69 @@ class TestOneLevelOrder:
         assert listed
 
 
+def record_requests(monkeypatch) -> list:
+    """Wrap ``mapping.level_content``; the returned list fills with each
+    ``(regime, lam)`` requested."""
+    requested = []
+    content = mapping.level_content
+
+    def recorder(n, regime, lam):
+        requested.append((regime, lam))
+        return content(n, regime, lam)
+
+    monkeypatch.setattr(mapping, "level_content", recorder)
+    return requested
+
+
+def package_memos() -> list:
+    """Every ``lru_cache`` defined in the package, each module imported."""
+    import importlib
+    import pkgutil
+
+    import symtrap
+
+    names = [f"symtrap.{info.name}" for info in pkgutil.iter_modules(symtrap.__path__)]
+    return [
+        memo
+        for name in names
+        for memo in vars(importlib.import_module(name)).values()
+        if hasattr(memo, "cache_info") and memo.__module__ == name
+    ]
+
+
+class TestEachWalkReadsALamOnce:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_enumerate_levels(self, monkeypatch, n, regime):
+        e_max = n * (n - 1) // 2 + 6
+        requested = record_requests(monkeypatch)
+        assert list(enumerate_levels(n, regime, e_max))
+        assert requested == [(regime, lam) for lam in range(e_max + 1)]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n,counts", [(3, (2, 1)), (5, (3, 2)), (8, (4, 4))])
+    def test_ground_state(self, monkeypatch, n, counts, regime):
+        requested = record_requests(monkeypatch)
+        assert ground_state(n, ComponentPattern(counts, FERMI), regime)
+        assert requested == [(regime, lam) for lam in range(len(requested))]
+
+    def test_a_deep_map_holds_one_memo_entry_per_lam(self):
+        """Both walks reach every ``lam`` up to the image; afterwards the
+        package's memos hold one entry per such ``lam``, and a few more."""
+        memos = package_memos()
+        for memo in memos:
+            memo.cache_clear()
+        result = adiabatic_map(8, StateLabel(H(0, 0, 2000), P((7, 1))))
+        walked = result.target_hyper.excitation + 1
+        held = sum(memo.cache_info().currsize for memo in memos)
+        assert held <= walked + 200, (held, walked)
+
+
 class TestAdiabaticMap:
     def test_hard_core_search_stops_at_the_image(self, monkeypatch):
         source = StateLabel(H(0, 0, 1), P((2, 1)))
         expected = adiabatic_map(3, source)
-        requested = []
-        content = mapping.level_content
-
-        def recorder(n, regime, lam):
-            requested.append((regime, lam))
-            return content(n, regime, lam)
-
-        monkeypatch.setattr(mapping, "level_content", recorder)
+        requested = record_requests(monkeypatch)
         assert adiabatic_map(3, source, extra_energy=200) == expected
         assert expected.target_hyper.excitation == 3
         assert max(lam for regime, lam in requested if regime == G_INF) <= 3
@@ -257,7 +308,7 @@ class TestMapAgainstTheSpectra:
                         rank += 1
 
     def test_cost_is_linear_in_the_excitation(self):
-        """With every level content cached, a map twice as deep costs about
+        """With every reduction cached, a map twice as deep costs about
         twice as many calls, not four times as many."""
 
         def state(e):

@@ -156,6 +156,12 @@ class TestLambdaReduction:
         assert [lam for lam in range(14) if antisymmetric_multiplicity(5, lam)] == [10, 13]
         assert [lam for lam in range(14) if antisymmetric_multiplicity(3, lam)] == [3, 6, 9, 12]
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_antisymmetric_multiplicity_is_the_antisymmetric_slot(self, n):
+        antisymmetric = Partition((1,) * n)
+        for lam in range(61):
+            assert antisymmetric_multiplicity(n, lam) == lambda_reduction(n, lam)[antisymmetric]
+
     def test_unsupported_two_particles(self):
         with pytest.raises(ValueError):
             lambda_reduction(2, 1)

@@ -76,6 +76,11 @@ class TestPartitionBasics:
         assert partitions_of(5)[0].parts == (5,)
         assert partitions_of(5)[-1].parts == (1,) * 5
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_antisymmetric_shape_is_last(self, n):
+        """``oscillator.antisymmetric_multiplicity`` reads the last slot."""
+        assert partitions_of(n)[-1] == Partition((1,) * n)
+
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError):
@@ -274,6 +279,8 @@ class TestMultiplicityVector:
         assert (a + b).counts == (1, 3, 1)
         assert (a - b).counts == (1, 1, -1)
         assert a.scaled(3).counts == (3, 6, 0)
+        assert list((a + b).items()) == list(zip(keys, (1, 3, 1)))
+        assert (a - b).min_count() == -1
 
     def test_lookup_and_dimension(self):
         keys = partitions_of(3)
@@ -308,24 +315,14 @@ class TestMultiplicityVector:
         v = MultiplicityVector(keys, (0, 1, 1))
         assert v.total_dimension() == 3
 
-    def test_lookup_table_is_built_on_first_lookup(self):
-        """Arithmetic and ordered reads never build the key-to-slot map."""
-        v = MultiplicityVector(partitions_of(3), (1, 2, 1))
-        w = v + v.scaled(2)
-        assert list(w.items())[1] == (Partition((2, 1)), 6) and w.min_count() == 3
-        with pytest.raises(AttributeError):
-            w._slots
-        assert w[Partition((2, 1))] == 6
-        assert w._slots[Partition((2, 1))] == 1
-
     def test_duplicate_keys_resolve_to_the_first_occurrence(self):
         p, q = Partition((2, 1)), Partition((3,))
         v = MultiplicityVector((p, q, p, q), (1, 2, 3, 4))
         assert (v[p], v[q], v.get(p), v.get(q, 9)) == (1, 2, 1, 2)
 
     def test_first_lookup_may_miss(self):
-        """Whichever lookup comes first builds the map: a missed ``get``
-        returns its default, and a missed index raises ``ValueError``."""
+        """A missed ``get`` returns its default, and a missed index raises
+        ``ValueError``; neither changes what later lookups read."""
         keys = partitions_of(3)
         v = MultiplicityVector(keys, (1, 2, 1))
         assert v.get(Partition((4,)), -5) == -5

@@ -202,8 +202,8 @@ def test_hypercylindrical_labels_sort_as_field_tuples():
 
 
 def test_an_unpickled_vector_still_looks_up():
-    """``MultiplicityVector._slots`` is not pickled; the copy builds its own on
-    its first lookup, whether or not the original had built one."""
+    """A pickled vector carries only its fields, keys and counts; the copy
+    looks up like the original, before and after the original's own lookups."""
     original = MultiplicityVector(partitions_of(3), (1, 2, 1))
     assert pickle.loads(pickle.dumps(original))[P21] == 2
     assert original[P21] == 2
