@@ -11,7 +11,7 @@ orthogonal bases are returned as primitive integer vectors and callers
 track squared norms separately.
 """
 
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
 from operator import floordiv, mul
 
@@ -30,18 +30,19 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(map(floordiv, vec, repeat(g)))
 
 
-def gram_schmidt(vectors, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Orthogonalize exactly, returning primitive integer vectors.
+def independent(vectors):
+    """Yield ``(i, b)`` for each of ``vectors`` outside the span of those
+    before it: ``i`` its position, ``b`` its primitive residual.
 
     Each earlier result ``b`` is removed by ``row = |b|^2 row - (b.row) b``,
     a nonzero multiple of the rational projection step, so the primitive
     results equal those of rational Gram-Schmidt.  A vector with a zero
-    residual is dropped; once a positive ``limit`` of vectors is kept, no
-    further vector is drawn from ``vectors``.
+    residual is dropped, and the next vector is drawn only when the next
+    result is asked for.
     """
     out: list[tuple[int, ...]] = []
     norms: list[int] = []
-    for row in vectors:
+    for i, row in enumerate(vectors):
         for basis, norm in zip(out, norms):
             coeff = dot(basis, row)
             if coeff:
@@ -50,6 +51,12 @@ def gram_schmidt(vectors, limit: int | None = None) -> list[tuple[int, ...]]:
             row = primitive(row)
             out.append(row)
             norms.append(dot(row, row))
-            if len(out) == limit:
-                break
-    return out
+            yield i, row
+
+
+def gram_schmidt(vectors, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Orthogonalize exactly, returning primitive integer vectors: the
+    residuals of :func:`independent`.  Once a positive ``limit`` of vectors
+    is kept, no further vector is drawn from ``vectors``.
+    """
+    return [row for _, row in islice(independent(vectors), limit or None)]

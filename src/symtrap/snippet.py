@@ -8,27 +8,35 @@ ordering and carries a global sign: the seed's hyperangular parity times
 the sign of the reversal permutation.  With that convention the totally
 antisymmetric combination shows the familiar alternating signs.
 
-Characters are evaluated combinatorially per conjugacy class.  Each basis
-block is one group-algebra element applied to the candidates
-``e_q + pi*s*e_{rev q}``; only its column at the identity sector is built,
-on per-n index tables of the transpositions (the only S_n action here),
-and every candidate is read off that column by right reindexing.  The
-block is the first candidates with a nonzero Gram-Schmidt residual,
-orthogonalized by that same pass.  The certificate of these bases, what
+Characters are evaluated combinatorially per conjugacy class.  A chain
+block is built in three steps.  The root line, that of the first standard
+tableau, is one group-algebra element (the tableau's Jucys-Murphy filter)
+applied to the candidates ``e_q + pi*s*e_{rev q}``; only its column at the
+identity sector is built, on per-n index tables of the transpositions (the
+only S_n action here), and every candidate is read off that column by right
+reindexing.  The line is the first candidates with a nonzero Gram-Schmidt
+residual, orthogonalized by that same pass.  Every other line is reached
+from a built neighbour by one seminormal step, the adjacent transposition
+that swaps the two tableaux (Young's seminormal form), which carries the
+neighbour's vectors onto an orthogonal basis of the new line.  Last, the
+vectors that elimination would have kept are re-selected inside that span,
+from the first sectors where it has full rank, so every line has the bytes
+of its own elimination.  A component block is one elimination of its own
+element's candidates.  The certificate of these bases, what
 ``sector-basis --verify`` runs, lives in ``oracle`` with its own actions;
-full matrices and the rebuild by subgroup sums are the tests' references,
-in ``tests/reference_routes.py``.  The hard-core levels are listed by
-``mapping.enumerate_levels``.
+full matrices, the rebuild by subgroup sums and the chain lines eliminated
+one at a time are the tests' references, in ``tests/reference_routes.py``.
+The hard-core levels are listed by ``mapping.enumerate_levels``.
 """
 
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
-from operator import add, itemgetter, sub
+from itertools import islice, permutations, repeat
+from math import factorial, lcm
+from operator import add, itemgetter, mul, sub
 
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
-from .linalg import dot, gram_schmidt
+from .linalg import dot, gram_schmidt, independent, primitive
 from .partitions import (
     MultiplicityVector,
     Partition,
@@ -172,9 +180,10 @@ def _index_tables(n: int):
     ``reversal`` and ``inverse`` read every sector backwards and at its
     inverse permutation.
     """
-    # Sectors as byte strings, so that relabelling is one bytes.translate.
-    sectors = [bytes(q) for q in all_sectors(n)]
-    index = {q: j for j, q in enumerate(sectors)}
+    # Sectors as byte strings, so that relabelling is one bytes.translate,
+    # mapped over all of them at once.
+    sectors = list(map(bytes, all_sectors(n)))
+    rank = dict(zip(sectors, range(len(sectors)))).__getitem__
     identity = sectors[0]
     # Only the adjacent s = (k-1 k) are relabelled; (i k) = s (i k-1) s
     # reads idx[j] = s[t[s[j]]] off the index tuples.
@@ -182,12 +191,14 @@ def _index_tables(n: int):
     row: list[tuple[int, ...]] = []
     for k in range(2, n + 1):
         swap = bytes.maketrans(bytes((k - 1, k)), bytes((k, k - 1)))
-        s = tuple(index[q.translate(swap)] for q in sectors)
+        s = tuple(map(rank, map(bytes.translate, sectors, repeat(swap))))
         gather = itemgetter(*s)
         row = [itemgetter(*gather(t))(s) for t in row] + [s]
         jm[k] = tuple(itemgetter(*t) for t in row)
-    reversal = itemgetter(*(index[q[::-1]] for q in sectors))
-    inverse = itemgetter(*(index[identity.translate(bytes.maketrans(q, identity))] for q in sectors))
+    reversal = itemgetter(*map(rank, map(itemgetter(slice(None, None, -1)), sectors)))
+    inverse = itemgetter(
+        *map(rank, map(identity.translate, map(bytes.maketrans, sectors, repeat(identity))))
+    )
     return jm, reversal, inverse
 
 
@@ -214,6 +225,22 @@ def _right_reindex(n: int, q: Sector, v):
     return inverse(v)
 
 
+def _grown_rows(chain: tuple[tuple[int, ...], ...]):
+    """``(smaller, row)`` for box k = 2..n: ``chain`` (from the shape of S_n
+    down to (1)) adds box ``k`` to ``smaller``, the zero-padded shape of
+    S_{k-1}, in ``row``; its content is ``smaller[row] - row``."""
+    n = len(chain)
+    for k in range(2, n + 1):
+        smaller = (*chain[n - k + 1], 0)
+        larger = (*chain[n - k], 0)
+        yield smaller, next(i for i, (a, b) in enumerate(zip(smaller, larger)) if a != b)
+
+
+def _contents(chain: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Contents ``(c_1, ..., c_n)`` of the boxes of the chain's standard tableau."""
+    return (0, *(smaller[row] - row for smaller, row in _grown_rows(chain)))
+
+
 def _jm_factors(chain: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
     """Factors ``(k, c)`` of the filter ``prod_k prod_{c != c_k} (X_k - c)``.
 
@@ -222,12 +249,8 @@ def _jm_factors(chain: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
     the shape of S_{k-1}, the other eigenvalues ``X_k`` can take there
     (Okounkov & Vershik, *Selecta Math.* 2 (1996)).
     """
-    n = len(chain)
     factors = []
-    for k in range(2, n + 1):
-        smaller = (*chain[n - k + 1], 0)
-        larger = (*chain[n - k], 0)
-        row = next(i for i, (a, b) in enumerate(zip(smaller, larger)) if a != b)
+    for k, (smaller, row) in enumerate(_grown_rows(chain), start=2):
         corners = [i for i in range(len(smaller)) if i == 0 or smaller[i - 1] > smaller[i]]
         factors += [(k, smaller[i] - i) for i in corners if i != row]
     return factors
@@ -261,19 +284,27 @@ def snippet_projection_basis(
 
     Without ``component`` the isotypic block is split to individual irrep
     components along the subgroup chain S_n > S_{n-1} > ... > S_2: the
-    component ``j`` of the ``j``-th standard tableau (in ``_standard_chains``
+    line ``j`` of the ``j``-th standard tableau (in ``_standard_chains``
     order) is the joint eigenspace of the Jucys-Murphy elements X_2..X_n
-    with that tableau's contents, cut out by the filter ``prod (X_k - c)``.
-    The result is ``mult * dim`` mutually orthogonal primitive integer
-    vectors labelled by ``tau`` (first-sector rank in the line) and ``j``.  With
-    ``component`` the block is instead intersected with the pattern's
-    symmetrized line, as needed for multi-component states: the isotypic
-    projector's character column times the signed Young-subgroup sum.
+    with that tableau's contents.  It is built in three steps.  The root
+    line (``j = 1``) is cut out by the filter ``prod (X_k - c)`` and
+    eliminated.  Every other tableau is reached breadth first by an
+    admissible ``s_k = (k k+1)``, whose axial distance ``r = c_{k+1} - c_k``
+    has ``|r| >= 2``: the new line is spanned by ``r s_k(u) - u`` over the
+    parent line's ``u``.  Within that span the vectors are re-selected as
+    the elimination would have kept them (:func:`_seminormal_line`).  The
+    result is ``mult * dim`` mutually orthogonal primitive integer vectors
+    labelled by ``tau`` (first-sector rank in the line) and ``j``, in
+    ``(tau, j)`` order; the vectors sharing one ``tau`` do not yet span an
+    irreducible copy.  With ``component`` the block is instead intersected
+    with the pattern's symmetrized line, as needed for multi-component
+    states: the isotypic projector's character column times the signed
+    Young-subgroup sum.
 
-    Each block is the first candidates in sector order with a nonzero
-    Gram-Schmidt residual, orthogonalized by that same pass.  A sector
-    whose residual vanishes maps into the span of earlier kept ones, so the
-    projected isotypic columns would keep the same sectors.  A zero
+    An eliminated block is the first candidates in sector order with a
+    nonzero Gram-Schmidt residual, orthogonalized by that same pass.  A
+    sector whose residual vanishes maps into the span of earlier kept ones,
+    so the projected isotypic columns would keep the same sectors.  A zero
     multiplicity yields an empty list.
     """
     _check_parity(lambda_parity)
@@ -298,16 +329,75 @@ def snippet_projection_basis(
         w = _act(chi, _young_factors(component, jm))
         basis = _block(n, w, sign, expected, f"component projection of {p}")
         return [SectorVector(n, v, dot(v, v)) for v in basis]
-    # The dim chain lines are independent, so the per-chain rank checks
+    # The dim chain lines are independent, so the per-line rank checks
     # together also check the rank of the whole isotypic block.
+    chains = _standard_chains(p.parts)
+    contents = [_contents(chain) for chain in chains]
+    position = {c: j for j, c in enumerate(contents)}
+    what = f"chain component of {p}"
     unit = [1] + [0] * (factorial(n) - 1)
-    out = []
-    for j, chain in enumerate(_standard_chains(p.parts), start=1):
-        w = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chain)])
-        for tau, v in enumerate(_block(n, w, sign, mult, f"chain component of {p}")):
-            out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
-    out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
-    return out
+    root = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chains[0])])
+    lines = [_block(n, root, sign, mult, what)] + [None] * (len(chains) - 1)
+    reached = [0]
+    for j in reached:
+        c = contents[j]
+        for k in range(1, n):
+            r = c[k] - c[k - 1]
+            if abs(r) < 2:
+                continue
+            t = position[(*c[: k - 1], c[k], c[k - 1], *c[k + 1 :])]
+            if lines[t] is None:
+                lines[t] = _seminormal_line(lines[j], r, jm[k + 1][-1], what)
+                reached.append(t)
+    return [
+        SectorVector(n, line[tau], dot(line[tau], line[tau]), SnippetIrrepLabel(p, pi, tau, j))
+        for tau in range(mult)
+        for j, line in enumerate(lines, start=1)
+    ]
+
+
+def _seminormal_line(line, r, swap, what) -> list[tuple[int, ...]]:
+    """The chain line of ``s T``, built from the line ``line`` of ``T``.
+
+    ``swap`` is ``s = (k k+1)`` and ``r = c_{k+1} - c_k`` its axial distance
+    in ``T``, with ``|r| >= 2``.  By Young's seminormal form
+    ``b = r s(u) - u`` carries each ``u`` of the line into the line of
+    ``s T``, and ``<b_x, b_y> = (r^2 - 1) <u_x, u_y>``, so the images of the
+    orthogonal ``u_i`` are orthogonal; that is checked.  The block that
+    :func:`_block` would eliminate depends only on its span: every
+    candidate is proportional to ``P e_q``, ``P`` the projector onto the
+    span of the ``b_i``.  So the first sectors ``q`` whose rows
+    ``(b_1[q], ..., b_m[q])`` are independent are the ones it keeps, and
+    ``P e_q``, proportional to ``sum_i (L / |b_i|^2) b_i[q] b_i`` with ``L``
+    the lcm of the ``|b_i|^2``, are orthogonalized as there.
+    """
+    images = [_seminormal_image(u, r, swap) for u in line]
+    norms = [dot(b, b) for b in images]
+    if not all(norms) or any(
+        dot(images[x], images[y]) for x in range(len(images)) for y in range(x)
+    ):
+        raise ConsistencyError(f"seminormal images in the {what} are not orthogonal")
+    if len(images) == 1:
+        return [primitive(images[0])]
+    pivots = [q for q, _ in islice(independent(zip(*images)), len(images))]
+    scale = lcm(*norms)
+    weights = [scale // norm for norm in norms]
+    columns = []
+    for q in pivots:
+        column = [0] * len(images[0])
+        for weight, b in zip(weights, images):
+            if b[q]:
+                column = list(map(add, column, map(mul, b, repeat(weight * b[q]))))
+        columns.append(column)
+    basis = gram_schmidt(columns, limit=len(images))
+    if len(basis) != len(images):
+        raise ConsistencyError(f"{what} has unexpected rank")
+    return basis
+
+
+def _seminormal_image(u, r, swap) -> list[int]:
+    """``r s(u) - u`` for the step ``s = swap`` at axial distance ``r``."""
+    return [r * a - b for a, b in zip(swap(u), u)]
 
 
 def _act(v, factors):

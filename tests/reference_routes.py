@@ -9,9 +9,12 @@ by a subtraction over shells; the sector representation is built as
 explicit signed-permutation generators, and sector bases are rebuilt by
 subgroup character sums over whole groups (``subgroup_chain_basis``).  No
 command runs any of this: what ``--verify`` runs lives in
-``symtrap.oracle``, and the sector actions here are built from the
+``symtrap.oracle``, and the explicit sector actions here are built from the
 oracle's own sector relabelling (``_relabelled``), so they share no action
-code with ``snippet``.  The explicit shell matrices and the whole-group
+code with ``snippet``.  One route does reuse ``snippet``'s actions: the
+chain path built one line at a time, each line by its own filter and
+elimination (``per_line_chain_basis``), the reference of the package's
+seminormal steps.  The explicit shell matrices and the whole-group
 sums are guarded.
 """
 
@@ -49,8 +52,12 @@ from symtrap.partitions import (
 from symtrap.snippet import (
     SectorVector,
     SnippetIrrepLabel,
+    _act,
+    _block,
     _cycle_type,
+    _index_tables,
     _inversion_sign,
+    _jm_factors,
     _standard_chains,
     all_sectors,
     snippet_reduction,
@@ -409,6 +416,30 @@ def subgroup_chain_basis(
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
         basis = gram_schmidt(along_chain(chain[1:-1]))
         for tau, v in enumerate(_by_first_sector(basis)):
+            out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
+    out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
+    return out
+
+
+def per_line_chain_basis(n: int, lambda_parity: str, p: Partition, pi: int) -> list[SectorVector]:
+    """The chain path of ``snippet.snippet_projection_basis``, one line at a time.
+
+    Every line is built from scratch with the package's own actions: the
+    Jucys-Murphy filter of its standard tableau applied at the identity
+    sector, then the Gram-Schmidt scan over the reindexed candidates.  The
+    package filters and eliminates only the first line and reaches the
+    others by seminormal steps, which must give the same bytes.
+    """
+    mult = snippet_reduction(n, lambda_parity)[(p, pi)]
+    if mult == 0:
+        return []
+    jm = _index_tables(n)[0]
+    sign = pi * _inversion_sign(n, lambda_parity)
+    unit = [1] + [0] * (factorial(n) - 1)
+    out = []
+    for j, chain in enumerate(_standard_chains(p.parts), start=1):
+        w = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chain)])
+        for tau, v in enumerate(_block(n, w, sign, mult, f"chain component of {p}")):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
     return out

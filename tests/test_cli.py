@@ -5,7 +5,7 @@ import pytest
 from cli_runner import run
 from hypothesis import given, settings, strategies as st
 
-from symtrap.cli import COMMANDS, _render_json
+from symtrap.cli import COMMANDS, _render_json, _render_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +122,44 @@ class TestJsonWriter:
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
             _render_json(value)
+
+
+def rowwise_text(headers, rows, title=None) -> str:
+    """The text table laid out one row at a time: the reference of ``_render_text``."""
+    table = [headers] + [[str(cell) for cell in row] for row in rows]
+    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
+    lines = []
+    if title:
+        lines.append(title)
+    for line_no, line in enumerate(table):
+        cells = [line[0].ljust(widths[0])] + [
+            cell.rjust(widths[i]) for i, cell in enumerate(line) if i > 0
+        ]
+        lines.append("  ".join(cells).rstrip())
+        if line_no == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+class TestTextRenderer:
+    """``_render_text``, laid out by column, against the row-wise layout."""
+
+    @pytest.mark.parametrize(
+        "headers, rows",
+        [
+            (["irrep", "count"], []),
+            (["irrep"], []),
+            (["irrep"], [["[3]"], ["[21]+"], [7]]),
+            (["E", "energy"], [["3ħω/2", -1], [-12, "-5ħω/2"], [0, "ħω"]]),
+            (["level", "tag", "note"], [["0,0,2", "1^2x1", ""], ["0,0,10", "3", ""]]),
+            (["a", "b"], [["", ""], ["x", ""]]),
+            (["sector", "v1", "v2"], [[f"{q:04d}", (q * 7) % 11 - 5, -q] for q in range(120)]),
+        ],
+        ids=["no-rows", "one-column", "one-column-rows", "hbar-negative", "empty-last", "blank", "wide"],
+    )
+    @pytest.mark.parametrize("title", [None, "", "character table S3"], ids=["none", "empty", "title"])
+    def test_matches_the_row_wise_layout(self, headers, rows, title):
+        assert _render_text(headers, rows, title) == rowwise_text(headers, rows, title)
 
 
 class TestBehaviour:

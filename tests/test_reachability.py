@@ -8,11 +8,14 @@ function and method defined in ``src/symtrap`` must be entered by that
 trace, or be library surface: a name in ``symtrap.__all__`` or a method of
 an exported class, including what it inherits.  Anything else needs an
 entry in ``ALLOWED`` with its reason.  The tests' slow reference routes
-live in ``tests/reference_routes.py``, not in the package.
+live in ``tests/reference_routes.py``, not in the package; so does the
+chain path built one line at a time, since a chain block runs one filter
+and one elimination, for its first line.
 """
 
 import inspect
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -20,6 +23,8 @@ import types
 from pathlib import Path
 
 import symtrap
+from symtrap import snippet
+from symtrap.partitions import Partition
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "symtrap"
 
@@ -191,3 +196,18 @@ def test_every_function_runs_or_is_library_surface(tmp_path, monkeypatch):
         assert name in by_name, name
         assert by_name[name] not in entered, name
     assert (tmp_path / "table.txt").read_text(encoding="utf-8").startswith("character table S3")
+
+
+def test_chain_block_runs_one_filter_and_one_elimination(monkeypatch):
+    calls = Counter()
+    for name in ("_jm_factors", "_block"):
+        real = getattr(snippet, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(snippet, name, counted)
+    vectors = snippet.snippet_projection_basis(5, "even", Partition((3, 2)), 1)
+    assert {v.label.j for v in vectors} == {1, 2, 3, 4, 5}
+    assert calls == {"_jm_factors": 1, "_block": 1}

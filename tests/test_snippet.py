@@ -18,7 +18,13 @@ from symtrap.mapping import G_INF, enumerate_levels
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import verify_sector_basis
 from symtrap.oscillator import antisymmetric_multiplicity
-from symtrap.partitions import MultiplicityVector, Partition, irrep_dimension, partitions_of
+from symtrap.partitions import (
+    MultiplicityVector,
+    Partition,
+    irrep_dimension,
+    parse_parity_irrep,
+    partitions_of,
+)
 from symtrap.snippet import (
     _index_tables,
     _inversion_sign,
@@ -31,7 +37,8 @@ from symtrap.snippet import (
     snippet_reduction,
 )
 
-from reference_routes import _sector_action
+from cli_runner import run
+from reference_routes import _sector_action, per_line_chain_basis
 from reference_data import (
     N3_SECTOR_REDUCTION,
     N4_SECTOR_REDUCTION,
@@ -330,22 +337,34 @@ def _enlarging(candidates, basis):
 
 
 class TestBlockOrder:
-    """A block comes out of Gram-Schmidt already in sector order: each kept
-    vector's first nonzero entry is at the sector whose candidate produced it."""
+    """A block comes out of Gram-Schmidt already in sector order.  On a root
+    line and a component block each kept vector's first nonzero entry is at
+    the sector whose candidate produced it; on a line reached by a
+    seminormal step the first nonzero entries are the selected pivot sectors."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """``(producing sectors, first nonzero sectors)`` of every block built."""
+        """``(producing or pivot sectors, first nonzero sectors)`` of every
+        block that ``gram_schmidt`` builds."""
         from symtrap import snippet
 
-        real, seen = snippet.gram_schmidt, []
+        real, real_independent = snippet.gram_schmidt, snippet.independent
+        seen, pivots = [], []
+
+        def selecting(rows):
+            for q, row in real_independent(rows):
+                pivots.append(q)
+                yield q, row
 
         def recording(vectors, limit=None):
             drawn = []
             basis = real((drawn.append(v) or v for v in vectors), limit=limit)
-            seen.append((_enlarging(drawn, basis), [_first_nonzero(v) for v in basis]))
+            sources = pivots[:] if pivots else _enlarging(drawn, basis)
+            pivots.clear()
+            seen.append((sources, [_first_nonzero(v) for v in basis]))
             return basis
 
+        monkeypatch.setattr(snippet, "independent", selecting)
         monkeypatch.setattr(snippet, "gram_schmidt", recording)
         return seen
 
@@ -361,8 +380,9 @@ class TestBlockOrder:
             assert firsts == producers
 
     def test_largest_six_particle_block(self, blocks):
-        """[321]+ even: the 16 chain blocks of 8 vectors, and the component
-        blocks of up to 32 (the 64- and 128-vector ones would add about 12 s)."""
+        """[321]+ even: the root line and 15 seminormal lines of 8 vectors,
+        and the component blocks of up to 32 (the 64- and 128-vector ones
+        would add about 12 s)."""
         p = Partition((3, 2, 1))
         patterns = [*patterns_for(6, BOSE), *patterns_for(6, FERMI)]
         for pattern in [None, *(c for c in patterns if branch_multiplicity(p, c) <= 4)]:
@@ -370,6 +390,47 @@ class TestBlockOrder:
         assert len(blocks) == 16 + 8
         for producers, firsts in blocks:
             assert firsts == producers
+
+
+class TestSeminormalLines:
+    """Chain lines after the first come from a neighbouring line by one
+    seminormal step, and are the bytes of the line built on its own."""
+
+    @pytest.mark.parametrize(
+        "irrep, parity",
+        [("321+", "even")]
+        + [
+            (f"{p}{s}", parity)
+            for p in ("42", "3^2", "21^4")
+            for s in "+-"
+            for parity in ("even", "odd")
+        ],
+    )
+    def test_six_particle_block_matches_the_per_line_route(self, irrep, parity):
+        p, pi = parse_parity_irrep(irrep)
+        got = snippet_projection_basis(6, parity, p, pi)
+        assert got
+        assert got == per_line_chain_basis(6, parity, p, pi)
+
+    @pytest.fixture
+    def skewed(self, monkeypatch):
+        """A seminormal image shifted off the isotypic block by the all-ones
+        vector, so that two images are no longer orthogonal."""
+        from symtrap import snippet
+
+        real = snippet._seminormal_image
+        monkeypatch.setattr(snippet, "_seminormal_image", lambda *a: [b + 1 for b in real(*a)])
+
+    def test_non_orthogonal_images_raise(self, skewed):
+        message = "seminormal images in the chain component of \\[42\\] are not orthogonal"
+        with pytest.raises(ConsistencyError, match=message):
+            snippet_projection_basis(6, "even", Partition((4, 2)), 1)
+
+    def test_non_orthogonal_images_exit_three(self, skewed):
+        result = run("sector-basis", "--n", "5", "--irrep", "32+", "--lambda-parity", "even")
+        assert result.exit_code == 3
+        assert "not orthogonal" in result.stderr
+        assert not result.stdout
 
 
 class TestRightReindex:
