@@ -1,14 +1,15 @@
 """Command-line front end: tables, spectra, maps and sector bases.
 
-Output is deterministic byte-for-byte across runs.  Text mode renders
-aligned tables, ``--format csv`` machine-readable integer cells, and
-``--format json`` objects tagged ``"schema": "symtrap/1"``.  Exit codes:
-0 success, 2 invalid input, 3 failed internal consistency check.
+Output is deterministic byte-for-byte across runs.  A command builds its
+table once, as rows of cells, and each format streams it once it is built:
+text as aligned columns, ``--format csv`` as cells, ``--format json`` as
+objects tagged ``"schema": "symtrap/1"``.  Exit codes: 0 success, 2 invalid
+input, 3 failed internal consistency check, both before any output.
 """
 
 import os
 import sys
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import factorial
 
 from . import __version__
@@ -37,33 +38,26 @@ def _energy_cell(n: int, x: int) -> str:
     return f"{2 * x + n}/2"
 
 
-def _render_text(headers: list[str], rows: list[list], title: str | None = None) -> str:
-    """An aligned table: the first column left-justified, the others
-    right-justified, a dashed rule under the headers, no trailing blanks.
-    Each column is converted, measured and padded as a whole."""
-    columns = [list(map(str, column)) for column in zip(headers, *rows)]
-    widths = [max(map(len, column)) for column in columns]
-    padded = [map(str.ljust, columns[0], repeat(widths[0]))] + [
-        map(str.rjust, column, repeat(width)) for column, width in zip(columns[1:], widths[1:])
-    ]
-    lines = [line.rstrip() for line in map("  ".join, zip(*padded))]
-    lines.insert(1, "  ".join("-" * w for w in widths))
+#: Rows converted and written per chunk of text or JSON.
+_BLOCK = 4096
+
+
+def _text_chunks(headers: list[str], rows: list, title: str | None = None):
+    """An aligned table, in chunks of lines: the first column left-justified,
+    the others right-justified, a dashed rule under the headers, no trailing
+    blanks.  The column widths are measured over the whole table first; then
+    each block of rows is converted, padded and joined column by column."""
+    widths = [max(map(len, map(str, column))) for column in zip(headers, *rows)]
+    justify = [str.ljust] + [str.rjust] * (len(widths) - 1)
     if title:
-        lines.insert(0, title)
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(headers: list[str], rows: list[list]) -> str:
-    import io
-
-    # ``csv.writer`` is ``_csv.writer``; its default dialect is excel's.
-    from _csv import writer
-
-    buf = io.StringIO()
-    out = writer(buf, lineterminator="\n")
-    out.writerow(headers)
-    out.writerows(rows)
-    return buf.getvalue()
+        yield title + "\n"
+    lines = chain((headers, ["-" * w for w in widths]), rows)
+    while block := list(islice(lines, _BLOCK)):
+        padded = [
+            map(pad, map(str, column), repeat(width))
+            for pad, column, width in zip(justify, zip(*block), widths)
+        ]
+        yield "".join(line.rstrip() + "\n" for line in map("  ".join, zip(*padded)))
 
 
 #: json's string escapes: quote, backslash, the short forms, ``\u00XX`` below U+0020.
@@ -108,18 +102,36 @@ def _render_json(obj: dict) -> str:
     return _json_value(obj, "") + "\n"
 
 
-def _emit(fmt: str, output: str | None, title: str, headers, rows, json_obj) -> None:
-    if fmt == "text":
-        payload = _render_text(headers, rows, title)
-    elif fmt == "csv":
-        payload = _render_csv(headers, rows)
+def _json_chunks(head: dict, rows: list, json_row):
+    """``_render_json({**head, "rows": [json_row(row) for row in rows], "schema": SCHEMA})``
+    in chunks, the rows a block at a time."""
+    items = (f"{_json_value(key, '  ')}: {_json_value(value, '  ')}" for key, value in head.items())
+    yield "{\n  " + ",\n  ".join(items) + ',\n  "rows": ['
+    lead = "\n    "
+    for start in range(0, len(rows), _BLOCK):
+        block = map(json_row, rows[start : start + _BLOCK])
+        yield lead + ",\n    ".join(_json_value(row, "    ") for row in block)
+        lead = ",\n    "
+    yield "\n  ]" if rows else "]"
+    yield f',\n  "schema": {_json_value(SCHEMA, "  ")}\n}}\n'
+
+
+def _emit(handle, fmt: str, n: int, title: str, headers, rows, json_fields, json_row) -> None:
+    """Write a command's table (see :func:`_command`) to ``handle`` in ``fmt``."""
+    if fmt == "csv":
+        # ``csv.writer`` is ``_csv.writer``; its default dialect is excel's.
+        from _csv import writer
+
+        out = writer(handle, lineterminator="\n")
+        out.writerow(headers)
+        out.writerows(rows)
+    elif fmt == "text":
+        handle.writelines(_text_chunks(headers, rows, title))
+    elif json_row is None:
+        handle.write(_render_json({"n": n, **json_fields(), "schema": SCHEMA}))
     else:
-        payload = _render_json(json_obj)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        _write(sys.stdout, payload)
+        handle.writelines(_json_chunks({"n": n, **json_fields()}, rows, json_row))
+    handle.flush()
 
 
 def _write(stream, text: str) -> None:
@@ -260,7 +272,7 @@ class _Option:
 
 class _Command:
     """A command's ``options`` and ``fn(n, **options)``, which returns
-    ``(title, headers, rows, body)``."""
+    ``(title, headers, rows, json_fields, json_row)`` (see :func:`_command`)."""
 
     __slots__ = ("options", "fn")
 
@@ -291,9 +303,11 @@ def _command(name: str, *options: _Option):
 
     The command takes ``--n``, then ``options``, then ``--output`` and
     ``--format``.  The function receives ``n`` and its own options and
-    returns ``(title, headers, rows, body)``: text and csv render the
-    table, JSON the ``body`` between ``"n"`` and ``"schema"``.  Invalid
-    input exits 2, a failed consistency check exits 3.
+    returns ``(title, headers, rows, json_fields, json_row)``: ``rows``, a
+    list of rows of cells (records, ints or strs), which text and csv print
+    as ``str(cell)``; JSON alone calls ``json_fields()``, the fields after
+    ``"n"``, and ``json_row(row)`` (None: no ``"rows"``).  Invalid input
+    exits 2, a failed consistency check exits 3.
     """
 
     def register(fn):
@@ -306,8 +320,12 @@ def _command(name: str, *options: _Option):
 def _run(command: _Command, values: dict) -> int:
     n, fmt, output = values.pop("n"), values.pop("fmt"), values.pop("output")
     try:
-        title, headers, rows, body = command.fn(n, **values)
-        _emit(fmt, output, title, headers, rows, {"n": n, **body, "schema": SCHEMA})
+        table = command.fn(n, **values)
+        if output:
+            with open(output, "w", encoding="utf-8") as handle:
+                _emit(handle, fmt, n, *table)
+        else:
+            _emit(sys.stdout, fmt, n, *table)
     except ConsistencyError as exc:
         _warn(f"consistency failure: {exc}")
         return EXIT_INCONSISTENT
@@ -603,6 +621,22 @@ _STATS = dict(convert=_Choice(("bose", "fermi")), default="fermi")
 _STATE = _Option("--state", str, "Source level: nu_R,nu_rho,lambda,partition.", required=True)
 
 
+class _ParityIrrep(tuple):
+    """A cell ``(p, pi)``, an irrep of S_n x Z2, printed as ``p.label(pi)``."""
+
+    def __str__(self) -> str:
+        return self[0].label(self[1])
+
+
+def _pattern_fields(pattern) -> dict:
+    return {"pattern": list(pattern.counts), "statistics": pattern.statistics}
+
+
+def _labelled(label_fields, tail: str = "counts"):
+    """The JSON row of a label cell, then integers: the label's fields, then ``tail``."""
+    return lambda row: {**label_fields(row[0]), tail: row[1:]}
+
+
 @_command(
     "chartable",
     _Option(
@@ -619,26 +653,22 @@ def chartable_cmd(n: int, group: str):
     if group == "sn":
         table = character_table_sn(n)
         class_names = [c.label() for c in table.classes]
-        irrep_names = [p.label() for p in table.irreps]
-        extra_rows = []
+        rows = [[p, *values] for p, values in zip(table.irreps, table.values)]
     else:
         from .snippet import sector_rep_characters
 
         table = character_table_snz2(n)
         class_names = [("i" if inv else "") + c.label() for c, inv in table.classes]
-        irrep_names = [p.label(pi) for p, pi in table.irreps]
-        extra_rows = [
+        rows = [[_ParityIrrep(irrep), *values] for irrep, values in zip(table.irreps, table.values)]
+        rows += [
             [f"{parity} lambda", *sector_rep_characters(n, parity).values]
             for parity in ("even", "odd")
         ]
-    rows = [[name, *row] for name, row in zip(irrep_names, table.values)] + extra_rows
-    body = {
-        "group": table.group,
-        "classes": class_names,
-        "class_sizes": list(table.class_sizes),
-        "rows": [{"irrep": row[0], "values": row[1:]} for row in rows],
+    fields = lambda: {
+        "group": table.group, "classes": class_names, "class_sizes": list(table.class_sizes)
     }
-    return f"character table {table.group}", ["irrep", *class_names], rows, body
+    json_row = _labelled(lambda irrep: {"irrep": str(irrep)}, "values")
+    return f"character table {table.group}", ["irrep", *class_names], rows, fields, json_row
 
 
 def _reduction_table(n: int, top: int, verify: bool, reduce, removed, column: str, title: str):
@@ -654,11 +684,9 @@ def _reduction_table(n: int, top: int, verify: bool, reduce, removed, column: st
         for (k, *counts), expected in zip(rows, cycle_index_rows(n, top, removed)):
             if tuple(counts) != expected.counts:
                 raise ConsistencyError(f"cycle index disagrees at n={n}, {column.lower()}={k}")
-    body = {
-        "irreps": [list(p.parts) for p in shapes],
-        "rows": [{column.lower(): row[0], "counts": row[1:]} for row in rows],
-    }
-    return f"{title} n={n}", [column, *[p.label() for p in shapes]], rows, body
+    fields = lambda: {"irreps": [list(p.parts) for p in shapes]}
+    json_row = _labelled(lambda k: {column.lower(): k})
+    return f"{title} n={n}", [column, *map(str, shapes)], rows, fields, json_row
 
 
 @_command(
@@ -714,27 +742,19 @@ def reduce_snippet_cmd(n: int, verify: bool):
                 raise ConsistencyError(f"sector characters disagree for n={n}, {parity}")
             if reduce_class_function(traces, character_table_snz2(n)).counts != printed.counts:
                 raise ConsistencyError(f"sector oracle disagrees for n={n}, {parity}")
-    cells = list(zip(even.keys, even.counts, odd.counts))
-    rows = [[p.label(pi), e, o] for (p, pi), e, o in cells]
-    body = {
-        "rows": [
-            {"irrep": list(p.parts), "pi": pi, "even": e, "odd": o} for (p, pi), e, o in cells
-        ],
-    }
-    return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, body
+    rows = [[_ParityIrrep(key), e, o] for key, e, o in zip(even.keys, even.counts, odd.counts)]
+
+    def json_row(row):
+        (p, pi), e, o = row
+        return {"irrep": list(p.parts), "pi": pi, "even": e, "odd": o}
+
+    return f"sector reduction n={n}", ["irrep", "even lambda", "odd lambda"], rows, dict, json_row
 
 
-def _pattern_table(title: str, patterns, columns: list[str], cells, meta: dict):
+def _pattern_table(title: str, patterns, columns: list[str], cells, json_fields):
     """One row per pattern, its ``cells`` in turn, tagged by counts and statistics in JSON."""
-    rows = [[pat.label(), *row] for pat, row in zip(patterns, cells)]
-    body = {
-        **meta,
-        "rows": [
-            {"pattern": list(pat.counts), "statistics": pat.statistics, "counts": row[1:]}
-            for pat, row in zip(patterns, rows)
-        ],
-    }
-    return title, ["pattern", *columns], rows, body
+    rows = [[pattern, *row] for pattern, row in zip(patterns, cells)]
+    return title, ["pattern", *columns], rows, json_fields, _labelled(_pattern_fields)
 
 
 @_command(
@@ -752,9 +772,9 @@ def branch_cmd(n: int, pattern: str | None, stats: str):
     return _pattern_table(
         f"subgroup branching n={n}",
         selected,
-        [p.label() for p in shapes],
+        map(str, shapes),
         map(branch_row, selected),
-        {"irreps": [list(p.parts) for p in shapes]},
+        lambda: {"irreps": [list(p.parts) for p in shapes]},
     )
 
 
@@ -790,7 +810,7 @@ def degeneracy_table_cmd(n: int, by: str, max_lambda: int | None, max_energy: in
         patterns,
         [f"{column_head}={col}" for col in columns],
         degeneracy_rows(n, by, columns, patterns),
-        {"by": by, "columns": columns},
+        lambda: {"by": by, "columns": columns},
     )
 
 
@@ -802,16 +822,10 @@ def spin_decompose_cmd(n: int, k: int):
     """Permutation content of the k-component spin space."""
     from .branching import spin_decomposition
 
-    reduction = spin_decomposition(n, k)
-    rows = [[p.label(), count] for p, count in reduction.items()]
-    body = {
-        "k": k,
-        "rows": [
-            {"irrep": list(p.parts), "multiplicity": count}
-            for p, count in reduction.items()
-        ],
-    }
-    return f"spin decomposition n={n}, k={k}", ["irrep", "multiplicity"], rows, body
+    title = f"spin decomposition n={n}, k={k}"
+    rows = [[p, count] for p, count in spin_decomposition(n, k).items()]
+    json_row = lambda row: {"irrep": list(row[0].parts), "multiplicity": row[1]}
+    return title, ["irrep", "multiplicity"], rows, lambda: {"k": k}, json_row
 
 
 @_command(
@@ -831,25 +845,21 @@ def spectrum_cmd(n: int, state: str, max_energy: int):
         raise ValueError(
             f"--max-energy {max_energy} lies below the state's excitation {hyper.excitation}"
         )
-    rows = []
-    json_rows = []
-    for regime, tag in ((G_ZERO, "g=0"), (G_INF, "g=inf")):
-        for level, multiplicity in spectrum_levels(n, regime, mu, max_energy):
-            energy = _energy_cell(n, level.excitation)
-            rows.append([tag, energy, str(level), multiplicity])
-            json_rows.append(
-                {
-                    "regime": tag,
-                    "energy": energy,
-                    "level": [level.nu_r, level.nu_rho, level.lam],
-                    "multiplicity": multiplicity,
-                }
-            )
-    body = {
-        "mu": {"nu_r": mu.nu_r, "pi": mu.pi, "irrep": list(mu.p.parts)},
-        "rows": json_rows,
-    }
-    return f"spectrum of {mu}", ["regime", "energy", "level", "multiplicity"], rows, body
+    energies = [_energy_cell(n, x) for x in range(max_energy + 1)]
+    rows = [
+        (tag, energies[level.excitation], level, multiplicity)
+        for regime, tag in ((G_ZERO, "g=0"), (G_INF, "g=inf"))
+        for level, multiplicity in spectrum_levels(n, regime, mu, max_energy)
+    ]
+
+    def json_row(row):
+        tag, energy, level, multiplicity = row
+        level = [level.nu_r, level.nu_rho, level.lam]
+        return {"regime": tag, "energy": energy, "level": level, "multiplicity": multiplicity}
+
+    headers = ["regime", "energy", "level", "multiplicity"]
+    fields = lambda: {"mu": {"nu_r": mu.nu_r, "pi": mu.pi, "irrep": list(mu.p.parts)}}
+    return f"spectrum of {mu}", headers, rows, fields, json_row
 
 
 @_command(
@@ -885,10 +895,10 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
         f"dim={result.target_dimension} {status}{note}"
     )
     rows = [
-        ["source", str(source), _energy_text(n, hyper.excitation)],
+        ["source", source, _energy_text(n, hyper.excitation)],
         ["target", line, _energy_text(n, target.excitation)],
     ]
-    body = {
+    fields = lambda: {
         "source": {
             "level": [hyper.nu_r, hyper.nu_rho, hyper.lam],
             "irrep": list(p.parts),
@@ -906,7 +916,7 @@ def map_cmd(n: int, state: str, tau: int, component: str | None, ceiling: int | 
             "energy": _energy_cell(n, target.excitation),
         },
     }
-    return f"adiabatic map n={n}", ["role", "level", "energy"], rows, body
+    return f"adiabatic map n={n}", ["role", "level", "energy"], rows, fields, None
 
 
 @_command(
@@ -926,27 +936,24 @@ def ground_state_cmd(n: int, pattern: str, stats: str, regime: str):
     from .mapping import ground_state
 
     built = _parse_pattern(n, pattern, stats)
-    labels = ground_state(n, built, regime=regime)
     rows = [
-        [str(label), _energy_text(n, label.hyper.excitation)] for label in labels
+        [label, _energy_text(n, label.hyper.excitation)]
+        for label in ground_state(n, built, regime=regime)
     ]
-    body = {
-        "pattern": list(built.counts),
-        "statistics": built.statistics,
-        "regime": regime,
-        "rows": [
-            {
-                "level": [label.hyper.nu_r, label.hyper.nu_rho, label.hyper.lam],
-                "irrep": list(label.p.parts),
-                "pi": label.pi,
-                "tau": label.tau,
-                "component": label.component,
-                "energy": _energy_cell(n, label.hyper.excitation),
-            }
-            for label in labels
-        ],
-    }
-    return f"ground states {built.label()} at {regime}", ["state", "energy"], rows, body
+
+    def json_row(row):
+        label = row[0]
+        return {
+            "level": [label.hyper.nu_r, label.hyper.nu_rho, label.hyper.lam],
+            "irrep": list(label.p.parts),
+            "pi": label.pi,
+            "tau": label.tau,
+            "component": label.component,
+            "energy": _energy_cell(n, label.hyper.excitation),
+        }
+
+    fields = lambda: {**_pattern_fields(built), "regime": regime}
+    return f"ground states {built.label()} at {regime}", ["state", "energy"], rows, fields, json_row
 
 
 @_command(
@@ -998,20 +1005,15 @@ def sector_basis_cmd(
     sector = "%d" * n
     rows = [[sector % q, *amps] for q, amps in zip(all_sectors(n), columns)]
     labels = [str(v.label) if v.label else f"component line {i + 1}" for i, v in enumerate(vectors)]
-    body = {
+    fields = lambda: {
         "irrep": list(p.parts),
         "pi": pi,
         "lambda_parity": lambda_parity,
         "component": component,
         "vectors": [
-            {
-                "label": labels[i],
-                "amplitudes": list(v.amps),
-                "norm_sq": v.norm_sq,
-            }
-            for i, v in enumerate(vectors)
+            {"label": label, "amplitudes": list(v.amps), "norm_sq": v.norm_sq}
+            for label, v in zip(labels, vectors)
         ],
-        "rows": rows,
     }
     title = f"sector basis {p.label(pi)} ({lambda_parity} lambda)"
     if labels:
@@ -1019,7 +1021,7 @@ def sector_basis_cmd(
             f"  v{i + 1}: {label}  norm^2 = {vectors[i].norm_sq}"
             for i, label in enumerate(labels)
         )
-    return title, headers, rows, body
+    return title, headers, rows, fields, lambda row: row
 
 
 if __name__ == "__main__":

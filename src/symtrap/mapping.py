@@ -188,11 +188,9 @@ def _level(mu: GNLabel, rest: int, lam: int) -> HypercylindricalLabel:
     return HypercylindricalLabel(mu.nu_r, (rest - lam) // 2, lam)
 
 
-def spectrum_levels(
-    n: int, regime: str, mu: GNLabel, e_max: int
-) -> list[tuple[HypercylindricalLabel, int]]:
+def spectrum_levels(n: int, regime: str, mu: GNLabel, e_max: int):
     """``(level, multiplicity)`` of every level carrying the triple ``mu``
-    with excitation at most ``e_max``.
+    with excitation at most ``e_max``, as a generator.
 
     Levels are ordered by energy; equal energies are ordered ``lam``
     ascending then ``nu_rho`` ascending.  A level's exact energy is
@@ -201,11 +199,11 @@ def spectrum_levels(
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
-    return [
+    return (
         (_level(mu, rest, lam), mult)
         for rest, (pairs, _) in enumerate(_triple_levels(n, regime, mu, e_max))
         for lam, mult in pairs
-    ]
+    )
 
 
 def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -> MapResult:

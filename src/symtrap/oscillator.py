@@ -78,17 +78,15 @@ def shell_dimension(n: int, x: int) -> int:
 
 
 def hyperangular_dimension(n: int, lam: int) -> int:
-    """Degeneracy of the hyperangular space at grand angular momentum ``lam``."""
-    if n < 3:
-        raise ValueError(f"hyperangular structure needs n >= 3, got n={n}")
+    """Degeneracy of the hyperangular space at grand angular momentum ``lam``:
+    the harmonic polynomials of degree ``lam`` in the n - 1 relative
+    coordinates, all of that degree less r^2 times all of degree ``lam - 2``.
+    At n = 2 the sphere S^0 is two points, so ``lam`` is 0 or 1."""
+    if n < 2:
+        raise ValueError(f"hyperangular structure needs n >= 2, got n={n}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    if n == 3:
-        return 1 if lam == 0 else 2
-    dim, rem = divmod((n + 2 * lam - 3) * comb(lam + n - 4, n - 4), n - 3)
-    if rem:
-        raise ArithmeticError(f"hyperangular dimension is not integral for n={n}, lam={lam}")
-    return dim
+    return comb(lam + n - 2, n - 2) - (comb(lam + n - 4, n - 2) if lam >= 2 else 0)
 
 
 #: Shortest series kept per (n, first factor); longer ones double it.
@@ -164,8 +162,8 @@ def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
     Dividing the centre-of-mass mode (1 - q) and the hyperradial mode
     (1 - q^2) out of the shell series leaves [q^lam] f^p(q) / prod_{i=3..n} (1 - q^i).
     """
-    if n < 3:
-        raise ValueError(f"hyperangular structure needs n >= 3, got n={n}")
+    if n < 2:
+        raise ValueError(f"hyperangular structure needs n >= 2, got n={n}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     series = _series_through(n, 3, lam)

@@ -5,7 +5,7 @@ import pytest
 from cli_runner import run
 from hypothesis import given, settings, strategies as st
 
-from symtrap.cli import COMMANDS, _render_json, _render_text
+from symtrap.cli import _BLOCK, COMMANDS, _json_chunks, _render_json, _text_chunks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,6 +33,12 @@ GOLDEN_CASES = [
     ("ground_state_n5_32.txt", ["ground-state", "--n", "5", "--pattern", "3,2", "--stats", "fermi"]),
     ("reduce_shell_n4.csv", ["reduce-shell", "--n", "4", "--max-energy", "8", "--format", "csv"]),
     ("spectrum_n3_mixed.csv", ["spectrum", "--n", "3", "--state", "0,0,1,21", "--max-energy", "8", "--format", "csv"]),
+    # Two particles: lambda is 0 ([2]) or 1 ([1^2]); hard core lifts [2] one quantum.
+    ("map_n2.txt", ["map", "--n", "2", "--state", "0,0,0,2"]),
+    ("spectrum_n2_antisym.json", ["spectrum", "--n", "2", "--state", "1,0,1,1^2", "--max-energy", "7", "--format", "json"]),
+    ("reduce_lambda_n2.csv", ["reduce-lambda", "--n", "2", "--max-lambda", "5", "--format", "csv"]),
+    ("degeneracy_lambda_n2.txt", ["degeneracy-table", "--n", "2", "--by", "lambda", "--max-lambda", "4"]),
+    ("ground_state_n2_11_ginf.json", ["ground-state", "--n", "2", "--pattern", "1,1", "--regime", "ginf", "--format", "json"]),
 ]
 
 
@@ -123,9 +129,26 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _render_json(value)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        st.dictionaries(json_text.filter(lambda k: k not in ("rows", "schema")), json_value, min_size=1),
+        st.lists(json_value, max_size=6),
+    )
+    def test_chunks_write_the_whole_document(self, head, rows):
+        """``_json_chunks``, a block of rows at a time, writes what ``_render_json`` writes whole."""
+        document = {**head, "rows": [[row] for row in rows], "schema": "symtrap/1"}
+        assert "".join(_json_chunks(head, rows, lambda row: [row])) == dumps(document)
+
+    def test_chunks_across_blocks(self):
+        rows = list(range(2 * _BLOCK + 1))
+        chunks = list(_json_chunks({"n": 8}, rows, lambda row: {"k": row}))
+        document = {"n": 8, "rows": [{"k": row} for row in rows], "schema": "symtrap/1"}
+        assert len(chunks) == 6
+        assert "".join(chunks) == dumps(document)
+
 
 def rowwise_text(headers, rows, title=None) -> str:
-    """The text table laid out one row at a time: the reference of ``_render_text``."""
+    """The text table laid out one row at a time: the reference of ``_text_chunks``."""
     table = [headers] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = []
@@ -142,7 +165,7 @@ def rowwise_text(headers, rows, title=None) -> str:
 
 
 class TestTextRenderer:
-    """``_render_text``, laid out by column, against the row-wise layout."""
+    """``_text_chunks``, laid out by column a block at a time, against the row-wise layout."""
 
     @pytest.mark.parametrize(
         "headers, rows",
@@ -154,12 +177,136 @@ class TestTextRenderer:
             (["level", "tag", "note"], [["0,0,2", "1^2x1", ""], ["0,0,10", "3", ""]]),
             (["a", "b"], [["", ""], ["x", ""]]),
             (["sector", "v1", "v2"], [[f"{q:04d}", (q * 7) % 11 - 5, -q] for q in range(120)]),
+            (["k", "k^2"], [[k, k * k] for k in range(2 * _BLOCK + 1)]),
         ],
-        ids=["no-rows", "one-column", "one-column-rows", "hbar-negative", "empty-last", "blank", "wide"],
+        ids=["no-rows", "one-column", "one-column-rows", "hbar-negative", "empty-last", "blank", "wide", "blocks"],
     )
     @pytest.mark.parametrize("title", [None, "", "character table S3"], ids=["none", "empty", "title"])
     def test_matches_the_row_wise_layout(self, headers, rows, title):
-        assert _render_text(headers, rows, title) == rowwise_text(headers, rows, title)
+        assert "".join(_text_chunks(headers, rows, title)) == rowwise_text(headers, rows, title)
+
+
+FORMATS = ("text", "csv", "json")
+COMPONENT_TAGS = ["1^2", "2", "1^2x1^2", "2x2", "2x1", "1^3", "[1]x[1]", "3"]
+range_end = st.integers(min_value=-1, max_value=12)
+
+
+@st.composite
+def command_lines(draw, name: str):
+    """An argument list of the command ``name`` at n = 2..6, valid or not:
+    states, patterns and ranges are drawn mostly from those that exist."""
+    from symtrap.oscillator import lambda_reduction
+    from symtrap.partitions import partitions_of
+
+    n = draw(st.integers(min_value=2, max_value=6))
+    shapes = list(partitions_of(n))
+    nu_r, nu_rho, lam = (draw(st.integers(min_value=0, max_value=m)) for m in (1, 1, 6))
+    copies = {p: count for p, count in lambda_reduction(n, lam).items() if count}
+    irrep = draw(st.sampled_from(list(copies) or shapes))
+    tau = draw(st.integers(min_value=0, max_value=copies.get(irrep, 1)))
+    shape = irrep.compact()
+    state = ["--state", f"{nu_r},{nu_rho},{lam},{shape}"]
+    above = str(nu_r + 2 * nu_rho + lam + draw(st.integers(min_value=-1, max_value=6)))
+    counts = draw(
+        st.sampled_from(shapes).map(lambda p: p.parts)
+        | st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)
+    )
+    pattern = ["--pattern", ",".join(map(str, counts))]
+    stats = ["--stats", draw(st.sampled_from(["bose", "fermi"]))]
+    tag = draw(st.sampled_from(COMPONENT_TAGS))
+    component = ["--component", tag] if draw(st.booleans()) else []
+    verify = draw(st.sampled_from([[], ["--verify"]]))
+    by = draw(st.sampled_from(["lambda", "shell"]))
+    ranges = {"lambda": "--max-lambda", "shell": "--max-energy"}
+    stray = draw(st.sampled_from([[], [ranges["shell" if by == "lambda" else "lambda"], "3"]]))
+    args = {
+        "chartable": ["--group", draw(st.sampled_from(["sn", "snz2"]))],
+        "reduce-shell": ["--max-energy", str(draw(range_end)), *verify],
+        "reduce-lambda": ["--max-lambda", str(draw(range_end)), *verify],
+        "reduce-snippet": verify,
+        "branch": draw(st.sampled_from([[], [*pattern, *stats]])),
+        "degeneracy-table": ["--by", by, ranges[by], str(draw(range_end)), *stray],
+        "spin-decompose": ["--k", str(draw(st.integers(min_value=1, max_value=4)))],
+        "spectrum": [*state, "--max-energy", above],
+        "map": [*state, "--tau", str(tau), *component],
+        "ground-state": [*pattern, *stats, "--regime", draw(st.sampled_from(["g0", "ginf"]))],
+        "sector-basis": [
+            "--irrep", shape + draw(st.sampled_from("+-")),
+            "--lambda-parity", draw(st.sampled_from(["even", "odd"])),
+            *component, *verify,
+        ],
+    }[name]
+    return [name, "--n", str(n), *args]
+
+
+def table_rows(fmt: str, output: str) -> int:
+    """How many rows a table holds, as each format prints it."""
+    if fmt == "json":
+        return len(json.loads(output)["rows"])
+    lines = output.splitlines()
+    if fmt == "csv":
+        return len(lines) - 1
+    rule = next(i for i, line in enumerate(lines) if line and not line.strip("- "))
+    return len(lines) - rule - 1
+
+
+class TestFormatsAgree:
+    """Every format renders the same row list of the same call."""
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_exit_rows_and_output_file_agree(self, name, data):
+        import tempfile
+
+        args = data.draw(command_lines(name), label="args")
+        codes, row_counts = set(), set()
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in FORMATS:
+                result = run(*args, "--format", fmt)
+                target = Path(tmp) / fmt
+                written = run(*args, "--format", fmt, "--output", str(target))
+                codes |= {result.exit_code, written.exit_code}
+                if result.exit_code:
+                    assert result.stdout == written.stdout == ""
+                    assert not target.exists()
+                    continue
+                assert result.stderr == ""
+                assert (written.stdout, written.stderr) == ("", "")
+                assert target.read_bytes() == result.stdout.encode("utf-8")
+                if name != "map":
+                    row_counts.add(table_rows(fmt, result.stdout))
+        assert len(codes) == 1, codes
+        assert len(row_counts) <= 1, row_counts
+
+
+class TestNoPartialOutput:
+    """Every row is built before the first byte is written, so a check that
+    fails while the rows are built prints nothing and leaves ``--output`` as it was."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_failure_while_building_rows_writes_nothing(self, monkeypatch, tmp_path, fmt):
+        from itertools import islice
+
+        from symtrap import mapping
+        from symtrap.errors import ConsistencyError
+
+        real = mapping.spectrum_levels
+
+        def failing(*args):
+            yield from islice(real(*args), 3)
+            raise ConsistencyError("injected after three levels")
+
+        monkeypatch.setattr(mapping, "spectrum_levels", failing)
+        args = ["spectrum", "--n", "3", "--state", "0,0,1,21", "--max-energy", "8", "--format", fmt]
+        result = run(*args)
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "consistency failure: injected after three levels\n"
+        target = tmp_path / "table"
+        target.write_bytes(b"an earlier table\n")
+        result = run(*args, "--output", str(target))
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert target.read_bytes() == b"an earlier table\n"
 
 
 class TestBehaviour:
@@ -223,6 +370,7 @@ class TestBehaviour:
             ["reduce-lambda", "--n", "3", "--max-lambda", "5", "--verify"],
             ["reduce-snippet", "--n", "4", "--verify"],
             ["sector-basis", "--n", "3", "--irrep", "21-", "--lambda-parity", "odd", "--verify"],
+            ["reduce-lambda", "--n", "2", "--max-lambda", "9", "--verify"],
         ],
     )
     def test_verify_paths(self, args):

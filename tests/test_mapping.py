@@ -54,24 +54,24 @@ class TestStateLabel:
 
 class TestSpectrumByIrrep:
     def test_mixed_irrep_lowest_level(self):
-        hyper, multiplicity = spectrum_levels(3, G_ZERO, GNLabel(0, -1, P((2, 1))), 8)[0]
+        hyper, multiplicity = list(spectrum_levels(3, G_ZERO, GNLabel(0, -1, P((2, 1))), 8))[0]
         assert hyper.energy(3) == Fraction(5, 2)
         assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 1)
         assert multiplicity == 1
 
     def test_hard_core_double_degeneracy(self):
-        hyper, multiplicity = spectrum_levels(4, G_INF, GNLabel(0, 1, P((2, 2))), 10)[0]
+        hyper, multiplicity = list(spectrum_levels(4, G_INF, GNLabel(0, 1, P((2, 2))), 10))[0]
         assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 6)
         assert multiplicity == 2
 
     def test_symmetric_ground_level(self):
         for n in (3, 4, 5):
-            hyper, multiplicity = spectrum_levels(n, G_ZERO, GNLabel(0, 1, P((n,))), 4)[0]
+            hyper, multiplicity = list(spectrum_levels(n, G_ZERO, GNLabel(0, 1, P((n,))), 4))[0]
             assert (hyper.nu_r, hyper.nu_rho, hyper.lam) == (0, 0, 0)
             assert multiplicity == 1
 
     def test_sorted_with_tie_break(self):
-        entries = spectrum_levels(3, G_ZERO, GNLabel(0, 1, P((3,))), 8)
+        entries = list(spectrum_levels(3, G_ZERO, GNLabel(0, 1, P((3,))), 8))
         energies = [hyper.energy(3) for hyper, _ in entries]
         assert energies == sorted(energies)
         same_energy = [hyper for hyper, _ in entries if hyper.energy(3) == Fraction(15, 2)]
@@ -93,7 +93,7 @@ class TestOneLevelOrder:
         listed = 0
         for nu_r in (0, 1, 2):
             for p, pi in parity_irreps(n):
-                entries = spectrum_levels(n, regime, GNLabel(nu_r, pi, p), e_max)
+                entries = list(spectrum_levels(n, regime, GNLabel(nu_r, pi, p), e_max))
                 expected = [
                     (hyper, content[(p, pi)])
                     for hyper, content in levels
@@ -274,6 +274,28 @@ class TestAdiabaticMap:
         assert not result.convention_ordered
 
 
+class TestTwoParticleHardCoreLimit:
+    """Two particles are solved exactly at every coupling (Busch, Englert,
+    Rzążewski and Wilkens, Found. Phys. 28, 549 (1998)).  A relative level of
+    even quantum number nu, symmetric ([2], lam = 0), lies at nu + 1/2 in the
+    free limit and at nu + 3/2 in the hard-core limit; an odd one ([1^2],
+    lam = 1) vanishes at contact and keeps its energy."""
+
+    @pytest.mark.parametrize("nu_r", [0, 3])
+    def test_every_relative_level_up_to_forty(self, nu_r):
+        for nu in range(41):
+            lam = nu % 2
+            p = P((2,)) if lam == 0 else P((1, 1))
+            result = adiabatic_map(2, StateLabel(H(nu_r, nu // 2, lam), p))
+            centre_of_mass = Fraction(2 * nu_r + 1, 2)
+            relative = Fraction(2 * nu + 1, 2) + (1 if lam == 0 else 0)
+            assert result.target_hyper.energy(2) == centre_of_mass + relative
+            assert result.target_hyper.nu_r == nu_r
+            assert (result.target_p, result.target_pi) == (p, 1 if lam == 0 else -1)
+            assert result.target_dimension == 1
+            assert result.resolved and not result.convention_ordered
+
+
 class TestMapAgainstTheSpectra:
     """The map ranks copies in one pass over the walk's running totals; here
     the image is read off the two ``spectrum_levels`` lists copy by copy."""
@@ -286,7 +308,7 @@ class TestMapAgainstTheSpectra:
         for nu_r in (0, 1):
             for p, pi in parity_irreps(n):
                 mu = GNLabel(nu_r, pi, p)
-                free = spectrum_levels(n, G_ZERO, mu, e_max)
+                free = list(spectrum_levels(n, G_ZERO, mu, e_max))
                 hard = spectrum_levels(n, G_INF, mu, e_max + reach)
                 hard_copies = [(hyper, mult) for hyper, mult in hard for _ in range(mult)]
                 rank = 0

@@ -69,9 +69,11 @@ class TestHyperangularDimension:
         for lam in range(1, 14):
             assert hyperangular_dimension(3, lam) == 2
 
-    def test_two_particles_unsupported(self):
+    def test_two_particles_two_points(self):
+        """The relative coordinate's sphere S^0 is two points: [q^lam] (1 + q)."""
+        assert [hyperangular_dimension(2, lam) for lam in range(50)] == [1, 1] + [0] * 48
         with pytest.raises(ValueError):
-            hyperangular_dimension(2, 1)
+            hyperangular_dimension(1, 0)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_closed_form_equals_the_factorial_form(self, n):
@@ -162,9 +164,13 @@ class TestLambdaReduction:
         for lam in range(61):
             assert antisymmetric_multiplicity(n, lam) == lambda_reduction(n, lam)[antisymmetric]
 
-    def test_unsupported_two_particles(self):
+    def test_two_particles(self):
+        """[2] at lam = 0, [1^2] at lam = 1, nothing above."""
+        assert lambda_reduction(2, 0).counts == (1, 0)
+        assert lambda_reduction(2, 1).counts == (0, 1)
+        assert all(lambda_reduction(2, lam).counts == (0, 0) for lam in range(2, 50))
         with pytest.raises(ValueError):
-            lambda_reduction(2, 1)
+            lambda_reduction(1, 0)
 
 
 class TestRotationCharacterRoute:
