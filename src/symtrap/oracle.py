@@ -279,7 +279,7 @@ def verify_sector_basis(
     basis of one m-dimensional space W, and a basis of W whose first
     nonzero sectors strictly increase is unique up to scale; primitive
     amplitudes with a positive leading entry fix the scale
-    (``_check_canonical``).  The elimination in ``snippet._block`` yields
+    (``_check_canonical``).  The selection in ``snippet._block`` yields
     exactly that basis, and so does the tests' rebuild by subgroup sums
     (``subgroup_chain_basis`` in ``tests/reference_routes.py``): this
     accepts the bytes the rebuild would compare, and nothing else, in

@@ -8,35 +8,36 @@ ordering and carries a global sign: the seed's hyperangular parity times
 the sign of the reversal permutation.  With that convention the totally
 antisymmetric combination shows the familiar alternating signs.
 
-Characters are evaluated combinatorially per conjugacy class.  A chain
-block is built in three steps.  The root line, that of the first standard
-tableau, is one group-algebra element (the tableau's Jucys-Murphy filter)
+Characters are evaluated combinatorially per conjugacy class.  Every
+block is one selection (``_block``) from one group-algebra element,
 applied to the candidates ``e_q + pi*s*e_{rev q}``; only its column at the
 identity sector is built, on per-n index tables of the transpositions (the
-only S_n action here), and every candidate is read off that column by right
-reindexing.  The line is the first candidates with a nonzero Gram-Schmidt
-residual, orthogonalized by that same pass.  Every other line is reached
-from a built neighbour by one seminormal step, the adjacent transposition
-that swaps the two tableaux (Young's seminormal form), which carries the
-neighbour's vectors onto an orthogonal basis of the new line.  Last, the
-vectors that elimination would have kept are re-selected inside that span,
-from the first sectors where it has full rank, so every line has the bytes
-of its own elimination.  A component block is one elimination of its own
-element's candidates.  The certificate of these bases, what
-``sector-basis --verify`` runs, lives in ``oracle`` with its own actions;
-full matrices, the rebuild by subgroup sums and the chain lines eliminated
-one at a time are the tests' references, in ``tests/reference_routes.py``.
+only S_n action here), and a candidate is read off that column by right
+reindexing.  The element is self-adjoint and squares to a multiple of
+itself, so the Gram entries of the candidates are lookups in that column
+and in the vectors already kept: the block is the first candidates with a
+nonzero Gram-Schmidt residual, orthogonalized, and no other candidate is
+built.  A chain block has one element per line.  The root line's is the
+first standard tableau's Jucys-Murphy filter; every other line's comes
+from a built neighbour's by one seminormal step, the adjacent
+transposition that swaps the two tableaux (Young's seminormal form),
+applied to the column on both sides.  A component block's element is the
+isotypic character column times the pattern's signed Young-subgroup sum.
+The certificate of these bases, what ``sector-basis --verify`` runs, lives
+in ``oracle`` with its own actions; full matrices, the rebuild by subgroup
+sums and every candidate built and eliminated are the tests' references,
+in ``tests/reference_routes.py``.
 The hard-core levels are listed by ``mapping.enumerate_levels``.
 """
 
 from functools import lru_cache
-from itertools import islice, permutations, repeat
-from math import factorial, lcm
+from itertools import permutations, repeat
+from math import factorial, gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .characters import ClassFunction, character_table_snz2, sn_character
 from .errors import ConsistencyError
-from .linalg import dot, gram_schmidt, independent, primitive
+from .linalg import dot, primitive
 from .partitions import (
     MultiplicityVector,
     Partition,
@@ -178,7 +179,7 @@ def _index_tables(n: int):
     returning ``(t . v)[j] = v[idx[j]]`` for every sector ``j``, so the
     Jucys-Murphy element ``X_k`` is the sum of their results.  The getters
     ``reversal`` and ``inverse`` read every sector backwards and at its
-    inverse permutation.
+    inverse permutation; ``rank`` gives a sector's index from its bytes.
     """
     # Sectors as byte strings, so that relabelling is one bytes.translate,
     # mapped over all of them at once.
@@ -199,7 +200,7 @@ def _index_tables(n: int):
     inverse = itemgetter(
         *map(rank, map(identity.translate, map(bytes.maketrans, sectors, repeat(identity))))
     )
-    return jm, reversal, inverse
+    return jm, reversal, inverse, rank
 
 
 def _right_reindex(n: int, q: Sector, v):
@@ -213,7 +214,7 @@ def _right_reindex(n: int, q: Sector, v):
     """
     if q == all_sectors(n)[0]:
         return v
-    jm, _, inverse = _index_tables(n)
+    jm, _, inverse, _ = _index_tables(n)
     v = inverse(v)
     h = [0, *q]
     for k in range(n, 1, -1):
@@ -286,26 +287,26 @@ def snippet_projection_basis(
     components along the subgroup chain S_n > S_{n-1} > ... > S_2: the
     line ``j`` of the ``j``-th standard tableau (in ``_standard_chains``
     order) is the joint eigenspace of the Jucys-Murphy elements X_2..X_n
-    with that tableau's contents.  It is built in three steps.  The root
-    line (``j = 1``) is cut out by the filter ``prod (X_k - c)`` and
-    eliminated.  Every other tableau is reached breadth first by an
-    admissible ``s_k = (k k+1)``, whose axial distance ``r = c_{k+1} - c_k``
-    has ``|r| >= 2``: the new line is spanned by ``r s_k(u) - u`` over the
-    parent line's ``u``.  Within that span the vectors are re-selected as
-    the elimination would have kept them (:func:`_seminormal_line`).  The
-    result is ``mult * dim`` mutually orthogonal primitive integer vectors
-    labelled by ``tau`` (first-sector rank in the line) and ``j``, in
-    ``(tau, j)`` order; the vectors sharing one ``tau`` do not yet span an
-    irreducible copy.  With ``component`` the block is instead intersected
-    with the pattern's symmetrized line, as needed for multi-component
-    states: the isotypic projector's character column times the signed
-    Young-subgroup sum.
+    with that tableau's contents.  Each line is one :func:`_block` of its
+    own filter column.  The root line's (``j = 1``) is the filter
+    ``prod (X_k - c)`` applied at the identity sector.  Every other tableau
+    is reached breadth first by an admissible ``s_k = (k k+1)``, whose
+    axial distance ``r = c_{k+1} - c_k`` has ``|r| >= 2``, and its column
+    is the parent's multiplied by ``r s_k - 1`` on both sides
+    (:func:`_stepped_column`).  The result is ``mult * dim`` mutually
+    orthogonal primitive integer vectors labelled by ``tau`` (first-sector
+    rank in the line) and ``j``, in ``(tau, j)`` order; the vectors sharing
+    one ``tau`` do not yet span an irreducible copy.  With ``component``
+    the block is instead intersected with the pattern's symmetrized line,
+    as needed for multi-component states: the isotypic projector's
+    character column times the signed Young-subgroup sum, one
+    :func:`_block` as well.
 
-    An eliminated block is the first candidates in sector order with a
-    nonzero Gram-Schmidt residual, orthogonalized by that same pass.  A
-    sector whose residual vanishes maps into the span of earlier kept ones,
-    so the projected isotypic columns would keep the same sectors.  A zero
-    multiplicity yields an empty list.
+    A block is the first candidates in sector order with a nonzero
+    Gram-Schmidt residual, orthogonalized, the bytes of eliminating every
+    candidate.  A sector whose residual vanishes maps into the span of
+    earlier kept ones, so the projected isotypic columns would keep the
+    same sectors.  A zero multiplicity yields an empty list.
     """
     _check_parity(lambda_parity)
     if pi not in (1, -1):
@@ -337,7 +338,7 @@ def snippet_projection_basis(
     what = f"chain component of {p}"
     unit = [1] + [0] * (factorial(n) - 1)
     root = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chains[0])])
-    lines = [_block(n, root, sign, mult, what)] + [None] * (len(chains) - 1)
+    columns = [root] + [None] * (len(chains) - 1)
     reached = [0]
     for j in reached:
         c = contents[j]
@@ -346,9 +347,10 @@ def snippet_projection_basis(
             if abs(r) < 2:
                 continue
             t = position[(*c[: k - 1], c[k], c[k - 1], *c[k + 1 :])]
-            if lines[t] is None:
-                lines[t] = _seminormal_line(lines[j], r, jm[k + 1][-1], what)
+            if columns[t] is None:
+                columns[t] = _stepped_column(n, columns[j], r, k)
                 reached.append(t)
+    lines = [_block(n, w, sign, mult, what) for w in columns]
     return [
         SectorVector(n, line[tau], dot(line[tau], line[tau]), SnippetIrrepLabel(p, pi, tau, j))
         for tau in range(mult)
@@ -356,48 +358,20 @@ def snippet_projection_basis(
     ]
 
 
-def _seminormal_line(line, r, swap, what) -> list[tuple[int, ...]]:
-    """The chain line of ``s T``, built from the line ``line`` of ``T``.
+def _stepped_column(n, w, r, k) -> tuple[int, ...]:
+    """The filter column of the line of ``s T``, from the column ``w`` of ``T``.
 
-    ``swap`` is ``s = (k k+1)`` and ``r = c_{k+1} - c_k`` its axial distance
-    in ``T``, with ``|r| >= 2``.  By Young's seminormal form
-    ``b = r s(u) - u`` carries each ``u`` of the line into the line of
-    ``s T``, and ``<b_x, b_y> = (r^2 - 1) <u_x, u_y>``, so the images of the
-    orthogonal ``u_i`` are orthogonal; that is checked.  The block that
-    :func:`_block` would eliminate depends only on its span: every
-    candidate is proportional to ``P e_q``, ``P`` the projector onto the
-    span of the ``b_i``.  So the first sectors ``q`` whose rows
-    ``(b_1[q], ..., b_m[q])`` are independent are the ones it keeps, and
-    ``P e_q``, proportional to ``sum_i (L / |b_i|^2) b_i[q] b_i`` with ``L``
-    the lcm of the ``|b_i|^2``, are orthogonalized as there.
+    ``s = (k k+1)`` and ``r = c_{k+1} - c_k`` is its axial distance in
+    ``T``, with ``|r| >= 2``.  By Young's seminormal form ``r s - 1`` carries
+    the line of ``T`` onto that of ``s T``, so ``(r s - 1) a (r s - 1)`` is a
+    multiple of ``s T``'s filter when ``a`` is ``T``'s: its column is ``w``
+    multiplied by ``r s - 1`` on the right (a right reindex), then on the
+    left (an index getter), made primitive.
     """
-    images = [_seminormal_image(u, r, swap) for u in line]
-    norms = [dot(b, b) for b in images]
-    if not all(norms) or any(
-        dot(images[x], images[y]) for x in range(len(images)) for y in range(x)
-    ):
-        raise ConsistencyError(f"seminormal images in the {what} are not orthogonal")
-    if len(images) == 1:
-        return [primitive(images[0])]
-    pivots = [q for q, _ in islice(independent(zip(*images)), len(images))]
-    scale = lcm(*norms)
-    weights = [scale // norm for norm in norms]
-    columns = []
-    for q in pivots:
-        column = [0] * len(images[0])
-        for weight, b in zip(weights, images):
-            if b[q]:
-                column = list(map(add, column, map(mul, b, repeat(weight * b[q]))))
-        columns.append(column)
-    basis = gram_schmidt(columns, limit=len(images))
-    if len(basis) != len(images):
-        raise ConsistencyError(f"{what} has unexpected rank")
-    return basis
-
-
-def _seminormal_image(u, r, swap) -> list[int]:
-    """``r s(u) - u`` for the step ``s = swap`` at axial distance ``r``."""
-    return [r * a - b for a, b in zip(swap(u), u)]
+    s = list(range(1, n + 1))
+    s[k - 1], s[k] = k + 1, k
+    u = list(map(sub, map(mul, _right_reindex(n, tuple(s), w), repeat(r)), w))
+    return primitive(list(map(sub, map(mul, _index_tables(n)[0][k + 1][-1](u), repeat(r)), u)))
 
 
 def _act(v, factors):
@@ -430,23 +404,62 @@ def _young_factors(pattern: "ComponentPattern", jm):
 
 
 def _block(n, w, sign, limit, what) -> list[tuple[int, ...]]:
-    """Gram-Schmidt over the candidates ``R_q w + sign * R_{rev q} w`` in
-    sector order, stopping at the ``limit``-th nonzero residual.
-    ``R_{rev q} w`` is ``R_q w`` reversed.
+    """The first ``limit`` candidates ``c_q = R_q w + sign * R_{q w0} w``, in
+    sector order, with a nonzero Gram-Schmidt residual, orthogonalized.
 
-    The results come out ordered by first nonzero sector.  Every candidate
-    is a column of one self-adjoint element that squares to a multiple of
-    itself, so ``<c_r, v> = C v[r]`` for every ``v`` in the block; a
-    residual, orthogonal to every earlier candidate, starts at its own."""
-    flip = _index_tables(n)[1]
+    ``R_{q w0} w`` is ``R_q w`` reversed.  ``w`` is the column at the
+    identity sector of a self-adjoint ``a`` with ``a^2 = kappa a``, so
+    ``c_q = a (1 + sign J) e_q``, ``J`` the reversal, and every Gram entry
+    is a lookup: ``<c_q, x> = rho x[q]`` for each ``x`` in the block, with
+    ``rho = 2 kappa = 2 |w|^2 / w[0]``; in particular ``<c_q, c_r> = rho
+    (w[q r^-1] + sign w[q w0 r^-1])``.  The residual ``r`` of ``c_q``
+    against the kept ``b_i`` has ``|r|^2 = rho r[q]`` and ``r[q] = c_q[q] -
+    rho sum_i b_i[q]^2 / |b_i|^2``, ``c_q[q] = w[0] + sign w[q w0 q^-1]``,
+    so a candidate is built only once it is known to be kept; it is then
+    combined with the ``b_i`` by the coefficients ``rho b_i[q] / |b_i|^2``
+    over their common denominator, and made primitive.  The results are
+    the primitive vectors of eliminating every candidate, ordered by first
+    nonzero sector (a residual, orthogonal to every earlier candidate,
+    starts at its own).  Each is checked to be nonzero and orthogonal to
+    the earlier ones: for a column of the wrong element the lookups are not
+    Gram entries, and the combinations are not residuals.
+    """
+    _, flip, _, rank = _index_tables(n)
+    identity = bytes(range(1, n + 1))
     step = add if sign > 0 else sub
-
-    def candidates():
-        for q in all_sectors(n):
-            u = _right_reindex(n, q, w)
-            yield list(map(step, u, flip(u)))
-
-    basis = gram_schmidt(candidates(), limit=limit)
-    if len(basis) != limit:
-        raise ConsistencyError(f"{what} has unexpected rank")
-    return basis
+    num, den = 2 * dot(w, w), w[0]
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    basis: list[tuple[int, ...]] = []
+    norms: list[int] = []
+    # den * scale * r[q] = den * scale * c_q[q] - num * sum_i weights[i] b_i[q]^2,
+    # with scale the lcm of the norms and weights[i] = scale / |b_i|^2.
+    scale, weights = 1, []
+    for q, sector in enumerate(all_sectors(n)):
+        # q w0 q^-1 swaps q(i) and q(n+1-i): the identity relabelled from q
+        # to q reversed.
+        code = bytes(sector)
+        c_qq = step(w[0], w[rank(identity.translate(bytes.maketrans(code, code[::-1])))])
+        entries = [b[q] for b in basis]
+        if den * scale * c_qq == num * sum(map(mul, map(mul, entries, entries), weights)):
+            continue
+        terms = []
+        for e, b, norm in zip(entries, basis, norms):
+            if e:
+                g = gcd(num * e, den * norm)
+                terms.append((num * e // g, den * norm // g, b))
+        common = lcm(*(d for _, d, _ in terms))
+        u = _right_reindex(n, sector, w)
+        row = list(map(mul, map(step, u, flip(u)), repeat(common)))
+        for c, d, b in terms:
+            row = list(map(sub, row, map(mul, b, repeat(c * (common // d)))))
+        v = primitive(row)
+        if not any(v) or any(dot(v, b) for b in basis):
+            raise ConsistencyError(f"the {what} is not orthogonal")
+        basis.append(v)
+        if len(basis) == limit:
+            return basis
+        norms.append(dot(v, v))
+        scale = lcm(*norms)
+        weights = [scale // norm for norm in norms]
+    raise ConsistencyError(f"{what} has unexpected rank")

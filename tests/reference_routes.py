@@ -11,11 +11,12 @@ subgroup character sums over whole groups (``subgroup_chain_basis``).  No
 command runs any of this: what ``--verify`` runs lives in
 ``symtrap.oracle``, and the explicit sector actions here are built from the
 oracle's own sector relabelling (``_relabelled``), so they share no action
-code with ``snippet``.  One route does reuse ``snippet``'s actions: the
-chain path built one line at a time, each line by its own filter and
-elimination (``per_line_chain_basis``), the reference of the package's
-seminormal steps.  The explicit shell matrices and the whole-group
-sums are guarded.
+code with ``snippet``.  The explicit elimination does reuse ``snippet``'s
+actions: every candidate of a block built and reduced by a fraction-free
+Gram-Schmidt of the tests' own (``eliminated_block``), with each chain
+line from its own filter (``per_line_chain_basis``), the reference of the
+package's selection from Gram entries and of its stepped line columns.
+The explicit shell matrices and the whole-group sums are guarded.
 """
 
 from functools import lru_cache
@@ -23,7 +24,7 @@ from itertools import permutations, product as iter_product, repeat
 from math import factorial
 from operator import add, itemgetter, mul
 
-from symtrap.branching import FERMI, ComponentPattern
+from symtrap.branching import FERMI, ComponentPattern, branch_multiplicity
 from symtrap.characters import (
     ClassFunction,
     character_table_sn,
@@ -32,7 +33,7 @@ from symtrap.characters import (
     sn_character,
 )
 from symtrap.errors import ConsistencyError
-from symtrap.linalg import dot, gram_schmidt
+from symtrap.linalg import dot, primitive
 from symtrap.oracle import (
     _adjacent,
     _class_representative,
@@ -53,12 +54,13 @@ from symtrap.snippet import (
     SectorVector,
     SnippetIrrepLabel,
     _act,
-    _block,
     _cycle_type,
     _index_tables,
     _inversion_sign,
     _jm_factors,
+    _right_reindex,
     _standard_chains,
+    _young_factors,
     all_sectors,
     snippet_reduction,
 )
@@ -421,25 +423,98 @@ def subgroup_chain_basis(
     return out
 
 
+def gram_schmidt(vectors, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Exact Gram-Schmidt, fraction-free, returning primitive integer vectors.
+
+    A vector is reduced against each earlier result ``b`` by
+    cross-multiplication, ``row = |b|^2 row - (b.row) b``, a nonzero multiple
+    of the rational projection step, and kept small by dividing out the gcd
+    of its entries (Bareiss, *Math. Comp.* 22 (1968)), so the primitive
+    results equal those of rational Gram-Schmidt.  A vector whose residual
+    is zero lies in the span of the earlier ones and is dropped.  Once a
+    positive ``limit`` of vectors is kept, no further vector is drawn.
+    """
+    out: list[tuple[int, ...]] = []
+    norms: list[int] = []
+    for row in vectors:
+        for b, norm in zip(out, norms):
+            coeff = dot(b, row)
+            if coeff:
+                row = primitive([norm * a - coeff * x for a, x in zip(row, b)])
+        if any(row):
+            row = primitive(row)
+            out.append(row)
+            norms.append(dot(row, row))
+            if len(out) == limit:
+                break
+    return out
+
+
+def candidates(n: int, w, sign: int):
+    """Every candidate ``R_q w + sign * R_{q w0} w`` of the column ``w``, in
+    sector order: ``w`` reindexed on the right by each sector ``q``, plus
+    ``sign`` times the same reversed."""
+    flip = _index_tables(n)[1]
+    for q in all_sectors(n):
+        u = _right_reindex(n, q, w)
+        yield [a + sign * b for a, b in zip(u, flip(u))]
+
+
+def eliminated_block(n: int, w, sign: int, limit: int) -> list[tuple[int, ...]]:
+    """The first ``limit`` candidates of ``w`` with a nonzero Gram-Schmidt
+    residual, orthogonalized: every candidate is built and eliminated."""
+    return gram_schmidt(candidates(n, w, sign), limit=limit)
+
+
+def chain_column(n: int, chain) -> list[int]:
+    """The Jucys-Murphy filter of ``chain``'s standard tableau, applied to
+    the identity sector."""
+    jm = _index_tables(n)[0]
+    unit = [1] + [0] * (factorial(n) - 1)
+    return _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chain)])
+
+
+def component_column(n: int, p: Partition, pattern: ComponentPattern) -> list[int]:
+    """The isotypic character column of ``p`` times the pattern's signed
+    Young-subgroup sum."""
+    chi = [sn_character(p, _cycle_type(s)) for s in all_sectors(n)]
+    return _act(chi, _young_factors(pattern, _index_tables(n)[0]))
+
+
 def per_line_chain_basis(n: int, lambda_parity: str, p: Partition, pi: int) -> list[SectorVector]:
     """The chain path of ``snippet.snippet_projection_basis``, one line at a time.
 
     Every line is built from scratch with the package's own actions: the
     Jucys-Murphy filter of its standard tableau applied at the identity
-    sector, then the Gram-Schmidt scan over the reindexed candidates.  The
-    package filters and eliminates only the first line and reaches the
-    others by seminormal steps, which must give the same bytes.
+    sector, then every candidate built and eliminated.  The package steps
+    each line's column from a neighbour's and builds only the candidates
+    it keeps, which must give the same bytes.
     """
     mult = snippet_reduction(n, lambda_parity)[(p, pi)]
     if mult == 0:
         return []
-    jm = _index_tables(n)[0]
     sign = pi * _inversion_sign(n, lambda_parity)
-    unit = [1] + [0] * (factorial(n) - 1)
     out = []
     for j, chain in enumerate(_standard_chains(p.parts), start=1):
-        w = _act(unit, [(-c, 1, jm[k]) for k, c in _jm_factors(chain)])
-        for tau, v in enumerate(_block(n, w, sign, mult, f"chain component of {p}")):
+        block = eliminated_block(n, chain_column(n, chain), sign, mult)
+        if len(block) != mult:
+            raise ConsistencyError(f"chain component of {p} has unexpected rank")
+        for tau, v in enumerate(block):
             out.append(SectorVector(n, v, dot(v, v), SnippetIrrepLabel(p, pi, tau, j)))
     out.sort(key=lambda sv: (sv.label.tau, sv.label.j))
     return out
+
+
+def eliminated_component_basis(
+    n: int, lambda_parity: str, p: Partition, pi: int, pattern: ComponentPattern
+) -> list[SectorVector]:
+    """The component path of ``snippet.snippet_projection_basis`` with every
+    candidate built and eliminated."""
+    expected = snippet_reduction(n, lambda_parity)[(p, pi)] * branch_multiplicity(p, pattern)
+    if expected == 0:
+        return []
+    sign = pi * _inversion_sign(n, lambda_parity)
+    block = eliminated_block(n, component_column(n, p, pattern), sign, expected)
+    if len(block) != expected:
+        raise ConsistencyError(f"component projection of {p} has unexpected rank")
+    return [SectorVector(n, v, dot(v, v)) for v in block]

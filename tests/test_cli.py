@@ -507,6 +507,56 @@ class TestExitCodes:
         assert result.stderr.startswith("error: cannot write ")
         assert len(result.stderr.splitlines()) == 1
 
+    #: 820 KB of rows in every format: far more than a pipe buffers, so the
+    #: CLI is still writing when its reader goes away.
+    LONG_TABLE = ("reduce-lambda", "--n", "4", "--max-lambda", "20000")
+
+    @staticmethod
+    def _child(*args):
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.Popen(
+            [sys.executable, "-m", "symtrap.cli", *args],
+            env={"PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_closed_stdout_ends_quietly(self, fmt):
+        import os
+
+        child = self._child(*self.LONG_TABLE, "--format", fmt)
+        assert os.read(child.stdout.fileno(), 100)
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == 0
+
+    def test_closed_output_file_still_exits_two(self, tmp_path):
+        import os
+        import time
+
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        child = self._child(*self.LONG_TABLE, "--output", str(fifo))
+        deadline = time.monotonic() + 60
+        data = b""
+        while not data and time.monotonic() < deadline:
+            try:
+                data = os.read(reader, 100)
+            except BlockingIOError:
+                pass
+            time.sleep(0.01)
+        os.close(reader)
+        out, err = child.communicate(timeout=60)
+        assert data
+        assert child.returncode == 2
+        assert not out
+        assert err == f"error: cannot write {fifo}: Broken pipe\n".encode()
+
     def test_over_budget_sector_block_is_refused(self):
         result = run("sector-basis", "--n", "8", "--irrep", "421^2-", "--lambda-parity", "even")
         assert result.exit_code == 2

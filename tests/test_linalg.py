@@ -1,11 +1,25 @@
-"""Fraction-free integer elimination against a rational reference."""
+"""Exact elimination against a rational reference.
+
+The tests' fraction-free Gram-Schmidt (``reference_routes.gram_schmidt``),
+which eliminates every candidate of a sector block, and the package's
+selection from Gram entries (``snippet._block``), which builds only the
+candidates it keeps, must both give the primitive vectors of rational
+Gram-Schmidt.
+"""
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtrap.linalg import dot, gram_schmidt, primitive
+from symtrap.branching import all_patterns
+from symtrap.errors import ConsistencyError
+from symtrap.linalg import dot, primitive
+from symtrap.partitions import partitions_of
+from symtrap.snippet import _block, _standard_chains
+
+from reference_routes import candidates, chain_column, component_column, gram_schmidt
 
 #: Deterministic draws and no example database, so every run checks the same cases.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -61,7 +75,8 @@ def reference_gram_schmidt(rows):
     for vec in rows:
         row = [Fraction(a) for a in vec]
         for b in ortho:
-            row = [a - dot(b, row) / dot(b, b) * c for a, c in zip(row, b)]
+            coeff = dot(b, row) / dot(b, b)
+            row = [a - coeff * c for a, c in zip(row, b)]
         if any(row):
             ortho.append(row)
     return [reference_primitive(row) for row in ortho]
@@ -101,6 +116,25 @@ def test_limit_stops_drawing_after_the_last_kept_vector():
 
     assert gram_schmidt(rows(), limit=2) == [(1, 0, 0), (0, 1, 0)]
     assert drawn == [(1, 0, 0), (2, 0, 0), (0, 1, 0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_selection_is_rational_gram_schmidt(n):
+    """Every chain-line and component column, at both signs: the selection
+    keeps exactly what rational Gram-Schmidt of all candidates keeps, and
+    asking for one vector more than the rank fails."""
+    columns = []
+    for p in partitions_of(n):
+        columns += [chain_column(n, chain) for chain in _standard_chains(p.parts)]
+        columns += [component_column(n, p, pattern) for pattern in all_patterns(n)]
+    for w in dict.fromkeys(map(tuple, filter(any, columns))):
+        for sign in (1, -1):
+            expected = reference_gram_schmidt(candidates(n, w, sign))
+            if not expected:
+                continue
+            assert _block(n, w, sign, len(expected), "block") == expected
+            with pytest.raises(ConsistencyError, match="block has unexpected rank"):
+                _block(n, w, sign, len(expected) + 1, "block")
 
 
 def test_primitive():

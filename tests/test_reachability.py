@@ -198,9 +198,12 @@ def test_every_function_runs_or_is_library_surface(tmp_path, monkeypatch):
     assert (tmp_path / "table.txt").read_text(encoding="utf-8").startswith("character table S3")
 
 
-def test_chain_block_runs_one_filter_and_one_elimination(monkeypatch):
+def test_chain_block_runs_one_root_filter_and_one_block_per_line(monkeypatch):
+    """One Jucys-Murphy filter (the root line's), one ``_block`` per line,
+    and no candidate built that is not kept: every right reindex builds a
+    kept candidate, except one per stepped line column."""
     calls = Counter()
-    for name in ("_jm_factors", "_block"):
+    for name in ("_jm_factors", "_block", "_right_reindex"):
         real = getattr(snippet, name)
 
         def counted(*args, real=real, name=name):
@@ -210,4 +213,4 @@ def test_chain_block_runs_one_filter_and_one_elimination(monkeypatch):
         monkeypatch.setattr(snippet, name, counted)
     vectors = snippet.snippet_projection_basis(5, "even", Partition((3, 2)), 1)
     assert {v.label.j for v in vectors} == {1, 2, 3, 4, 5}
-    assert calls == {"_jm_factors": 1, "_block": 1}
+    assert calls == {"_jm_factors": 1, "_block": 5, "_right_reindex": len(vectors) + 4}

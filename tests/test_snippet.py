@@ -13,7 +13,7 @@ from symtrap.branching import (
     patterns_for,
 )
 from symtrap.characters import character_table_snz2, reduce_class_function
-from symtrap.linalg import dot
+from symtrap.linalg import dot, primitive
 from symtrap.mapping import G_INF, enumerate_levels
 from symtrap.errors import ConsistencyError
 from symtrap.oracle import verify_sector_basis
@@ -26,10 +26,12 @@ from symtrap.partitions import (
     partitions_of,
 )
 from symtrap.snippet import (
+    _contents,
     _index_tables,
     _inversion_sign,
     _right_reindex,
     _standard_chains,
+    _stepped_column,
     all_sectors,
     reversal_cycle_type,
     sector_rep_characters,
@@ -38,7 +40,13 @@ from symtrap.snippet import (
 )
 
 from cli_runner import run
-from reference_routes import _sector_action, per_line_chain_basis
+from reference_routes import (
+    _sector_action,
+    candidates,
+    chain_column,
+    eliminated_component_basis,
+    per_line_chain_basis,
+)
 from reference_data import (
     N3_SECTOR_REDUCTION,
     N4_SECTOR_REDUCTION,
@@ -337,35 +345,28 @@ def _enlarging(candidates, basis):
 
 
 class TestBlockOrder:
-    """A block comes out of Gram-Schmidt already in sector order.  On a root
-    line and a component block each kept vector's first nonzero entry is at
-    the sector whose candidate produced it; on a line reached by a
-    seminormal step the first nonzero entries are the selected pivot sectors."""
+    """A block comes out of its selection already in sector order: each
+    kept vector's first nonzero entry is at the sector whose candidate
+    produced it, on the root line, on every stepped line and on every
+    component block."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """``(producing or pivot sectors, first nonzero sectors)`` of every
-        block that ``gram_schmidt`` builds."""
+        """``(producing sectors, first nonzero sectors)`` of every block
+        that ``_block`` builds; the producers are read off the explicit
+        candidates by the Bessel equality."""
         from symtrap import snippet
 
-        real, real_independent = snippet.gram_schmidt, snippet.independent
-        seen, pivots = [], []
+        real = snippet._block
+        seen = []
 
-        def selecting(rows):
-            for q, row in real_independent(rows):
-                pivots.append(q)
-                yield q, row
-
-        def recording(vectors, limit=None):
-            drawn = []
-            basis = real((drawn.append(v) or v for v in vectors), limit=limit)
-            sources = pivots[:] if pivots else _enlarging(drawn, basis)
-            pivots.clear()
-            seen.append((sources, [_first_nonzero(v) for v in basis]))
+        def recording(n, w, sign, limit, what):
+            basis = real(n, w, sign, limit, what)
+            producers = _enlarging(candidates(n, w, sign), basis)
+            seen.append((producers, [_first_nonzero(v) for v in basis]))
             return basis
 
-        monkeypatch.setattr(snippet, "independent", selecting)
-        monkeypatch.setattr(snippet, "gram_schmidt", recording)
+        monkeypatch.setattr(snippet, "_block", recording)
         return seen
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -380,9 +381,9 @@ class TestBlockOrder:
             assert firsts == producers
 
     def test_largest_six_particle_block(self, blocks):
-        """[321]+ even: the root line and 15 seminormal lines of 8 vectors,
+        """[321]+ even: the root line and 15 stepped lines of 8 vectors,
         and the component blocks of up to 32 (the 64- and 128-vector ones
-        would add about 12 s)."""
+        would add several seconds)."""
         p = Partition((3, 2, 1))
         patterns = [*patterns_for(6, BOSE), *patterns_for(6, FERMI)]
         for pattern in [None, *(c for c in patterns if branch_multiplicity(p, c) <= 4)]:
@@ -393,8 +394,9 @@ class TestBlockOrder:
 
 
 class TestSeminormalLines:
-    """Chain lines after the first come from a neighbouring line by one
-    seminormal step, and are the bytes of the line built on its own."""
+    """Chain lines after the first take their filter column from a
+    neighbouring line's by one seminormal step, and are the bytes of the
+    line built and eliminated on its own."""
 
     @pytest.mark.parametrize(
         "irrep, parity",
@@ -414,23 +416,135 @@ class TestSeminormalLines:
 
     @pytest.fixture
     def skewed(self, monkeypatch):
-        """A seminormal image shifted off the isotypic block by the all-ones
-        vector, so that two images are no longer orthogonal."""
+        """Every stepped line column shifted by the all-ones vector, so that
+        it is no longer the column of an element that squares to a multiple
+        of itself and its Gram lookups are wrong."""
         from symtrap import snippet
 
-        real = snippet._seminormal_image
-        monkeypatch.setattr(snippet, "_seminormal_image", lambda *a: [b + 1 for b in real(*a)])
+        real = snippet._stepped_column
+        monkeypatch.setattr(snippet, "_stepped_column", lambda *a: [b + 1 for b in real(*a)])
 
-    def test_non_orthogonal_images_raise(self, skewed):
-        message = "seminormal images in the chain component of \\[42\\] are not orthogonal"
+    def test_corrupted_line_column_raises(self, skewed):
+        message = "the chain component of \\[42\\] is not orthogonal"
         with pytest.raises(ConsistencyError, match=message):
             snippet_projection_basis(6, "even", Partition((4, 2)), 1)
 
-    def test_non_orthogonal_images_exit_three(self, skewed):
+    def test_corrupted_line_column_exits_three(self, skewed):
         result = run("sector-basis", "--n", "5", "--irrep", "32+", "--lambda-parity", "even")
         assert result.exit_code == 3
         assert "not orthogonal" in result.stderr
         assert not result.stdout
+
+
+def _columns_of_every_block(n, monkeypatch):
+    """``(w, sign)`` of every distinct column ``_block`` is given while every
+    chain and component block of ``n`` particles is built."""
+    from symtrap import snippet
+
+    real = snippet._block
+    seen = {}
+
+    def recording(n, w, sign, limit, what):
+        seen[(tuple(w), sign)] = None
+        return real(n, w, sign, limit, what)
+
+    monkeypatch.setattr(snippet, "_block", recording)
+    for parity in ("even", "odd"):
+        for p in partitions_of(n):
+            for pi in (1, -1):
+                for pattern in [None, *all_patterns(n)]:
+                    snippet_projection_basis(n, parity, p, pi, component=pattern)
+    monkeypatch.undo()
+    return list(seen)
+
+
+def _compose(a, b):
+    """The sector ``a . b``: ``b`` relabelled by ``a``."""
+    return tuple(a[x - 1] for x in b)
+
+
+def _inverse(a):
+    return tuple(sorted(range(1, len(a) + 1), key=lambda x: a[x - 1]))
+
+
+class TestGramEntries:
+    """``<c_q, c_r> = 2 kappa (w[q r^-1] + s w[q w0 r^-1])`` with
+    ``kappa = |w|^2 / w[id]``, against explicit dot products of the built
+    candidates, for every column the package builds a block from."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_root_line_and_component_column(self, n, monkeypatch):
+        sectors = all_sectors(n)
+        rank = {q: i for i, q in enumerate(sectors)}
+        w0 = sectors[-1]
+        # Index pairs (q r^-1, q w0 r^-1) for r <= q; the Gram matrix is symmetric.
+        lookups = [
+            [
+                (rank[_compose(q, _inverse(r))], rank[_compose(_compose(q, w0), _inverse(r))])
+                for r in sectors[: i + 1]
+            ]
+            for i, q in enumerate(sectors)
+        ]
+        columns = _columns_of_every_block(n, monkeypatch)
+        assert columns
+        for w, sign in columns:
+            # Many candidates repeat; each distinct pair is dotted once.
+            built = list(map(tuple, candidates(n, w, sign)))
+            distinct = {c: i for i, c in enumerate(dict.fromkeys(built))}
+            dots = [[dot(a, b) * w[0] for b in distinct] for a in distinct]
+            index = [distinct[c] for c in built]
+            scale = 2 * dot(w, w)
+            for i, pairs in enumerate(lookups):
+                row = dots[index[i]]
+                gram = [row[j] for j in index[: i + 1]]
+                assert gram == [scale * (w[a] + sign * w[b]) for a, b in pairs]
+
+
+class TestSteppedColumns:
+    """The column of ``s T`` stepped from that of ``T`` is proportional to
+    the filter of ``s T``'s own Jucys-Murphy factors applied at the identity
+    sector, on every admissible step."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_admissible_step(self, n):
+        steps = 0
+        for p in partitions_of(n):
+            chains = _standard_chains(p.parts)
+            columns = [primitive(chain_column(n, chain)) for chain in chains]
+            position = {_contents(chain): j for j, chain in enumerate(chains)}
+            for chain, w in zip(chains, columns):
+                c = _contents(chain)
+                for k in range(1, n):
+                    r = c[k] - c[k - 1]
+                    if abs(r) < 2:
+                        continue
+                    t = position[(*c[: k - 1], c[k], c[k - 1], *c[k + 1 :])]
+                    assert _stepped_column(n, w, r, k) == columns[t]
+                    steps += 1
+        assert steps == {2: 0, 3: 2, 4: 10, 5: 44, 6: 176}[n]
+
+
+class TestExplicitElimination:
+    """Every block is the bytes of building every candidate and eliminating
+    them, each chain line from its own filter."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_chain_block(self, n):
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    expected = per_line_chain_basis(n, parity, p, pi)
+                    assert snippet_projection_basis(n, parity, p, pi) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_component_block(self, n):
+        for parity in ("even", "odd"):
+            for p in partitions_of(n):
+                for pi in (1, -1):
+                    for pattern in all_patterns(n):
+                        expected = eliminated_component_basis(n, parity, p, pi, pattern)
+                        got = snippet_projection_basis(n, parity, p, pi, component=pattern)
+                        assert got == expected
 
 
 class TestRightReindex:
