@@ -4,10 +4,20 @@ The package classifies the energy levels of n particles in a harmonic
 trap with zero-range interactions by the conserved symmetry labels
 (centre-of-mass excitation, relative parity, permutation irrep), reduces
 the exactly solvable free and hard-core limits, and maps levels between
-them.  Every number is an exact integer or rational.
+them.  Every number is an exact integer or rational.  The exceptions every
+layer raises are defined here; the other exports load with their layer.
 """
 
 from importlib import import_module
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; results cannot be trusted."""
+
+
+class SearchExhaustedError(Exception):
+    """No matching level was found below the configured energy ceiling."""
+
 
 #: The module that defines each exported name, imported on first access
 #: (PEP 562), so ``import symtrap`` loads no layer.
@@ -27,8 +37,6 @@ _MODULE_OF = {
     "kostka": "characters",
     "reduce_class_function": "characters",
     "sn_character": "characters",
-    "ConsistencyError": "errors",
-    "SearchExhaustedError": "errors",
     "G_INF": "mapping",
     "G_ZERO": "mapping",
     "GNLabel": "mapping",
@@ -61,7 +69,7 @@ _MODULE_OF = {
 
 __version__ = "0.1.0"
 
-__all__ = list(_MODULE_OF)
+__all__ = ["ConsistencyError", "SearchExhaustedError", *_MODULE_OF]
 
 
 def __getattr__(name: str):

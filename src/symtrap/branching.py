@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from .errors import ConsistencyError
+from . import ConsistencyError
 from .partitions import MultiplicityVector, Partition, Record, partitions_of
 
 BOSE = "bose"

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .errors import ConsistencyError
+from . import ConsistencyError
 from .partitions import (
     TABLE_LIMIT,
     MultiplicityVector,

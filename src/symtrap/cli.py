@@ -12,8 +12,7 @@ import sys
 from itertools import chain, islice, repeat
 from math import factorial
 
-from . import __version__
-from .errors import ConsistencyError, SearchExhaustedError
+from . import ConsistencyError, SearchExhaustedError, __version__
 
 SCHEMA = "symtrap/1"
 
@@ -92,28 +91,25 @@ def _json_value(obj, pad: str) -> str:
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
 
 
-def _render_json(obj: dict) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte,
-    for dicts with str keys, lists, str, int, bool and None; any other
-    value raises ``TypeError``.  Written here so that no call imports
-    ``json`` or runs its pure-Python indent encoder.
+def _json_chunks(head: dict, rows: list, json_row):
+    """``json.dumps({**head, "rows": [json_row(row) for row in rows], "schema":
+    SCHEMA}, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, in chunks,
+    the rows a block at a time; without ``json_row`` the document has no
+    ``"rows"``.  Values are dicts with str keys, lists, str, int, bool and
+    None; any other raises ``TypeError``.  Written here so that no call
+    imports ``json`` or runs its pure-Python indent encoder.
     ``tests/test_cli.py::TestJsonWriter`` checks it against ``json.dumps``
     on generated values, and ``TestJsonContract::test_schema_and_round_trip``
     on every command's output."""
-    return _json_value(obj, "") + "\n"
-
-
-def _json_chunks(head: dict, rows: list, json_row):
-    """``_render_json({**head, "rows": [json_row(row) for row in rows], "schema": SCHEMA})``
-    in chunks, the rows a block at a time."""
     items = (f"{_json_value(key, '  ')}: {_json_value(value, '  ')}" for key, value in head.items())
-    yield "{\n  " + ",\n  ".join(items) + ',\n  "rows": ['
-    lead = "\n    "
-    for start in range(0, len(rows), _BLOCK):
-        block = map(json_row, rows[start : start + _BLOCK])
-        yield lead + ",\n    ".join(_json_value(row, "    ") for row in block)
-        lead = ",\n    "
-    yield "\n  ]" if rows else "]"
+    yield "{\n  " + ",\n  ".join(items) + (',\n  "rows": [' if json_row else "")
+    if json_row:
+        lead = "\n    "
+        for start in range(0, len(rows), _BLOCK):
+            block = map(json_row, rows[start : start + _BLOCK])
+            yield lead + ",\n    ".join(_json_value(row, "    ") for row in block)
+            lead = ",\n    "
+        yield "\n  ]" if rows else "]"
     yield f',\n  "schema": {_json_value(SCHEMA, "  ")}\n}}\n'
 
 
@@ -128,8 +124,6 @@ def _emit(handle, fmt: str, n: int, title: str, headers, rows, json_fields, json
         out.writerows(rows)
     elif fmt == "text":
         handle.writelines(_text_chunks(headers, rows, title))
-    elif json_row is None:
-        handle.write(_render_json({"n": n, **json_fields(), "schema": SCHEMA}))
     else:
         handle.writelines(_json_chunks({"n": n, **json_fields()}, rows, json_row))
     handle.flush()
@@ -513,15 +507,17 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
 
 def entry() -> None:
     """The process entry (``python -m symtrap.cli`` and the ``symtrap``
-    script): :func:`main`, then ``gc.freeze()``.
+    script): :func:`main` with the cyclic collector off, then ``gc.freeze()``.
 
-    The collections at interpreter shutdown then skip every object alive
-    once the answer is written, memo caches included, instead of walking
-    them all for nothing.  ``atexit`` handlers still run, and the exit
-    code is :func:`main`'s.
+    Rows and memo entries form no reference cycles, so collections would
+    walk them all for nothing: one each time the heap grows by a quarter,
+    and those at interpreter shutdown, which run even with the collector
+    off and skip what is frozen.  ``atexit`` handlers still run, and the
+    exit code is :func:`main`'s.
     """
     import gc
 
+    gc.disable()
     try:
         main()
     finally:

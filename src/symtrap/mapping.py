@@ -20,8 +20,8 @@ one pass, in time linear in the source's and the image's excitation.
 each walk reads a ``lam``'s content once, so the memos keep one row per ``lam``.
 """
 
+from . import SearchExhaustedError
 from .branching import ComponentPattern, branch_row
-from .errors import SearchExhaustedError
 from .oscillator import (
     HypercylindricalLabel,
     antisymmetric_multiplicity,

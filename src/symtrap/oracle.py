@@ -20,6 +20,7 @@ from itertools import product as iter_product, repeat
 from math import factorial, gcd, prod
 from operator import add, eq, itemgetter
 
+from . import ConsistencyError
 # ``perfbench/traced_cli.py`` imports ``symtrap.cli`` and this module, then
 # wraps the functions of every layer it finds in ``sys.modules``, mapping
 # included; since the CLI imports its layers on demand, this import keeps
@@ -34,7 +35,6 @@ from .characters import (
     reduce_class_function,
     sn_character,
 )
-from .errors import ConsistencyError
 from .linalg import dot
 from .partitions import (
     MultiplicityVector,

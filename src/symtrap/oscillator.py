@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from operator import ge, gt, le, lt
 
-from .errors import ConsistencyError
+from . import ConsistencyError
 from .partitions import MultiplicityVector, Record, partitions_of
 
 

@@ -35,8 +35,8 @@ from itertools import permutations, repeat
 from math import factorial, gcd, lcm
 from operator import add, itemgetter, mul, sub
 
+from . import ConsistencyError
 from .characters import ClassFunction, character_table_snz2, sn_character
-from .errors import ConsistencyError
 from .linalg import dot, primitive
 from .partitions import (
     MultiplicityVector,

@@ -24,6 +24,7 @@ from itertools import permutations, product as iter_product, repeat
 from math import factorial
 from operator import add, itemgetter, mul
 
+from symtrap import ConsistencyError
 from symtrap.branching import FERMI, ComponentPattern, branch_multiplicity
 from symtrap.characters import (
     ClassFunction,
@@ -32,7 +33,6 @@ from symtrap.characters import (
     reduce_class_function,
     sn_character,
 )
-from symtrap.errors import ConsistencyError
 from symtrap.linalg import dot, primitive
 from symtrap.oracle import (
     _adjacent,

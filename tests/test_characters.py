@@ -2,6 +2,7 @@ import pytest
 from itertools import product
 from math import factorial
 
+from symtrap import ConsistencyError
 from symtrap.characters import (
     CharacterTable,
     ClassFunction,
@@ -13,7 +14,6 @@ from symtrap.characters import (
     reduce_class_function,
     sn_character,
 )
-from symtrap.errors import ConsistencyError
 from symtrap.partitions import Partition, irrep_dimension, partitions_of
 
 from reference_data import S3Z2_CHARACTERS, S4Z2_CHARACTERS

@@ -5,7 +5,7 @@ import pytest
 from cli_runner import run
 from hypothesis import given, settings, strategies as st
 
-from symtrap.cli import _BLOCK, COMMANDS, _json_chunks, _render_json, _text_chunks
+from symtrap.cli import _BLOCK, COMMANDS, _json_chunks, _json_value, _text_chunks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,13 +105,19 @@ json_value = st.recursive(
 )
 
 
+def render(value) -> str:
+    """A bare value as the writer lays it out at the top level."""
+    return _json_value(value, "") + "\n"
+
+
 class TestJsonWriter:
-    """``_render_json`` against ``json.dumps(v, indent=2, ensure_ascii=False)``."""
+    """The one JSON writer, ``_json_chunks`` over ``_json_value``, against
+    ``json.dumps(v, indent=2, ensure_ascii=False)``."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(json_value)
     def test_matches_the_standard_library(self, value):
-        assert _render_json(value) == dumps(value)
+        assert render(value) == dumps(value)
 
     def test_every_escape_and_edge(self):
         value = {
@@ -120,14 +126,14 @@ class TestJsonWriter:
             "empty": [[], {}, [[]], [{}], {"": {}}, {"k": []}],
             "ħω\u2028\"\\": {"nested": {"deeper": [1, [2, [3]]]}},
         }
-        assert _render_json(value) == dumps(value)
-        assert _render_json([]) == "[]\n"
-        assert _render_json(None) == "null\n"
+        assert render(value) == dumps(value)
+        assert render([]) == "[]\n"
+        assert render(None) == "null\n"
 
     @pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, {"k": {3}}, [b"x"]])
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
-            _render_json(value)
+            render(value)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(
@@ -135,9 +141,11 @@ class TestJsonWriter:
         st.lists(json_value, max_size=6),
     )
     def test_chunks_write_the_whole_document(self, head, rows):
-        """``_json_chunks``, a block of rows at a time, writes what ``_render_json`` writes whole."""
+        """``_json_chunks``, a block of rows at a time, writes what ``json.dumps``
+        writes whole; without ``json_row`` the document has no ``"rows"``."""
         document = {**head, "rows": [[row] for row in rows], "schema": "symtrap/1"}
         assert "".join(_json_chunks(head, rows, lambda row: [row])) == dumps(document)
+        assert "".join(_json_chunks(head, rows, None)) == dumps({**head, "schema": "symtrap/1"})
 
     def test_chunks_across_blocks(self):
         rows = list(range(2 * _BLOCK + 1))
@@ -288,8 +296,7 @@ class TestNoPartialOutput:
     def test_failure_while_building_rows_writes_nothing(self, monkeypatch, tmp_path, fmt):
         from itertools import islice
 
-        from symtrap import mapping
-        from symtrap.errors import ConsistencyError
+        from symtrap import ConsistencyError, mapping
 
         real = mapping.spectrum_levels
 
@@ -770,14 +777,16 @@ class TestSectorBasisVerify:
 
 
 class TestProcessEntry:
-    """``entry()``, the process entry, freezes the heap once the answer is
-    written; ``main()``, the in-process entry, leaves the collector alone."""
+    """``entry()``, the process entry, runs with the cyclic collector
+    disabled and freezes the heap once the answer is written; ``main()``,
+    the in-process entry, leaves the collector alone."""
 
-    #: Registers an exit hook that reports the collector's frozen count,
-    #: then runs the CLI as ``python -m symtrap.cli`` does.
+    #: Registers an exit hook that reports the collector's frozen count and
+    #: whether it is enabled, then runs the CLI as ``python -m symtrap.cli`` does.
     PROBE = (
         "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: sys.stderr.write(f'frozen at exit: {gc.get_freeze_count() > 0}\\n'))\n"
+        "atexit.register(lambda: sys.stderr.write(\n"
+        "    f'frozen at exit: {gc.get_freeze_count() > 0}, enabled: {gc.isenabled()}\\n'))\n"
         "runpy.run_module('symtrap.cli', run_name='__main__', alter_sys=True)\n"
     )
 
@@ -796,7 +805,7 @@ class TestProcessEntry:
         args = ["sector-basis", "--n", "6", "--irrep", "21^4+", "--lambda-parity", "even", "--format", "json"]
         result = self.probe(*args)
         assert result.returncode == 0, result.stderr
-        assert result.stderr == b"frozen at exit: True\n"
+        assert result.stderr == b"frozen at exit: True, enabled: False\n"
         expected = run_ok(*args).encode("utf-8")
         assert len(expected) == 172_218
         assert result.stdout == expected
@@ -805,13 +814,13 @@ class TestProcessEntry:
         result = self.probe("sector-basis", "--n", "6")
         assert result.returncode == 2
         assert result.stderr.startswith(b"Usage: ")
-        assert result.stderr.endswith(b"\nfrozen at exit: True\n")
+        assert result.stderr.endswith(b"\nfrozen at exit: True, enabled: False\n")
         assert not result.stdout
 
     def test_main_leaves_the_collector_alone(self):
         import gc
 
-        before = gc.get_freeze_count()
+        before = gc.get_freeze_count(), gc.isenabled()
         run_ok("chartable", "--n", "3")
         assert run("sector-basis", "--n", "6").exit_code == 2
-        assert gc.get_freeze_count() == before
+        assert (gc.get_freeze_count(), gc.isenabled()) == before

@@ -36,7 +36,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_no_layer():
-    assert loaded_after("import symtrap.cli") == ["symtrap", "symtrap.cli", "symtrap.errors"]
+    assert loaded_after("import symtrap.cli") == ["symtrap", "symtrap.cli"]
 
 
 class TestPackageExports:
@@ -58,10 +58,9 @@ class TestPackageExports:
             symtrap.not_an_export  # noqa: B018
 
     def test_search_error_is_one_object(self):
-        from symtrap import errors, mapping
+        from symtrap import mapping
 
-        assert symtrap.SearchExhaustedError is mapping.SearchExhaustedError
-        assert mapping.SearchExhaustedError is errors.SearchExhaustedError
+        assert mapping.SearchExhaustedError is symtrap.SearchExhaustedError
 
     def test_regime_choices_are_the_mapping_regimes(self):
         from symtrap.mapping import G_ZERO, REGIMES
@@ -151,7 +150,7 @@ def test_clean_interpreter_imports_nothing_unused(args, fmt):
 
 def test_chain_sector_basis_loads_only_its_layers():
     args = ["sector-basis", "--n", "4", "--irrep", "21^2+", "--lambda-parity", "odd"]
-    assert layers(*args) == {"errors", "partitions", "characters", "linalg", "snippet"}
+    assert layers(*args) == {"partitions", "characters", "linalg", "snippet"}
 
 
 def test_parity_table_loads_no_free_limit_layer():

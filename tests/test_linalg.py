@@ -13,8 +13,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symtrap import ConsistencyError
 from symtrap.branching import all_patterns
-from symtrap.errors import ConsistencyError
 from symtrap.linalg import dot, primitive
 from symtrap.partitions import partitions_of
 from symtrap.snippet import _block, _standard_chains

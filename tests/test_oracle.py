@@ -3,9 +3,9 @@ import random
 import pytest
 from math import comb, factorial
 
+from symtrap import ConsistencyError
 from symtrap.branching import BOSE, FERMI, ComponentPattern, all_patterns, patterns_for
 from symtrap.characters import sn_character
-from symtrap.errors import ConsistencyError
 from symtrap.oracle import (
     _class_representative,
     _content_sums,
