@@ -43,7 +43,6 @@ _MODULE_OF = {
     "MapResult": "mapping",
     "StateLabel": "mapping",
     "adiabatic_map": "mapping",
-    "enumerate_levels": "mapping",
     "ground_state": "mapping",
     "level_content": "mapping",
     "spectrum_levels": "mapping",

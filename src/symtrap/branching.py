@@ -52,10 +52,6 @@ class ComponentPattern(Record):
     def distinguishable(self) -> bool:
         return all(c == 1 for c in self.counts)
 
-    def content(self) -> tuple[int, ...]:
-        """One symbol per particle: component index repeated per occupancy."""
-        return tuple(i for i, c in enumerate(self.counts) for _ in range(c))
-
     def label(self) -> str:
         body = "".join(str(c) for c in self.counts)
         if self.counts[0] > 9:

@@ -9,13 +9,15 @@ ordered by a fixed convention (``lam`` ascending, then ``nu_rho``) and the
 result is flagged, since no physical input resolves such ties.
 
 Both limits are read by one route: :func:`level_content` gives the
-parity-labelled irrep content at one grand angular momentum, and
-:func:`enumerate_levels` walks the levels in (excitation, ``lam``,
-``nu_rho``) order.  Ground states consume them; spectra and the map read
-one triple's levels in that order from the lazy walk :func:`_triple_levels`,
-which yields each excitation's ``(lam, multiplicity)`` pairs, without a copy,
-with their total.  The map reads its rank and its image off those totals in
-one pass, in time linear in the source's and the image's excitation.
+parity-labelled irrep content at one grand angular momentum.  Spectra and
+the map read one triple's levels in (excitation, ``lam``, ``nu_rho``) order
+from the lazy walk :func:`_triple_levels`, which yields each excitation's
+``(lam, multiplicity)`` pairs, without a copy, with their total.  The map
+reads its rank and its image off those totals in one pass, in time linear
+in the source's and the image's excitation.  Ground states read
+:func:`level_content` one ``lam`` at a time: raising ``nu_R`` or ``nu_rho``
+raises the excitation but not the content, so the lowest admitting level
+is ``(0, 0, lam)`` at the first ``lam`` whose content admits the pattern.
 :func:`level_content`, a view over the memoized reductions, is not memoized:
 each walk reads a ``lam``'s content once, so the memos keep one row per ``lam``.
 """
@@ -50,11 +52,6 @@ class GNLabel(Record):
         if pi not in (1, -1):
             raise ValueError("pi must be +1 or -1")
         self._assign(nu_r, pi, p)
-
-    @property
-    def total_parity(self) -> int:
-        """Parity including the centre-of-mass contribution."""
-        return self.pi * (-1 if self.nu_r % 2 else 1)
 
     def __str__(self) -> str:
         sign = "+" if self.pi > 0 else "-"
@@ -141,32 +138,11 @@ def level_content(n: int, regime: str, lam: int) -> MultiplicityVector:
     return snippet_reduction(n, "even" if even else "odd").scaled(seeds)
 
 
-def enumerate_levels(n: int, regime: str, e_max: int):
-    """Every level of one exact limit with excitation at most ``e_max``.
-
-    Yields ``(label, content)`` ordered by excitation, then ``lam``, then
-    ``nu_rho``, with ``content`` the :func:`level_content` of the level;
-    hard-core levels without an antisymmetric seed do not exist and are
-    not listed.
-    """
-    _check_regime(regime)
-    if e_max < 0:
-        raise ValueError(f"e_max must be non-negative, got {e_max}")
-    # Each ``lam``'s content, read once, when the walk first reaches it.
-    contents = []
-    for x in range(e_max + 1):
-        contents.append(level_content(n, regime, x))
-        for lam, content in enumerate(contents):
-            if any(content.counts):
-                for nu_rho in range((x - lam) // 2 + 1):
-                    yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content
-
-
 def _triple_levels(n: int, regime: str, mu: GNLabel, e_max: int):
     """The levels carrying ``mu`` up to excitation ``e_max``, lazily: for each
     excitation ``nu_R + rest``, ``rest = 0, 1, ...``, ``(pairs, total)``, the
-    ``(lam, multiplicity)`` pairs, ``lam`` ascending, in
-    :func:`enumerate_levels` order, and the sum of their multiplicities.
+    ``(lam, multiplicity)`` pairs, ``lam`` ascending, and the sum of their
+    multiplicities.
     ``pairs`` is the walk's own list for the parity of ``rest``, which it
     extends as it goes: read it before the next step.  With ``nu_R`` fixed,
     ``rest`` and ``lam`` fix the level (:func:`_level`)."""
@@ -199,6 +175,8 @@ def spectrum_levels(n: int, regime: str, mu: GNLabel, e_max: int):
     _check_regime(regime)
     if mu.p.n != n:
         raise ValueError(f"irrep {mu.p} does not belong to S_{n}")
+    if e_max < 0:
+        raise ValueError(f"e_max must be non-negative, got {e_max}")
     return (
         (_level(mu, rest, lam), mult)
         for rest, (pairs, _) in enumerate(_triple_levels(n, regime, mu, e_max))
@@ -218,6 +196,9 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
         raise ValueError("sources of the adiabatic map live in the free limit")
     if source.n != n:
         raise ValueError(f"state {source} does not describe {n} particles")
+    extra = 4 * n if extra_energy is None else extra_energy
+    if extra < 0:
+        raise ValueError(f"extra_energy must be non-negative, got {extra}")
     mu = source.gn_label
     source_mult = level_content(n, G_ZERO, source.hyper.lam)[(mu.p, mu.pi)]
     if source_mult == 0:
@@ -232,7 +213,6 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     rank += sum(mult for lam, mult in pairs if lam < source.hyper.lam) - total
     source_ties = len(pairs)
 
-    extra = 4 * n if extra_energy is None else extra_energy
     ceiling = source.hyper.excitation + extra
     for rest, (pairs, total) in enumerate(_triple_levels(n, G_INF, mu, ceiling)):
         if rank >= total:
@@ -264,22 +244,26 @@ def ground_state(
 ) -> list[StateLabel]:
     """Lowest levels whose symmetry admits the component pattern.
 
-    Returns every label at the lowest admitting energy, one per irrep copy.
+    Returns every irrep copy at the lowest admitting level, one label each:
+    the level ``(0, 0, lam)`` at the first ``lam`` up to ``e_ceiling``
+    whose content admits the pattern.
     """
     _check_regime(regime)
     if pattern.n != n:
         raise ValueError(f"pattern {pattern} does not describe {n} particles")
     ceiling = 4 * n if e_ceiling is None else e_ceiling
+    if ceiling < 0:
+        raise ValueError(f"e_ceiling must be non-negative, got {ceiling}")
     tag = pattern.subgroup_tag()
     admitted = {p for p, count in zip(partitions_of(n), branch_row(pattern)) if count}
-    found: list[StateLabel] = []
-    for hyper, content in enumerate_levels(n, regime, ceiling):
-        if found and hyper.excitation > found[0].hyper.excitation:
-            break
-        for (p, pi), mult in content.items():
-            if mult and p in admitted:
-                sign = pi if regime == G_INF else None
-                found.extend(StateLabel(hyper, p, tau, sign, tag, regime) for tau in range(mult))
-    if not found:
-        raise SearchExhaustedError(f"no level admitting {pattern} within {ceiling} quanta")
-    return found
+    for lam in range(ceiling + 1):
+        hyper = HypercylindricalLabel(0, 0, lam)
+        found = [
+            StateLabel(hyper, p, tau, pi if regime == G_INF else None, tag, regime)
+            for (p, pi), mult in level_content(n, regime, lam).items()
+            if p in admitted
+            for tau in range(mult)
+        ]
+        if found:
+            return found
+    raise SearchExhaustedError(f"no level admitting {pattern} within {ceiling} quanta")

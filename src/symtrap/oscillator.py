@@ -13,28 +13,13 @@ cycle index in ``oracle``.
 
 from functools import lru_cache
 from math import comb
-from operator import ge, gt, le, lt
 
 from . import ConsistencyError
 from .partitions import MultiplicityVector, Record, partitions_of
 
 
-def _by_fields(compare):
-    """An ordering method comparing the field tuples of two same-class records."""
-
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return compare(self._values(), other._values())
-        return NotImplemented
-
-    return method
-
-
 class HypercylindricalLabel(Record):
-    """Centre-of-mass, hyperradial and hyperangular excitation numbers.
-
-    Labels sort as their ``(nu_r, nu_rho, lam)`` tuples.
-    """
+    """Centre-of-mass, hyperradial and hyperangular excitation numbers."""
 
     __slots__ = _fields = ("nu_r", "nu_rho", "lam")
 
@@ -42,11 +27,6 @@ class HypercylindricalLabel(Record):
         if min(nu_r, nu_rho, lam) < 0:
             raise ValueError("quantum numbers must be non-negative")
         self._assign(nu_r, nu_rho, lam)
-
-    __lt__ = _by_fields(lt)
-    __le__ = _by_fields(le)
-    __gt__ = _by_fields(gt)
-    __ge__ = _by_fields(ge)
 
     @property
     def excitation(self) -> int:

@@ -115,9 +115,6 @@ class Partition(Record):
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (rows and columns exchanged)."""
         width = self.parts[0]
@@ -264,7 +261,7 @@ class MultiplicityVector(Record):
     """Integer multiplicities attached to an ordered family of irrep keys.
 
     Keys are either partitions or ``(partition, parity)`` pairs; the order
-    is fixed by whoever builds the vector and is preserved by arithmetic.
+    is fixed by whoever builds the vector and is preserved by :meth:`scaled`.
     Lookup scans the keys, in linear time, for the key's first occurrence;
     a caller that reads every slot zips ``keys`` with ``counts`` instead.
     """
@@ -294,17 +291,6 @@ class MultiplicityVector(Record):
 
     def min_count(self) -> int:
         return min(self.counts)
-
-    def _binary(self, other: "MultiplicityVector", op) -> "MultiplicityVector":
-        if self.keys != other.keys:
-            raise ValueError("multiplicity vectors are over different keys")
-        return MultiplicityVector(self.keys, tuple(op(a, b) for a, b in zip(self.counts, other.counts)))
-
-    def __add__(self, other: "MultiplicityVector") -> "MultiplicityVector":
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "MultiplicityVector") -> "MultiplicityVector":
-        return self._binary(other, lambda a, b: a - b)
 
     def scaled(self, factor: int) -> "MultiplicityVector":
         return MultiplicityVector(self.keys, tuple(factor * c for c in self.counts))

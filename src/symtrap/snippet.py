@@ -27,7 +27,7 @@ The certificate of these bases, what ``sector-basis --verify`` runs, lives
 in ``oracle`` with its own actions; full matrices, the rebuild by subgroup
 sums and every candidate built and eliminated are the tests' references,
 in ``tests/reference_routes.py``.
-The hard-core levels are listed by ``mapping.enumerate_levels``.
+The hard-core level contents are read by ``mapping.level_content``.
 """
 
 from functools import lru_cache
@@ -166,9 +166,6 @@ class SectorVector(Record):
         label: SnippetIrrepLabel | None = None,
     ) -> None:
         self._assign(n, amps, norm_sq, label)
-
-    def items(self):
-        return zip(all_sectors(self.n), self.amps)
 
 
 @lru_cache(maxsize=None)

@@ -17,14 +17,18 @@ Gram-Schmidt of the tests' own (``eliminated_block``), with each chain
 line from its own filter (``per_line_chain_basis``), the reference of the
 package's selection from Gram entries and of its stepped line columns.
 The explicit shell matrices and the whole-group sums are guarded.
+The level order that spectra and the map walk one triple at a time is
+stated here for every level at once (``enumerate_levels``), and ground
+states are read off it by the first admitting excitation
+(``first_admitting_levels``).
 """
 
 from functools import lru_cache
 from itertools import permutations, product as iter_product, repeat
 from math import factorial
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
-from symtrap import ConsistencyError
+from symtrap import ConsistencyError, mapping
 from symtrap.branching import FERMI, ComponentPattern, branch_multiplicity
 from symtrap.characters import (
     ClassFunction,
@@ -34,6 +38,7 @@ from symtrap.characters import (
     sn_character,
 )
 from symtrap.linalg import dot, primitive
+from symtrap.oscillator import HypercylindricalLabel
 from symtrap.oracle import (
     _adjacent,
     _class_representative,
@@ -189,11 +194,11 @@ def subtraction_lambda_reduction(n: int, lam: int) -> MultiplicityVector:
     """Hyperangular content from the Kostka shell at ``x = lam`` minus every
     subspace with smaller grand angular momentum; there are
     ``(lam - l)//2 + 1`` centre-of-mass/hyperradial copies of each lower ``l``."""
-    result = kostka_shell_reduction(n, lam)
+    counts = kostka_shell_reduction(n, lam).counts
     for lower in range(lam):
         copies = (lam - lower) // 2 + 1
-        result = result - subtraction_lambda_reduction(n, lower).scaled(copies)
-    return result
+        counts = tuple(map(sub, counts, subtraction_lambda_reduction(n, lower).scaled(copies).counts))
+    return MultiplicityVector(partitions_of(n), counts)
 
 
 def _shell_basis(n: int, x: int) -> tuple[tuple[int, ...], ...]:
@@ -518,3 +523,40 @@ def eliminated_component_basis(
     if len(block) != expected:
         raise ConsistencyError(f"component projection of {p} has unexpected rank")
     return [SectorVector(n, v, dot(v, v)) for v in block]
+
+
+def enumerate_levels(n: int, regime: str, e_max: int):
+    """Every level of one exact limit with excitation at most ``e_max``.
+
+    Yields ``(label, content)`` ordered by excitation, then ``lam``, then
+    ``nu_rho``, with ``content`` the ``mapping.level_content`` of the level;
+    hard-core levels without an antisymmetric seed do not exist and are
+    not listed.  Each ``lam``'s content is read once, when the walk first
+    reaches it.
+    """
+    if e_max < 0:
+        raise ValueError(f"e_max must be non-negative, got {e_max}")
+    contents = []
+    for x in range(e_max + 1):
+        contents.append(mapping.level_content(n, regime, x))
+        for lam, content in enumerate(contents):
+            if any(content.counts):
+                for nu_rho in range((x - lam) // 2 + 1):
+                    yield HypercylindricalLabel(x - lam - 2 * nu_rho, nu_rho, lam), content
+
+
+def first_admitting_levels(n: int, pattern: ComponentPattern, regime: str, e_max: int):
+    """``mapping.ground_state`` read off :func:`enumerate_levels`: every irrep
+    copy admitting ``pattern`` at the lowest excitation that has one, in
+    level order, or ``[]`` when none lies within ``e_max``."""
+    admitted = {p for p in partitions_of(n) if branch_multiplicity(p, pattern)}
+    tag = pattern.subgroup_tag()
+    found = []
+    for hyper, content in enumerate_levels(n, regime, e_max):
+        if found and hyper.excitation > found[0].hyper.excitation:
+            break
+        for (p, pi), mult in content.items():
+            if mult and p in admitted:
+                sign = pi if regime == mapping.G_INF else None
+                found.extend(mapping.StateLabel(hyper, p, tau, sign, tag, regime) for tau in range(mult))
+    return found

@@ -104,7 +104,8 @@ def kostka_row(pattern):
     shapes = partitions_of(pattern.n)
     if pattern.statistics == FERMI:
         shapes = [p.conjugate() for p in shapes]
-    return tuple(strip_kostka(shape, pattern.content()) for shape in shapes)
+    content = tuple(i for i, c in enumerate(pattern.counts) for _ in range(c))
+    return tuple(strip_kostka(shape, content) for shape in shapes)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

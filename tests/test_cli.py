@@ -761,7 +761,7 @@ class TestSectorBasisVerify:
 
         def one_extra(n, lambda_parity):
             counts = real(n, lambda_parity)
-            return counts + MultiplicityVector(counts.keys, (1,) * len(counts.keys))
+            return MultiplicityVector(counts.keys, tuple(c + 1 for c in counts.counts))
 
         monkeypatch.setattr(snippet, "snippet_reduction", one_extra)
         args = ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"]

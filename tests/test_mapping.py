@@ -3,7 +3,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from symtrap.branching import BOSE, FERMI, ComponentPattern
+from symtrap.branching import BOSE, FERMI, ComponentPattern, all_patterns
 from symtrap import mapping
 from symtrap.mapping import (
     G_INF,
@@ -14,12 +14,13 @@ from symtrap.mapping import (
     SearchExhaustedError,
     StateLabel,
     adiabatic_map,
-    enumerate_levels,
     ground_state,
     spectrum_levels,
 )
 from symtrap.oscillator import HypercylindricalLabel, antisymmetric_multiplicity
 from symtrap.partitions import Partition, parity_irreps
+
+from reference_routes import enumerate_levels, first_admitting_levels
 
 
 H = HypercylindricalLabel
@@ -27,11 +28,6 @@ P = Partition
 
 
 class TestGNLabel:
-    def test_total_parity(self):
-        assert GNLabel(0, -1, P((2, 1))).total_parity == -1
-        assert GNLabel(1, -1, P((2, 1))).total_parity == 1
-        assert GNLabel(2, 1, P((3,))).total_parity == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GNLabel(-1, 1, P((2, 1)))
@@ -81,6 +77,12 @@ class TestSpectrumByIrrep:
     def test_parity_selects_lambda_parity_at_g0(self):
         entries = spectrum_levels(4, G_ZERO, GNLabel(0, 1, P((3, 1))), 9)
         assert all(hyper.lam % 2 == 0 for hyper, _ in entries)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_negative_range_is_refused(self, regime):
+        with pytest.raises(ValueError, match="e_max"):
+            spectrum_levels(3, regime, GNLabel(0, -1, P((2, 1))), -1)
+        assert list(spectrum_levels(3, regime, GNLabel(0, -1, P((2, 1))), 0)) == []
 
 
 class TestOneLevelOrder:
@@ -262,6 +264,13 @@ class TestAdiabaticMap:
         with pytest.raises(SearchExhaustedError):
             adiabatic_map(4, StateLabel(H(0, 0, 2), P((2, 2))), extra_energy=1)
 
+    def test_negative_reach_is_refused(self):
+        source = StateLabel(H(0, 0, 1), P((2, 1)))
+        with pytest.raises(ValueError, match="extra_energy"):
+            adiabatic_map(3, source, extra_energy=-5)
+        with pytest.raises(SearchExhaustedError):
+            adiabatic_map(3, source, extra_energy=0)
+
     def test_equal_energy_ties_are_flagged(self):
         # (0,0,9) and (0,3,3) tie at 21/2; both stay fixed and carry the flag
         for hyper in (H(0, 0, 9), H(0, 3, 3)):
@@ -390,3 +399,23 @@ class TestGroundState:
     def test_search_ceiling(self):
         with pytest.raises(SearchExhaustedError):
             ground_state(5, ComponentPattern((5,), FERMI), e_ceiling=5)
+
+    def test_negative_ceiling_is_refused(self):
+        with pytest.raises(ValueError, match="e_ceiling"):
+            ground_state(3, ComponentPattern((2, 1), FERMI), e_ceiling=-1)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_first_admitting_shell_of_the_level_order(self, n, regime):
+        """Every label, in order, that the reference level order holds at
+        the lowest excitation admitting the pattern, or the search's end
+        when none lies under the ceiling (default ``4 n``)."""
+        for pattern in all_patterns(n):
+            assert first_admitting_levels(n, pattern, regime, 4 * n)
+            for ceiling in (None, 0, 3, 2 * n):
+                expected = first_admitting_levels(n, pattern, regime, 4 * n if ceiling is None else ceiling)
+                if expected:
+                    assert ground_state(n, pattern, regime, ceiling) == expected
+                else:
+                    with pytest.raises(SearchExhaustedError):
+                        ground_state(n, pattern, regime, ceiling)

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from math import factorial
 
-from symtrap.mapping import G_ZERO, enumerate_levels
+from symtrap.mapping import G_ZERO
 from symtrap.oscillator import (
     HypercylindricalLabel,
     antisymmetric_multiplicity,
@@ -13,6 +13,7 @@ from symtrap.oscillator import (
 )
 from symtrap.partitions import Partition, partitions_of
 
+from reference_routes import enumerate_levels
 from reference_data import (
     N3_LAMBDA_REDUCTION,
     N4_LAMBDA_REDUCTION,

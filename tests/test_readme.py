@@ -43,6 +43,7 @@ def test_library_example_returns_what_it_states():
     assert result.target_hyper == HypercylindricalLabel(0, 0, 6)
     assert result.target_dimension == 2
     assert not result.resolved
-    assert names["label"] == HypercylindricalLabel(0, 0, 6)
+    assert names["source"].hyper == HypercylindricalLabel(0, 0, 2)
     assert names["content"] == level_content(4, G_INF, 6)
+    assert names["content"].total_dimension() == 24
     assert antisymmetric_multiplicity(4, 6) == 1

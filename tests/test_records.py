@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-from itertools import product
 
 import pytest
 
@@ -188,17 +187,6 @@ def test_one_parity_irrep_order(n):
         assert level_content(n, G_ZERO, lam).keys == parity_irreps(n)
         assert level_content(n, G_INF, lam).keys == parity_irreps(n)
     assert any(level_content(n, G_INF, seeded).counts)
-
-
-def test_hypercylindrical_labels_sort_as_field_tuples():
-    triples = list(product(range(3), repeat=3))
-    labels = [HypercylindricalLabel(*t) for t in reversed(triples)]
-    assert [(h.nu_r, h.nu_rho, h.lam) for h in sorted(labels)] == triples
-    for x, y in product(triples[::4], repeat=2):
-        a, b = HypercylindricalLabel(*x), HypercylindricalLabel(*y)
-        assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
-    with pytest.raises(TypeError):
-        HypercylindricalLabel(0, 0, 0) < (1, 0, 0)  # noqa: B015
 
 
 def test_an_unpickled_vector_still_looks_up():
