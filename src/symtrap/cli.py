@@ -67,24 +67,37 @@ _JSON_ESCAPES = {
 }
 
 
+#: Each dict key's encoded prefix, ``'"key": '``, built the first time the key is written.
+_JSON_KEYS: dict[str, str] = {}
+
+
+def _json_key(key) -> str:
+    if type(key) is not str:
+        raise TypeError(f"cannot write a key of type {type(key).__name__} as JSON")
+    prefix = _JSON_KEYS[key] = f'"{key.translate(_JSON_ESCAPES)}": '
+    return prefix
+
+
 def _json_value(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if obj is None:
         return "null"
-    if obj is True or obj is False:
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return f'"{obj.translate(_JSON_ESCAPES)}"'
     inner = pad + "  "
-    if isinstance(obj, list):
+    if kind is list:
         items = [int.__repr__(v) if type(v) is int else _json_value(v, inner) for v in obj]
         brackets = "[]"
-    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        items = [f"{_json_value(k, inner)}: {_json_value(v, inner)}" for k, v in obj.items()]
+    elif kind is dict:
+        keys = _JSON_KEYS
+        items = [(keys.get(k) or _json_key(k)) + _json_value(v, inner) for k, v in obj.items()]
         brackets = "{}"
     else:
-        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
     if not items:
         return brackets
     separator = ",\n" + inner
@@ -96,12 +109,13 @@ def _json_chunks(head: dict, rows: list, json_row):
     SCHEMA}, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, in chunks,
     the rows a block at a time; without ``json_row`` the document has no
     ``"rows"``.  Values are dicts with str keys, lists, str, int, bool and
-    None; any other raises ``TypeError``.  Written here so that no call
-    imports ``json`` or runs its pure-Python indent encoder.
+    None, by exact type; any other raises ``TypeError``.  Written here so
+    that no call imports ``json`` or runs its pure-Python indent encoder.
     ``tests/test_cli.py::TestJsonWriter`` checks it against ``json.dumps``
     on generated values, and ``TestJsonContract::test_schema_and_round_trip``
     on every command's output."""
-    items = (f"{_json_value(key, '  ')}: {_json_value(value, '  ')}" for key, value in head.items())
+    keys = _JSON_KEYS
+    items = ((keys.get(k) or _json_key(k)) + _json_value(v, "  ") for k, v in head.items())
     yield "{\n  " + ",\n  ".join(items) + (',\n  "rows": [' if json_row else "")
     if json_row:
         lead = "\n    "
@@ -132,6 +146,21 @@ def _emit(handle, fmt: str, n: int, title: str, headers, rows, json_fields, json
 def _write(stream, text: str) -> None:
     stream.write(text)
     stream.flush()
+
+
+def _drop_stdout() -> None:
+    """The reader closed stdout: the rest of the answer is dropped quietly,
+    and so is what is still buffered when the process exits."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _answer(text: str) -> None:
+    """Write help or version text to stdout, dropped quietly as a command's
+    answer is when the reader has closed stdout."""
+    try:
+        _write(sys.stdout, text)
+    except BrokenPipeError:
+        _drop_stdout()
 
 
 def _warn(message: str) -> None:
@@ -330,9 +359,7 @@ def _run(command: _Command, values: dict) -> int:
         return EXIT_INVALID
     except OSError as exc:
         if isinstance(exc, BrokenPipeError) and not output:
-            # The reader closed stdout: the rest of the answer is dropped
-            # quietly, and so is what is still buffered when the process exits.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _drop_stdout()
             return 0
         _warn(f"error: cannot write {output or 'stdout'}: {exc.strerror}")
         return EXIT_INVALID
@@ -414,7 +441,7 @@ def _parse(command: _Command, path: str, args: list[str]) -> dict | None:
     takes_value = {flag: option.convert is not None for flag, option in by_flag.items()}
     given, rest = _scan(args, {**takes_value, "--help": False}, usage, interspersed=True)
     if "--help" in given:
-        _write(sys.stdout, _command_help(command, path) + "\n")
+        _answer(_command_help(command, path) + "\n")
         return None
     # Options given are checked in the order given, then the others in table order.
     order = [by_flag[flag] for flag in given]
@@ -447,9 +474,9 @@ def _top_level_options(prog_name: str, args: list[str]) -> tuple[list[str], int 
     given, rest = _scan(args, {"--version": False, "--help": False}, usage, interspersed=False)
     for flag in given:
         if flag == "--version":
-            _write(sys.stdout, f"{prog_name}, version {__version__}\n")
+            _answer(f"{prog_name}, version {__version__}\n")
         else:
-            _write(sys.stdout, _top_level_help(prog_name) + "\n")
+            _answer(_top_level_help(prog_name) + "\n")
         return rest, 0
     return rest, None
 
@@ -507,21 +534,34 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
 
 def entry() -> None:
     """The process entry (``python -m symtrap.cli`` and the ``symtrap``
-    script): :func:`main` with the cyclic collector off, then ``gc.freeze()``.
+    script): :func:`main` with the cyclic collector off, then an exit that
+    skips interpreter teardown.
 
     Rows and memo entries form no reference cycles, so collections would
-    walk them all for nothing: one each time the heap grows by a quarter,
-    and those at interpreter shutdown, which run even with the collector
-    off and skip what is frozen.  ``atexit`` handlers still run, and the
-    exit code is :func:`main`'s.
+    walk them all for nothing, one each time the heap grows by a quarter.
+    Once :func:`main` has written its answer, stdout (a closed one quietly,
+    as :func:`_run` treats it) and stderr are flushed, the ``atexit``
+    handlers run and the process leaves by ``os._exit`` with :func:`main`'s
+    code, so no call pays for clearing the modules and freeing every row
+    and memo entry just before it ends.  A handler that writes must flush
+    its own stream.  Any other exception propagates and exits 1 through
+    normal shutdown, with its traceback.
     """
+    import atexit
     import gc
 
     gc.disable()
     try:
         main()
-    finally:
-        gc.freeze()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 # --- help screens -------------------------------------------------------------

@@ -541,6 +541,32 @@ class TestExitCodes:
         assert child.stderr.read() == b""
         assert child.wait(timeout=60) == 0
 
+    @pytest.mark.parametrize(
+        "args", [["--help"], ["chartable", "--help"], ["--version"]], ids=["help", "command-help", "version"]
+    )
+    def test_help_into_a_closed_stdout_ends_quietly(self, args):
+        """Help and version text end as a command's answer does when the
+        reader has gone before the first write: exit 0, nothing on stderr."""
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "symtrap.cli", *args],
+                env={"PYTHONPATH": str(src)},
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(writer)
+        assert result.stderr == b""
+        assert result.returncode == 0
+
     def test_closed_output_file_still_exits_two(self, tmp_path):
         import os
         import time
@@ -778,44 +804,93 @@ class TestSectorBasisVerify:
 
 class TestProcessEntry:
     """``entry()``, the process entry, runs with the cyclic collector
-    disabled and freezes the heap once the answer is written; ``main()``,
-    the in-process entry, leaves the collector alone."""
+    disabled and, once the answer is written, runs the ``atexit`` hooks and
+    leaves without interpreter teardown; ``main()``, the in-process entry,
+    leaves the collector alone."""
 
-    #: Registers an exit hook that reports the collector's frozen count and
-    #: whether it is enabled, then runs the CLI as ``python -m symtrap.cli`` does.
+    #: Runs the CLI as ``python -m symtrap.cli`` does.  An exit hook writes
+    #: whether the collector is enabled straight to fd 1, after whatever
+    #: stdout had flushed; an object set on the package module writes
+    #: ``torn down`` to fd 2 when interpreter teardown frees it.
     PROBE = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: sys.stderr.write(\n"
-        "    f'frozen at exit: {gc.get_freeze_count() > 0}, enabled: {gc.isenabled()}\\n'))\n"
+        "import atexit, gc, os, runpy, symtrap\n"
+        "atexit.register(lambda: os.write(1, f'exit hook, collector enabled: {gc.isenabled()}\\n'.encode()))\n"
+        "class Sentinel:\n"
+        "    def __del__(self, write=os.write):\n"
+        "        write(2, b'torn down\\n')\n"
+        "symtrap.sentinel = Sentinel()\n"
         "runpy.run_module('symtrap.cli', run_name='__main__', alter_sys=True)\n"
     )
+    HOOK = b"exit hook, collector enabled: False\n"
+    BASIS = ["sector-basis", "--n", "6", "--irrep", "21^4+", "--lambda-parity", "even", "--format", "json"]
 
-    def probe(self, *args):
+    def probe(self, *args, setup=""):
+        """Run the probe with ``args``, after the Python code ``setup``."""
         import subprocess
         import sys
 
         src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
-            [sys.executable, "-c", self.PROBE, *args],
+            [sys.executable, "-c", setup + self.PROBE, *args],
             env={"PYTHONPATH": str(src)},
             capture_output=True,
         )
 
-    def test_module_run_freezes_after_the_answer(self):
-        args = ["sector-basis", "--n", "6", "--irrep", "21^4+", "--lambda-parity", "even", "--format", "json"]
-        result = self.probe(*args)
+    def test_module_run_exits_after_the_answer(self):
+        result = self.probe(*self.BASIS)
         assert result.returncode == 0, result.stderr
-        assert result.stderr == b"frozen at exit: True, enabled: False\n"
-        expected = run_ok(*args).encode("utf-8")
+        assert result.stderr == b""
+        expected = run_ok(*self.BASIS).encode("utf-8")
         assert len(expected) == 172_218
-        assert result.stdout == expected
+        assert result.stdout == expected + self.HOOK
+
+    def test_module_run_writes_the_output_file_in_full(self, tmp_path):
+        target = tmp_path / "basis.json"
+        result = self.probe(*self.BASIS, "--output", str(target))
+        assert result.returncode == 0, result.stderr
+        assert (result.stdout, result.stderr) == (self.HOOK, b"")
+        assert target.read_bytes() == run_ok(*self.BASIS).encode("utf-8")
 
     def test_module_run_usage_error_still_exits_two(self):
         result = self.probe("sector-basis", "--n", "6")
         assert result.returncode == 2
         assert result.stderr.startswith(b"Usage: ")
-        assert result.stderr.endswith(b"\nfrozen at exit: True, enabled: False\n")
-        assert not result.stdout
+        assert result.stderr.endswith(b"\nError: Missing option '--irrep'.\n")
+        assert result.stdout == self.HOOK
+
+    def test_module_run_consistency_failure_exits_three(self):
+        setup = (
+            "import symtrap, symtrap.oracle\n"
+            "def refuse(*args):\n"
+            "    raise symtrap.ConsistencyError('probe refuses the basis')\n"
+            "symtrap.oracle.verify_sector_basis = refuse\n"
+        )
+        result = self.probe("sector-basis", "--n", "4", "--irrep", "1^4+", "--lambda-parity", "even",
+                            "--verify", setup=setup)
+        assert result.returncode == 3
+        assert result.stderr == b"consistency failure: probe refuses the basis\n"
+        assert result.stdout == self.HOOK
+
+    def test_module_run_bug_exits_one_through_normal_shutdown(self):
+        setup = (
+            "import symtrap.characters\n"
+            "def broken(n):\n"
+            "    raise RuntimeError('probe bug')\n"
+            "symtrap.characters.character_table_sn = broken\n"
+        )
+        result = self.probe("chartable", "--n", "3", "--group", "sn", setup=setup)
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"Traceback (most recent call last):\n")
+        assert b"\nRuntimeError: probe bug\n" in result.stderr
+        assert b"torn down\n" in result.stderr
+        assert result.stdout == self.HOOK
+
+    def test_module_run_skips_teardown(self):
+        """The package's object writes only when teardown frees it, as it
+        does after a traceback (above); a call that ends never frees it."""
+        result = self.probe("chartable", "--n", "3")
+        assert result.returncode == 0
+        assert b"torn down" not in result.stderr
 
     def test_main_leaves_the_collector_alone(self):
         import gc

@@ -77,6 +77,7 @@ ALLOWED = {
     "partitions.Record.__repr__": "shows a record by its fields, in error messages and when debugging",
     "cli.entry": "runs only as the process entry; TestProcessEntry runs it in a child",
     "cli._program_name": "runs only as the process entry; TestProcessEntry runs it in a child",
+    "cli._drop_stdout": "runs only once the reader has closed stdout; TestExitCodes closes it in a child",
 }
 
 #: Run in the child: trace the import, one lazy export and every call in
