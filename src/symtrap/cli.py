@@ -4,7 +4,8 @@ Output is deterministic byte-for-byte across runs.  A command builds its
 table once, as rows of cells, and each format streams it once it is built:
 text as aligned columns, ``--format csv`` as cells, ``--format json`` as
 objects tagged ``"schema": "symtrap/1"``.  Exit codes: 0 success, 2 invalid
-input, 3 failed internal consistency check, both before any output.
+input, 3 failed internal consistency check, both before any output; 2 also
+when the output cannot be written.  stdout is UTF-8, as ``--output`` is.
 """
 
 import os
@@ -140,7 +141,6 @@ def _emit(handle, fmt: str, n: int, title: str, headers, rows, json_fields, json
         handle.writelines(_text_chunks(headers, rows, title))
     else:
         handle.writelines(_json_chunks({"n": n, **json_fields()}, rows, json_row))
-    handle.flush()
 
 
 def _write(stream, text: str) -> None:
@@ -154,13 +154,21 @@ def _drop_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _answer(text: str) -> None:
-    """Write help or version text to stdout, dropped quietly as a command's
-    answer is when the reader has closed stdout."""
+def _to_stdout(write, *args) -> int:
+    """``write(sys.stdout, *args)``, flushed: every answer, help and version
+    line.  A reader that has gone exits 0 quietly, any other write error 2;
+    either way the rest, buffered bytes too, goes to :func:`_drop_stdout`."""
     try:
-        _write(sys.stdout, text)
+        write(sys.stdout, *args)
+        sys.stdout.flush()
+        return 0
     except BrokenPipeError:
-        _drop_stdout()
+        code = 0
+    except OSError as exc:
+        _warn(f"error: cannot write stdout: {exc.strerror}")
+        code = EXIT_INVALID
+    _drop_stdout()
+    return code
 
 
 def _warn(message: str) -> None:
@@ -345,12 +353,10 @@ def _run(command: _Command, values: dict) -> int:
     n, fmt, output = values.pop("n"), values.pop("fmt"), values.pop("output")
     try:
         table = command.fn(n, **values)
-        if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                _emit(handle, fmt, n, *table)
-        else:
-            _emit(sys.stdout, fmt, n, *table)
-            sys.stdout.flush()
+        if not output:
+            return _to_stdout(_emit, fmt, n, *table)
+        with open(output, "w", encoding="utf-8") as handle:
+            _emit(handle, fmt, n, *table)
     except ConsistencyError as exc:
         _warn(f"consistency failure: {exc}")
         return EXIT_INCONSISTENT
@@ -358,10 +364,7 @@ def _run(command: _Command, values: dict) -> int:
         _warn(f"error: {exc}")
         return EXIT_INVALID
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError) and not output:
-            _drop_stdout()
-            return 0
-        _warn(f"error: cannot write {output or 'stdout'}: {exc.strerror}")
+        _warn(f"error: cannot write {output}: {exc.strerror}")
         return EXIT_INVALID
     return 0
 
@@ -435,13 +438,12 @@ def _scan(args: list[str], takes_value: dict[str, bool], usage, interspersed: bo
 
 
 def _parse(command: _Command, path: str, args: list[str]) -> dict | None:
-    """The option values of one command call; None when ``--help`` was printed."""
+    """The option values of one command call; None when ``--help`` was given."""
     usage = (path, "[OPTIONS]")
     by_flag = {option.flag: option for option in command.options}
     takes_value = {flag: option.convert is not None for flag, option in by_flag.items()}
     given, rest = _scan(args, {**takes_value, "--help": False}, usage, interspersed=True)
     if "--help" in given:
-        _answer(_command_help(command, path) + "\n")
         return None
     # Options given are checked in the order given, then the others in table order.
     order = [by_flag[flag] for flag in given]
@@ -474,10 +476,8 @@ def _top_level_options(prog_name: str, args: list[str]) -> tuple[list[str], int 
     given, rest = _scan(args, {"--version": False, "--help": False}, usage, interspersed=False)
     for flag in given:
         if flag == "--version":
-            _answer(f"{prog_name}, version {__version__}\n")
-        else:
-            _answer(_top_level_help(prog_name) + "\n")
-        return rest, 0
+            return rest, _to_stdout(_write, f"{prog_name}, version {__version__}\n")
+        return rest, _to_stdout(_write, _top_level_help(prog_name) + "\n")
     return rest, None
 
 
@@ -501,7 +501,9 @@ def _dispatch(prog_name: str, args: list[str]) -> int:
         raise _UsageError(f"No such command {name!r}." + _did_you_mean(name, COMMANDS), usage)
     path = f"{prog_name} {name}"
     values = _parse(command, path, args)
-    return 0 if values is None else _run(command, values)
+    if values is None:
+        return _to_stdout(_write, _command_help(command, path) + "\n")
+    return _run(command, values)
 
 
 def _program_name() -> str:
@@ -534,13 +536,13 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
 
 def entry() -> None:
     """The process entry (``python -m symtrap.cli`` and the ``symtrap``
-    script): :func:`main` with the cyclic collector off, then an exit that
-    skips interpreter teardown.
+    script): :func:`main` with stdout in UTF-8 whatever the locale, and the
+    cyclic collector off, then an exit that skips interpreter teardown.
 
     Rows and memo entries form no reference cycles, so collections would
     walk them all for nothing, one each time the heap grows by a quarter.
     Once :func:`main` has written its answer, stdout (a closed one quietly,
-    as :func:`_run` treats it) and stderr are flushed, the ``atexit``
+    as :func:`_to_stdout` treats it) and stderr are flushed, the ``atexit``
     handlers run and the process leaves by ``os._exit`` with :func:`main`'s
     code, so no call pays for clearing the modules and freeing every row
     and memo entry just before it ends.  A handler that writes must flush
@@ -550,6 +552,7 @@ def entry() -> None:
     import atexit
     import gc
 
+    sys.stdout.reconfigure(encoding="utf-8")
     gc.disable()
     try:
         main()
@@ -573,11 +576,11 @@ def _help_width() -> int:
     return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
 
 
-def _wrap(text: str, width: int, first: str = "", later: str = "") -> str:
+def _wrap(text: str, width: int, first: str = "", later: str = "", **options) -> str:
     import textwrap
 
     wrapper = textwrap.TextWrapper(
-        width, initial_indent=first, subsequent_indent=later, replace_whitespace=False
+        width, initial_indent=first, subsequent_indent=later, replace_whitespace=False, **options
     )
     return wrapper.fill(text.expandtabs())
 
@@ -611,24 +614,9 @@ def _definition_list(rows: list[tuple[str, str]], width: int) -> str:
 def _short_help(doc: str, limit: int) -> str:
     """The first sentence of ``doc``, or as many words as fit ``limit`` and "..."."""
     words = doc.split("\n\n")[0].split()
-    total = 0
-    for i, word in enumerate(words):
-        total += len(word) + (i > 0)
-        if total > limit:
-            break
-        if word[-1] == ".":
-            return " ".join(words[: i + 1])
-        if total == limit and i != len(words) - 1:
-            break
-    else:
-        return " ".join(words)
-    total += 3
-    while i > 0:
-        total -= len(words[i]) + 1
-        if total <= limit:
-            break
-        i -= 1
-    return " ".join(words[:i]) + "..."
+    end = next((i + 1 for i, word in enumerate(words) if word[-1] == "."), len(words))
+    options = dict(max_lines=1, placeholder="...", break_on_hyphens=False, break_long_words=False)
+    return _wrap(" ".join(words[:end]), limit, **options)
 
 
 def _help_screen(path: str, pieces: str, doc: str, sections) -> str:

@@ -239,11 +239,11 @@ def _check_canonical(line, irrep: str) -> None:
         first = v.amps.index(next(filter(None, v.amps)))
         if first <= last:
             raise ConsistencyError(
-                f"subgroup sums give another basis for {irrep}: first sectors do not increase"
+                f"the {irrep} basis is not canonical: first sectors do not increase"
             )
         if v.amps[first] < 0 or gcd(*v.amps) != 1:
             raise ConsistencyError(
-                f"subgroup sums give another basis for {irrep}: "
+                f"the {irrep} basis is not canonical: "
                 "a vector is not primitive with a positive leading entry"
             )
         last = first
@@ -358,6 +358,6 @@ def verify_sector_basis(
             f"multiplicity {mult} and dimension {dim} of {irrep}"
         )
     if [v.label for v in vectors] != labels:
-        raise ConsistencyError(f"subgroup sums give another basis for {irrep}: labels out of order")
+        raise ConsistencyError(f"the {irrep} basis is not canonical: labels out of order")
     for j in range(dim):
         _check_canonical(vectors[j::dim], irrep)

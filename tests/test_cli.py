@@ -567,6 +567,49 @@ class TestExitCodes:
         assert result.stderr == b""
         assert result.returncode == 0
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--help"], ["chartable", "--help"], ["--version"], ["chartable", "--n", "3"]],
+        ids=["help", "command-help", "version", "answer"],
+    )
+    def test_full_stdout_exits_two(self, args, unbuffered):
+        """Help, version and answers share one stdout policy: a write error
+        other than a reader that has gone is reported once and exits 2,
+        whether the bytes it could not write were buffered or not."""
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "symtrap.cli", *args],
+                env={"PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered},
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert result.stderr == b"error: cannot write stdout: No space left on device\n"
+        assert result.returncode == 2
+
+    def test_stdout_is_utf8_whatever_the_encoding_asked(self):
+        """The process entry writes stdout as UTF-8, as ``--output`` files
+        are, so an ASCII ``PYTHONIOENCODING`` cannot cut an answer short."""
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        args = ["map", "--n", "3", "--state", "0,0,1,21", "--component", "1^2"]
+        result = subprocess.run(
+            [sys.executable, "-m", "symtrap.cli", *args],
+            env={"PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"},
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (GOLDEN / "map_n3.txt").read_bytes()
+
     def test_closed_output_file_still_exits_two(self, tmp_path):
         import os
         import time
@@ -595,6 +638,12 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert not result.stdout
         assert "174182400 amplitudes, over the limit of 100000" in result.stderr
+
+    def test_sector_basis_help_quotes_the_limit(self):
+        from symtrap.cli import AMPLITUDE_LIMIT, sector_basis_cmd
+
+        doc = " ".join(sector_basis_cmd.__doc__.split())
+        assert f"more than {AMPLITUDE_LIMIT:,} amplitudes" in doc
 
     def test_largest_six_particle_block_is_accepted(self):
         result = run("sector-basis", "--n", "6", "--irrep", "321+", "--lambda-parity", "even")
@@ -750,7 +799,7 @@ class TestSectorBasisVerify:
 
     @pytest.mark.parametrize("component", [[], ["--component", "1^2"]], ids=["chain", "component"])
     def test_basis_unlike_the_subgroup_route_exits_three(self, monkeypatch, component):
-        """Reordered vectors pass the invariance check but not the comparison."""
+        """Reordered vectors pass the invariance check but not the canonical order."""
         from symtrap import snippet
         from symtrap.snippet import snippet_projection_basis
 
@@ -761,7 +810,7 @@ class TestSectorBasisVerify:
         args = ["sector-basis", "--n", "4", "--irrep", "2^2+", "--lambda-parity", "even"]
         result = run(*args, *component, "--verify")
         assert result.exit_code == 3
-        assert "subgroup sums give another basis for [2^2]+" in result.stderr
+        assert "the [2^2]+ basis is not canonical: " in result.stderr
 
     def test_negated_six_particle_vector_exits_three(self, monkeypatch):
         """A sign flip keeps the span invariant; the leading entry gives it away."""
@@ -776,7 +825,7 @@ class TestSectorBasisVerify:
         args = ["sector-basis", "--n", "6", "--irrep", "6+", "--lambda-parity", "odd"]
         result = run(*args, "--verify")
         assert result.exit_code == 3
-        assert "subgroup sums give another basis for [6]+" in result.stderr
+        assert "the [6]+ basis is not canonical: " in result.stderr
         assert run(*args).exit_code == 0
 
     def test_component_rank_guard_exits_three(self, monkeypatch):

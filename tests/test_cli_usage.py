@@ -112,6 +112,31 @@ def test_help_is_no_wider_than_eighty_columns(monkeypatch, command):
     assert run(*help_args(command)).stdout == help_file(command, 80).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("columns", range(40, 91))
+def test_command_list_shortens_each_first_sentence(monkeypatch, columns):
+    """Each command is listed with its docstring's first sentence when that
+    fits the limit, else with the longest prefix of its words that fits
+    together with "...".  The limit is the help width less 6 and the longest
+    name: 28 to 56 for COLUMNS 40 to 90."""
+    from symtrap.cli import COMMANDS
+
+    monkeypatch.setenv("COLUMNS", str(columns))
+    result = run("--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    listed = result.stdout.split("\nCommands:\n")[1].splitlines()
+    limit = max(min(columns, 80) - 2, 50) - 6 - max(map(len, COMMANDS))
+    assert [line.split(maxsplit=1)[0] for line in listed] == sorted(COMMANDS)
+    for line in listed:
+        name, shown = line.split(maxsplit=1)
+        sentence = " ".join(COMMANDS[name].fn.__doc__.split(".")[0].split()) + "."
+        if len(sentence) <= limit:
+            assert shown == sentence
+        else:
+            words = sentence.split()
+            prefixes = (" ".join(words[:k]) for k in range(len(words)))
+            assert shown == max((p for p in prefixes if len(p) + 3 <= limit), key=len) + "..."
+
+
 @pytest.mark.parametrize("name,args,columns", ERROR_CASES, ids=[case[0] for case in ERROR_CASES])
 def test_usage_error(monkeypatch, name, args, columns):
     monkeypatch.setenv("COLUMNS", str(columns))

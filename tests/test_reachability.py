@@ -8,8 +8,10 @@ function and method defined in ``src/symtrap`` must be entered by that
 trace, or have an entry in ``ALLOWED`` with its reason; an export is no
 exception.  The tests' slow reference routes live in
 ``tests/reference_routes.py``, not in the package; so do the level order
-listed level by level, and the chain path built one line at a time, since
-a chain block runs one filter and one elimination, for its first line.
+listed level by level, and the chain path with every line's filter built
+from scratch and every candidate eliminated, since a chain block runs one
+root filter, steps each other line's filter from a neighbour's, and runs
+one ``_block`` per line.
 """
 
 import inspect
@@ -77,7 +79,7 @@ ALLOWED = {
     "partitions.Record.__repr__": "shows a record by its fields, in error messages and when debugging",
     "cli.entry": "runs only as the process entry; TestProcessEntry runs it in a child",
     "cli._program_name": "runs only as the process entry; TestProcessEntry runs it in a child",
-    "cli._drop_stdout": "runs only once the reader has closed stdout; TestExitCodes closes it in a child",
+    "cli._drop_stdout": "runs only once stdout cannot be written; TestExitCodes closes or fills it in a child",
 }
 
 #: Run in the child: trace the import, one lazy export and every call in
