@@ -156,16 +156,17 @@ def _drop_stdout() -> None:
 
 def _to_stdout(write, *args) -> int:
     """``write(sys.stdout, *args)``, flushed: every answer, help and version
-    line.  A reader that has gone exits 0 quietly, any other write error 2;
-    either way the rest, buffered bytes too, goes to :func:`_drop_stdout`."""
+    line.  A reader that has gone exits 0 quietly, any other write error,
+    an encoding that cannot hold the answer too, 2; either way the rest,
+    buffered bytes too, goes to :func:`_drop_stdout`."""
     try:
         write(sys.stdout, *args)
         sys.stdout.flush()
         return 0
     except BrokenPipeError:
         code = 0
-    except OSError as exc:
-        _warn(f"error: cannot write stdout: {exc.strerror}")
+    except (OSError, UnicodeEncodeError) as exc:
+        _warn(f"error: cannot write stdout: {getattr(exc, 'strerror', exc)}")
         code = EXIT_INVALID
     _drop_stdout()
     return code
@@ -339,7 +340,8 @@ def _command(name: str, *options: _Option):
     list of rows of cells (records, ints or strs), which text and csv print
     as ``str(cell)``; JSON alone calls ``json_fields()``, the fields after
     ``"n"``, and ``json_row(row)`` (None: no ``"rows"``).  Invalid input
-    exits 2, a failed consistency check exits 3.
+    exits 2, a failed consistency check exits 3, both while the table is
+    built; writing it maps only write errors.
     """
 
     def register(fn):
@@ -353,16 +355,17 @@ def _run(command: _Command, values: dict) -> int:
     n, fmt, output = values.pop("n"), values.pop("fmt"), values.pop("output")
     try:
         table = command.fn(n, **values)
-        if not output:
-            return _to_stdout(_emit, fmt, n, *table)
-        with open(output, "w", encoding="utf-8") as handle:
-            _emit(handle, fmt, n, *table)
     except ConsistencyError as exc:
         _warn(f"consistency failure: {exc}")
         return EXIT_INCONSISTENT
     except (ValueError, SearchExhaustedError) as exc:
         _warn(f"error: {exc}")
         return EXIT_INVALID
+    if not output:
+        return _to_stdout(_emit, fmt, n, *table)
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            _emit(handle, fmt, n, *table)
     except OSError as exc:
         _warn(f"error: cannot write {output}: {exc.strerror}")
         return EXIT_INVALID

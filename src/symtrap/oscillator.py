@@ -4,7 +4,9 @@ Energies are carried as exact rationals in trap units; the zero-point
 offset n/2 makes every energy a half-integer, so nothing here ever touches
 floating point.  Shell and hyperangular reductions are read off one
 truncated power series per irrep, built from Stanley's q-hook formula for
-the fake degree (EC2, Cor. 7.21.5) and memoized per particle number.  The
+the fake degree (EC2, Cor. 7.21.5); one series is kept per particle number
+and first factor, the longest built so far, and every row read from it is
+checked against the shell or hyperangular dimension in one place.  The
 brute-force route, Kostka counts over excitation multisets followed by a
 subtraction recursion over shells, is the tests' reference, in
 ``tests/reference_routes.py``; ``--verify`` recounts every row from Polya's
@@ -69,38 +71,31 @@ def hyperangular_dimension(n: int, lam: int) -> int:
     return comb(lam + n - 2, n - 2) - (comb(lam + n - 4, n - 2) if lam >= 2 else 0)
 
 
-#: Shortest series kept per (n, first factor); longer ones double it.
+#: Shortest series built per (n, first factor); longer ones double it.
 _MIN_SERIES_LENGTH = 64
 
-#: The longest series length built so far per (n, first factor).
-_LONGEST: dict[tuple[int, int], int] = {}
+#: The longest series built so far per (n, first factor), and only that one.
+_SERIES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def _series_length(x: int) -> int:
-    """Smallest power of two above ``x``, at least the minimum length."""
-    return max(_MIN_SERIES_LENGTH, 1 << x.bit_length())
-
-
-def _series_through(n: int, first: int, x: int) -> tuple[tuple[int, ...], ...]:
-    """A :func:`_series` reaching q^x: the longest built so far for ``(n, first)``
-    when it reaches that far, else a new one.  A table that asks for its top
-    row first so builds one series for all its rows."""
-    length = _LONGEST.get((n, first), 0)
-    if length <= x:
-        length = _LONGEST[n, first] = _series_length(x)
-    return _series(n, first, length)
-
-
-@lru_cache(maxsize=None)
-def _series(n: int, first: int, length: int) -> tuple[tuple[int, ...], ...]:
+def _series(n: int, first: int, x: int) -> tuple[tuple[int, ...], ...]:
     """Coefficients of q^0 .. q^(length-1) in f^p(q) / prod_{i=first..n} (1 - q^i),
-    one tuple per shape p in ``partitions_of(n)`` order.
+    one tuple per shape p in ``partitions_of(n)`` order, reaching q^x.
+
+    The series stored for ``(n, first)`` is returned when it reaches q^x;
+    else one of the next power-of-two length (at least
+    ``_MIN_SERIES_LENGTH``) is built and replaces it, so a table that asks
+    for its top row first builds one series for all its rows.
 
     The fake degree f^p(q) = q^b(p) [n]_q! / prod_hooks [h]_q, with
     b(p) = sum (i - 1) p_i, counts copies of p in the degree-d coinvariants.
     Both [n]_q! and the hook product carry n factors of 1/(1 - q), so the
     series equals q^b(p) prod_{i<first} (1 - q^i) / prod_hooks (1 - q^h).
     """
+    series = _SERIES.get((n, first))
+    if series and x < len(series[0]):
+        return series
+    length = max(_MIN_SERIES_LENGTH, 1 << x.bit_length())
     out = []
     for shape in partitions_of(n):
         coeffs = [0] * length
@@ -114,7 +109,22 @@ def _series(n: int, first: int, length: int) -> tuple[tuple[int, ...], ...]:
             for k in range(hook, length):
                 coeffs[k] += coeffs[k - hook]
         out.append(tuple(coeffs))
-    return tuple(out)
+    series = _SERIES[n, first] = tuple(out)
+    return series
+
+
+def _row(n: int, first: int, x: int, dimension) -> MultiplicityVector:
+    """Row q^x of the ``(n, first)`` series, checked against ``dimension(n, x)``,
+    which validates ``n`` and ``x`` before any series is built."""
+    expected = dimension(n, x)
+    counts = tuple(s[x] for s in _series(n, first, x))
+    result = MultiplicityVector(partitions_of(n), counts)
+    if min(counts) < 0 or result.total_dimension() != expected:
+        raise ConsistencyError(
+            f"row {x} of the n={n} reduction has a negative count"
+            f" or misses {dimension.__name__}({n}, {x}) = {expected}"
+        )
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -124,15 +134,7 @@ def shell_reduction(n: int, x: int) -> MultiplicityVector:
     By Chevalley's theorem the polynomial ring is the invariants times the
     coinvariants, so the multiplicity of p is [q^x] f^p(q) / prod_{i=1..n} (1 - q^i).
     """
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if x < 0:
-        raise ValueError(f"excitation must be non-negative, got {x}")
-    series = _series_through(n, 1, x)
-    result = MultiplicityVector(partitions_of(n), tuple(s[x] for s in series))
-    if result.total_dimension() != shell_dimension(n, x):
-        raise ConsistencyError(f"shell reduction does not fill the shell for n={n}, x={x}")
-    return result
+    return _row(n, 1, x, shell_dimension)
 
 
 @lru_cache(maxsize=None)
@@ -142,17 +144,7 @@ def lambda_reduction(n: int, lam: int) -> MultiplicityVector:
     Dividing the centre-of-mass mode (1 - q) and the hyperradial mode
     (1 - q^2) out of the shell series leaves [q^lam] f^p(q) / prod_{i=3..n} (1 - q^i).
     """
-    if n < 2:
-        raise ValueError(f"hyperangular structure needs n >= 2, got n={n}")
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    series = _series_through(n, 3, lam)
-    result = MultiplicityVector(partitions_of(n), tuple(s[lam] for s in series))
-    if result.min_count() < 0:
-        raise ConsistencyError(f"negative multiplicity in lambda reduction n={n}, lam={lam}")
-    if result.total_dimension() != hyperangular_dimension(n, lam):
-        raise ConsistencyError(f"lambda reduction has the wrong dimension for n={n}, lam={lam}")
-    return result
+    return _row(n, 3, lam, hyperangular_dimension)
 
 
 def antisymmetric_multiplicity(n: int, lam: int) -> int:

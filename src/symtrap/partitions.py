@@ -289,9 +289,6 @@ class MultiplicityVector(Record):
     def items(self):
         return zip(self.keys, self.counts)
 
-    def min_count(self) -> int:
-        return min(self.counts)
-
     def scaled(self, factor: int) -> "MultiplicityVector":
         return MultiplicityVector(self.keys, tuple(factor * c for c in self.counts))
 

@@ -610,6 +610,36 @@ class TestExitCodes:
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (GOLDEN / "map_n3.txt").read_bytes()
 
+    def test_an_encoding_that_cannot_hold_the_answer_is_a_write_error(self):
+        """``main`` in process keeps stdout's encoding; one that cannot hold
+        the answer is reported as a write error, not as invalid input."""
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = 'from symtrap.cli import main; main(["map", "--n", "3", "--state", "0,0,1,21"])'
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"},
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: cannot write stdout: 'ascii' codec can't encode")
+        assert result.stderr.count(b"\n") == 1
+
+    def test_a_value_error_while_writing_propagates(self, monkeypatch):
+        """Only building the table maps ``ValueError`` to exit 2; one raised
+        while the table is written is a fault of the program."""
+        from symtrap import cli
+
+        def failing(*args):
+            raise ValueError("injected while writing")
+
+        monkeypatch.setattr(cli, "_text_chunks", failing)
+        with pytest.raises(ValueError, match="injected while writing"):
+            run("chartable", "--n", "3")
+
     def test_closed_output_file_still_exits_two(self, tmp_path):
         import os
         import time

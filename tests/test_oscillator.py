@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from math import factorial
@@ -291,7 +293,7 @@ class TestSeriesRoute:
     def test_eight_particles_to_lambda_sixty(self):
         for lam in range(61):
             reduction = lambda_reduction(8, lam)
-            assert reduction.min_count() >= 0
+            assert min(reduction.counts) >= 0
             assert reduction.total_dimension() == hyperangular_dimension(8, lam)
 
     def test_rows_past_the_first_series_length(self):
@@ -316,11 +318,28 @@ class TestSeriesRoute:
         from cli_runner import run
         from symtrap import oscillator
 
-        monkeypatch.setattr(oscillator, "_LONGEST", {})
-        for memo in (oscillator._series, shell_reduction, lambda_reduction):
-            memo.cache_clear()
+        builds = []
+
+        class Store(dict):
+            def __setitem__(self, key, series):
+                builds.append(len(series[0]))
+                super().__setitem__(key, series)
+
+        monkeypatch.setattr(oscillator, "_SERIES", Store())
+        shell_reduction.cache_clear()
+        lambda_reduction.cache_clear()
         assert run(*args).exit_code == 0
-        assert oscillator._series.cache_info().misses == 1
+        assert builds == [512]
+
+    def test_a_rising_sweep_keeps_only_the_longest_series(self, monkeypatch):
+        """Rows 0..199 outgrow the 64- and 128-term series; only the 256-term one stays."""
+        from symtrap import oscillator
+
+        monkeypatch.setattr(oscillator, "_SERIES", {})
+        lambda_reduction.cache_clear()
+        for lam in range(200):
+            lambda_reduction(4, lam)
+        assert [(key, len(series[0])) for key, series in oscillator._SERIES.items()] == [((4, 3), 256)]
 
     def test_import_computes_nothing(self):
         import subprocess
@@ -335,9 +354,9 @@ class TestSeriesRoute:
             "caches = {f'{m}.{k}': v.cache_info().currsize\n"
             "          for m, mod in list(sys.modules.items()) if m.startswith('symtrap')\n"
             "          for k, v in vars(mod).items() if hasattr(v, 'cache_info')}\n"
-            "assert 'symtrap.oscillator._series' in caches, caches\n"
             "assert 'symtrap.oscillator.lambda_reduction' in caches, caches\n"
             "assert not any(caches.values()), caches\n"
+            "assert symtrap.oscillator._SERIES == {}, symtrap.oscillator._SERIES\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe],
@@ -346,3 +365,65 @@ class TestSeriesRoute:
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+#: Row 3 of both n = 4 series is corrupted: one more [4] misses the dimension;
+#: one more [4] and one fewer [1^4], both of dimension 1, keep it but go negative.
+CORRUPTIONS = {"wrong-dimension": (1, 0, 0, 0, 0), "negative-count": (1, 0, 0, 0, -1)}
+
+
+class TestRowCheck:
+    """Every row read from a series is checked in one place, for shells and hyperangular spaces."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        from symtrap import oscillator
+
+        monkeypatch.setattr(oscillator, "_SERIES", {})
+        shell_reduction.cache_clear()
+        lambda_reduction.cache_clear()
+        yield oscillator._SERIES
+        shell_reduction.cache_clear()
+        lambda_reduction.cache_clear()
+
+    @staticmethod
+    def corrupt(store, first, deltas):
+        from symtrap.oscillator import _series
+
+        series = _series(4, first, 3)
+        store[4, first] = tuple(
+            tuple(c + d * (k == 3) for k, c in enumerate(coeffs)) for coeffs, d in zip(series, deltas)
+        )
+
+    @pytest.mark.parametrize("deltas", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    @pytest.mark.parametrize(
+        "reduction,first,dimension",
+        [(shell_reduction, 1, "shell_dimension(4, 3) = 20"), (lambda_reduction, 3, "hyperangular_dimension(4, 3) = 7")],
+        ids=["shell", "lambda"],
+    )
+    def test_a_corrupted_count_fails_the_check(self, store, reduction, first, dimension, deltas):
+        from symtrap import ConsistencyError
+
+        self.corrupt(store, first, deltas)
+        with pytest.raises(ConsistencyError, match=rf"row 3 of the n=4 reduction .* {re.escape(dimension)}$"):
+            reduction(4, 3)
+        assert reduction(4, 2).total_dimension() > 0
+
+    @pytest.mark.parametrize("deltas", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_a_corrupted_shell_exits_three(self, store, deltas):
+        from cli_runner import run
+
+        self.corrupt(store, 1, deltas)
+        result = run("reduce-shell", "--n", "4", "--max-energy", "3")
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr.startswith("consistency failure: row 3 of the n=4 reduction ")
+
+    @pytest.mark.parametrize(
+        "reduction,args",
+        [(shell_reduction, (1, 0)), (shell_reduction, (4, -1)), (lambda_reduction, (4, -1))],
+        ids=["one-particle", "negative-excitation", "negative-lambda"],
+    )
+    def test_invalid_input_builds_no_series(self, store, reduction, args):
+        with pytest.raises(ValueError):
+            reduction(*args)
+        assert store == {}

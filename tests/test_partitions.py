@@ -278,7 +278,7 @@ class TestMultiplicityVector:
         assert a.scaled(3).counts == (3, 6, 0)
         assert a.scaled(3).keys == keys
         assert list(a.scaled(-1).items()) == list(zip(keys, (-1, -2, 0)))
-        assert a.scaled(-1).min_count() == -2
+        assert min(a.scaled(-1).counts) == -2
 
     def test_lookup_and_dimension(self):
         keys = partitions_of(3)
