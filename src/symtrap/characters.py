@@ -30,10 +30,8 @@ class NotACharacterError(ValueError):
 @lru_cache(maxsize=None)
 def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     """Murnaghan-Nakayama recursion on beta numbers (first-column hooks)."""
-    if not shape:
-        return 1 if not cycles else 0
-    if not cycles:
-        return 1 if not shape else 0
+    if not shape:  # ``sum(shape) == sum(cycles)`` on every call, so no cycles are left
+        return 1
     hook, rest = cycles[0], cycles[1:]
     m = len(shape)
     beta = tuple(shape[i] + m - 1 - i for i in range(m))

@@ -61,22 +61,13 @@ def _text_chunks(headers: list[str], rows: list, title: str | None = None):
         yield "".join(line.rstrip() + "\n" for line in map("  ".join, zip(*padded)))
 
 
-#: json's string escapes: quote, backslash, the short forms, ``\u00XX`` below U+0020.
-_JSON_ESCAPES = {
-    **{code: f"\\u{code:04x}" for code in range(32)},
-    **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')},
-}
+def _json_string(text: str) -> str:
+    """``text`` quoted and escaped by ``_json.encode_basestring``, as ``json.dumps(...,
+    ensure_ascii=False)`` does; the first call imports it and rebinds this name to it."""
+    global _json_string
+    from _json import encode_basestring as _json_string
 
-
-#: Each dict key's encoded prefix, ``'"key": '``, built the first time the key is written.
-_JSON_KEYS: dict[str, str] = {}
-
-
-def _json_key(key) -> str:
-    if type(key) is not str:
-        raise TypeError(f"cannot write a key of type {type(key).__name__} as JSON")
-    prefix = _JSON_KEYS[key] = f'"{key.translate(_JSON_ESCAPES)}": '
-    return prefix
+    return _json_string(text)
 
 
 def _json_value(obj, pad: str) -> str:
@@ -84,7 +75,7 @@ def _json_value(obj, pad: str) -> str:
     if kind is int:
         return int.__repr__(obj)
     if kind is str:
-        return f'"{obj.translate(_JSON_ESCAPES)}"'
+        return _json_string(obj)
     if obj is None:
         return "null"
     if kind is bool:
@@ -94,8 +85,7 @@ def _json_value(obj, pad: str) -> str:
         items = [int.__repr__(v) if type(v) is int else _json_value(v, inner) for v in obj]
         brackets = "[]"
     elif kind is dict:
-        keys = _JSON_KEYS
-        items = [(keys.get(k) or _json_key(k)) + _json_value(v, inner) for k, v in obj.items()]
+        items = [f"{_json_string(k)}: {_json_value(v, inner)}" for k, v in obj.items()]
         brackets = "{}"
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
@@ -110,13 +100,14 @@ def _json_chunks(head: dict, rows: list, json_row):
     SCHEMA}, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, in chunks,
     the rows a block at a time; without ``json_row`` the document has no
     ``"rows"``.  Values are dicts with str keys, lists, str, int, bool and
-    None, by exact type; any other raises ``TypeError``.  Written here so
-    that no call imports ``json`` or runs its pure-Python indent encoder.
-    ``tests/test_cli.py::TestJsonWriter`` checks it against ``json.dumps``
-    on generated values, and ``TestJsonContract::test_schema_and_round_trip``
-    on every command's output."""
-    keys = _JSON_KEYS
-    items = ((keys.get(k) or _json_key(k)) + _json_value(v, "  ") for k, v in head.items())
+    None, by exact type; any other raises ``TypeError``.  Strings and keys
+    are escaped by :func:`_json_string`; the layout is written here, since
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is given
+    (3.10, 3.11), so no call imports ``json`` and only JSON calls load
+    ``_json``.  ``tests/test_cli.py::TestJsonWriter`` checks it against
+    ``json.dumps`` on generated values, and
+    ``TestJsonContract::test_schema_and_round_trip`` on every command's output."""
+    items = (f"{_json_string(k)}: {_json_value(v, '  ')}" for k, v in head.items())
     yield "{\n  " + ",\n  ".join(items) + (',\n  "rows": [' if json_row else "")
     if json_row:
         lead = "\n    "
@@ -148,17 +139,17 @@ def _write(stream, text: str) -> None:
     stream.flush()
 
 
-def _drop_stdout() -> None:
-    """The reader closed stdout: the rest of the answer is dropped quietly,
-    and so is what is still buffered when the process exits."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _drop(stream) -> None:
+    """``stream`` cannot be written: the rest is dropped quietly, and so is
+    what is still buffered when the process exits."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _to_stdout(write, *args) -> int:
     """``write(sys.stdout, *args)``, flushed: every answer, help and version
     line.  A reader that has gone exits 0 quietly, any other write error,
     an encoding that cannot hold the answer too, 2; either way the rest,
-    buffered bytes too, goes to :func:`_drop_stdout`."""
+    buffered bytes too, goes to :func:`_drop`."""
     try:
         write(sys.stdout, *args)
         sys.stdout.flush()
@@ -168,12 +159,17 @@ def _to_stdout(write, *args) -> int:
     except (OSError, UnicodeEncodeError) as exc:
         _warn(f"error: cannot write stdout: {getattr(exc, 'strerror', exc)}")
         code = EXIT_INVALID
-    _drop_stdout()
+    _drop(sys.stdout)
     return code
 
 
 def _warn(message: str) -> None:
-    _write(sys.stderr, f"{message}\n")
+    """``message`` and a newline on stderr: every error, usage and abort
+    message.  One that stderr cannot take is dropped; the exit code stands."""
+    try:
+        _write(sys.stderr, f"{message}\n")
+    except OSError:
+        _drop(sys.stderr)
 
 
 def _counts(tokens: list[str], grammar: str) -> tuple[int, ...]:
@@ -382,12 +378,12 @@ class _UsageError(Exception):
         self.message, self.usage = message, usage
 
     def show(self) -> None:
-        text = f"Error: {self.message}\n"
+        text = f"Error: {self.message}"
         if self.usage:
             path, pieces = self.usage
             hint = f"Try '{path} --help' for help."
             text = f"{_usage_line(path, pieces, _help_width())}\n{hint}\n\n{text}"
-        _write(sys.stderr, text)
+        _warn(text)
 
 
 def _did_you_mean(word: str, candidates) -> str:
@@ -486,7 +482,7 @@ def _top_level_options(prog_name: str, args: list[str]) -> tuple[list[str], int 
 
 def _dispatch(prog_name: str, args: list[str]) -> int:
     if not args:
-        _write(sys.stderr, _top_level_help(prog_name) + "\n")
+        _warn(_top_level_help(prog_name))
         return EXIT_INVALID
     rest, code = _top_level_options(prog_name, args)
     if code is not None:
@@ -532,7 +528,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         exc.show()
         code = EXIT_INVALID
     except KeyboardInterrupt:
-        _write(sys.stderr, "\nAborted!\n")
+        _warn("\nAborted!")
         code = 1
     sys.exit(code)
 
@@ -540,7 +536,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
 def entry() -> None:
     """The process entry (``python -m symtrap.cli`` and the ``symtrap``
     script): :func:`main` with stdout in UTF-8 whatever the locale, and the
-    cyclic collector off, then an exit that skips interpreter teardown.
+    cyclic collector off, then an exit that skips interpreter teardown.  A
+    standard stream closed at start-up (None) writes into the null device, so
+    a closed stdout is treated like a reader that has gone.
 
     Rows and memo entries form no reference cycles, so collections would
     walk them all for nothing, one each time the heap grows by a quarter.
@@ -555,6 +553,8 @@ def entry() -> None:
     import atexit
     import gc
 
+    sys.stdout = sys.stdout or open(os.devnull, "w")
+    sys.stderr = sys.stderr or open(os.devnull, "w")
     sys.stdout.reconfigure(encoding="utf-8")
     gc.disable()
     try:
@@ -564,7 +564,7 @@ def entry() -> None:
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        _drop_stdout()
+        _drop(sys.stdout)
     sys.stderr.flush()
     atexit._run_exitfuncs()
     os._exit(code)

@@ -236,24 +236,17 @@ def adiabatic_map(n: int, source: StateLabel, extra_energy: int | None = None) -
     )
 
 
-def ground_state(
-    n: int,
-    pattern: ComponentPattern,
-    regime: str = G_ZERO,
-    e_ceiling: int | None = None,
-) -> list[StateLabel]:
+def ground_state(n: int, pattern: ComponentPattern, regime: str = G_ZERO) -> list[StateLabel]:
     """Lowest levels whose symmetry admits the component pattern.
 
     Returns every irrep copy at the lowest admitting level, one label each:
-    the level ``(0, 0, lam)`` at the first ``lam`` up to ``e_ceiling``
-    whose content admits the pattern.
+    the level ``(0, 0, lam)`` at the first ``lam`` up to ``4 n`` whose
+    content admits the pattern; :class:`SearchExhaustedError` when none does.
     """
     _check_regime(regime)
     if pattern.n != n:
         raise ValueError(f"pattern {pattern} does not describe {n} particles")
-    ceiling = 4 * n if e_ceiling is None else e_ceiling
-    if ceiling < 0:
-        raise ValueError(f"e_ceiling must be non-negative, got {ceiling}")
+    ceiling = 4 * n
     tag = pattern.subgroup_tag()
     admitted = {p for p, count in zip(partitions_of(n), branch_row(pattern)) if count}
     for lam in range(ceiling + 1):

@@ -593,6 +593,59 @@ class TestExitCodes:
         assert result.stderr == b"error: cannot write stdout: No space left on device\n"
         assert result.returncode == 2
 
+    @staticmethod
+    def _redirected(args, redirections: str, cwd=None):
+        """Run ``python -m symtrap.cli ARGS`` through the shell, with its
+        ``redirections`` (``>&-`` closes stdout, ``2>/dev/full`` fills stderr)."""
+        import shlex
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        command = " ".join(map(shlex.quote, [sys.executable, "-m", "symtrap.cli", *args]))
+        return subprocess.run(
+            f"{command} {redirections}",
+            shell=True,
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            cwd=cwd,
+            timeout=60,
+        )
+
+    def test_output_file_with_a_closed_stdout(self, tmp_path):
+        result = self._redirected(["chartable", "--n", "3", "--output", "out.txt"], ">&-", cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8").startswith("character table")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["chartable", "--n", "3"], ["--help"], ["chartable", "--help"], ["--version"]],
+        ids=["answer", "help", "command-help", "version"],
+    )
+    def test_closed_stdout_at_start_ends_quietly(self, args):
+        """Written into a stdout closed before the process started, an
+        answer, help or version ends as for a reader that has gone."""
+        result = self._redirected(args, ">&-")
+        assert (result.returncode, result.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args, redirections",
+        [
+            (["chartable", "--n", "9"], "2>&-"),
+            (["chartable", "--n", "9"], "2>/dev/full"),
+            (["map", "--n", "3", "--state", "0,0,1,31"], "2>/dev/full"),
+            ([], "2>/dev/full"),
+            (["chartable", "--n", "3"], ">/dev/full 2>/dev/full"),
+        ],
+        ids=["usage-closed", "usage-full", "invalid-full", "no-arguments-full", "write-error-full"],
+    )
+    def test_an_unwritable_stderr_keeps_the_exit_code(self, args, redirections):
+        """An error message that stderr cannot take is dropped; the call
+        still exits 2, not 1 with a traceback."""
+        result = self._redirected(args, redirections)
+        assert (result.returncode, result.stdout) == (2, b"")
+
     def test_stdout_is_utf8_whatever_the_encoding_asked(self):
         """The process entry writes stdout as UTF-8, as ``--output`` files
         are, so an ASCII ``PYTHONIOENCODING`` cannot cut an answer short."""
@@ -903,8 +956,18 @@ class TestProcessEntry:
     HOOK = b"exit hook, collector enabled: False\n"
     BASIS = ["sector-basis", "--n", "6", "--irrep", "21^4+", "--lambda-parity", "even", "--format", "json"]
 
-    def probe(self, *args, setup=""):
-        """Run the probe with ``args``, after the Python code ``setup``."""
+    #: Makes the sector-basis certificate fail.
+    REFUSE = (
+        "import symtrap, symtrap.oracle\n"
+        "def refuse(*args):\n"
+        "    raise symtrap.ConsistencyError('probe refuses the basis')\n"
+        "symtrap.oracle.verify_sector_basis = refuse\n"
+    )
+    REFUSED = ["sector-basis", "--n", "4", "--irrep", "1^4+", "--lambda-parity", "even", "--verify"]
+
+    def probe(self, *args, setup="", stderr=None):
+        """Run the probe with ``args``, after the Python code ``setup``;
+        its stderr goes to the file ``stderr`` (captured when None)."""
         import subprocess
         import sys
 
@@ -912,7 +975,8 @@ class TestProcessEntry:
         return subprocess.run(
             [sys.executable, "-c", setup + self.PROBE, *args],
             env={"PYTHONPATH": str(src)},
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE if stderr is None else stderr,
         )
 
     def test_module_run_exits_after_the_answer(self):
@@ -938,16 +1002,16 @@ class TestProcessEntry:
         assert result.stdout == self.HOOK
 
     def test_module_run_consistency_failure_exits_three(self):
-        setup = (
-            "import symtrap, symtrap.oracle\n"
-            "def refuse(*args):\n"
-            "    raise symtrap.ConsistencyError('probe refuses the basis')\n"
-            "symtrap.oracle.verify_sector_basis = refuse\n"
-        )
-        result = self.probe("sector-basis", "--n", "4", "--irrep", "1^4+", "--lambda-parity", "even",
-                            "--verify", setup=setup)
+        result = self.probe(*self.REFUSED, setup=self.REFUSE)
         assert result.returncode == 3
         assert result.stderr == b"consistency failure: probe refuses the basis\n"
+        assert result.stdout == self.HOOK
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_module_run_consistency_failure_into_a_full_stderr_exits_three(self):
+        with open("/dev/full", "wb") as full:
+            result = self.probe(*self.REFUSED, setup=self.REFUSE, stderr=full)
+        assert result.returncode == 3
         assert result.stdout == self.HOOK
 
     def test_module_run_bug_exits_one_through_normal_shutdown(self):

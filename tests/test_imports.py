@@ -120,19 +120,21 @@ def test_fresh_process_matches_runner(args):
 
 
 #: Standard-library modules no call needs: annotations are builtins or
-#: strings, labels are scanned by hand, and the CLI and ``_csv`` write JSON and CSV.
+#: strings, labels are scanned by hand, the CLI lays out JSON around
+#: ``_json``'s string escape, and ``_csv`` writes CSV.
 UNUSED = {"typing", "re", "enum", "json", "csv", "fractions", "decimal", "__future__"}
 
 
-def clean_imports(*args) -> set[str]:
-    """The modules ``python -S -m symtrap.cli ARGS`` imports after ``runpy``.
+def clean_imports(*args, code: int = 0) -> set[str]:
+    """The modules ``python -S -m symtrap.cli ARGS`` imports after ``runpy``;
+    the call must exit with ``code``.
 
     ``-S`` skips ``site`` and its ``.pth`` files, which may import modules
     such as ``typing`` at start-up, so every module listed is one that
     symtrap's own code asked for.
     """
     result = child("-S", "-X", "importtime", "-m", "symtrap.cli", *args)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     report = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
     names = [line.rsplit("|", 1)[-1].strip() for line in report[1:]]
     return set(names[names.index("runpy") + 1 :])
@@ -145,7 +147,19 @@ def layers(*args) -> set[str]:
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("args", COMMAND_CALLS, ids=[call[0] for call in COMMAND_CALLS])
 def test_clean_interpreter_imports_nothing_unused(args, fmt):
-    assert not clean_imports(*args, "--format", fmt) & UNUSED
+    """Nor ``_json``, unless the call writes JSON."""
+    imported = clean_imports(*args, "--format", fmt)
+    assert not imported & UNUSED
+    assert ("_json" in imported) == (fmt == "json")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--help"], 0), (["chartable", "--help"], 0), (["--version"], 0), (["chartable", "--n", "9"], 2)],
+    ids=["help", "command-help", "version", "usage-error"],
+)
+def test_only_json_calls_load_the_string_escape(args, code):
+    assert "_json" not in clean_imports(*args, code=code)
 
 
 def test_chain_sector_basis_loads_only_its_layers():

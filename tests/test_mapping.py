@@ -397,25 +397,17 @@ class TestGroundState:
         assert len(square) == 2 and all(s.pi == 1 for s in square)
 
     def test_search_ceiling(self):
-        with pytest.raises(SearchExhaustedError):
-            ground_state(5, ComponentPattern((5,), FERMI), e_ceiling=5)
-
-    def test_negative_ceiling_is_refused(self):
-        with pytest.raises(ValueError, match="e_ceiling"):
-            ground_state(3, ComponentPattern((2, 1), FERMI), e_ceiling=-1)
+        """Ten spinless fermions need C(10, 2) = 45 quanta, past the 4n = 40 searched."""
+        for regime in REGIMES:
+            with pytest.raises(SearchExhaustedError, match=r"no level admitting \(10\)_F within 40 quanta"):
+                ground_state(10, ComponentPattern((10,), FERMI), regime)
 
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize("n", range(2, 9))
     def test_first_admitting_shell_of_the_level_order(self, n, regime):
         """Every label, in order, that the reference level order holds at
-        the lowest excitation admitting the pattern, or the search's end
-        when none lies under the ceiling (default ``4 n``)."""
+        the lowest excitation admitting the pattern, within ``4 n`` quanta."""
         for pattern in all_patterns(n):
-            assert first_admitting_levels(n, pattern, regime, 4 * n)
-            for ceiling in (None, 0, 3, 2 * n):
-                expected = first_admitting_levels(n, pattern, regime, 4 * n if ceiling is None else ceiling)
-                if expected:
-                    assert ground_state(n, pattern, regime, ceiling) == expected
-                else:
-                    with pytest.raises(SearchExhaustedError):
-                        ground_state(n, pattern, regime, ceiling)
+            expected = first_admitting_levels(n, pattern, regime, 4 * n)
+            assert expected
+            assert ground_state(n, pattern, regime) == expected

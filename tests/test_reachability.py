@@ -79,7 +79,7 @@ ALLOWED = {
     "partitions.Record.__repr__": "shows a record by its fields, in error messages and when debugging",
     "cli.entry": "runs only as the process entry; TestProcessEntry runs it in a child",
     "cli._program_name": "runs only as the process entry; TestProcessEntry runs it in a child",
-    "cli._drop_stdout": "runs only once stdout cannot be written; TestExitCodes closes or fills it in a child",
+    "cli._drop": "runs only once stdout or stderr cannot be written; TestExitCodes closes or fills it in a child",
 }
 
 #: Run in the child: trace the import, one lazy export and every call in
